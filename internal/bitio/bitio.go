@@ -24,6 +24,13 @@ type Writer struct {
 	nbit int // total bits written
 }
 
+// AppendWriter returns a Writer whose stream continues after the bytes of
+// dst: its Bytes are dst followed by the bits written, zero-padded to a byte
+// boundary. It writes into dst's spare capacity before allocating.
+func AppendWriter(dst []byte) Writer {
+	return Writer{buf: dst, nbit: 8 * len(dst)}
+}
+
 // Len returns the number of bits written so far.
 func (w *Writer) Len() int { return w.nbit }
 

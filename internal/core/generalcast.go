@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/interval"
 	"repro/internal/protocol"
@@ -59,7 +60,7 @@ func (p *GeneralBroadcast) NewNode(inDeg, outDeg int, role protocol.Role) protoc
 	if role == protocol.RoleTerminal {
 		return &gcTerminal{}
 	}
-	return &gcNode{outDeg: outDeg, payload: p.payload, literal: p.literal, alphas: make([]interval.Union, outDeg)}
+	return &gcNode{outDeg: outDeg, literal: p.literal, gcState: newGCState(p.payload, outDeg)}
 }
 
 // gcMsg is sigma = (alpha', beta') plus the broadcast payload.
@@ -72,19 +73,102 @@ type gcMsg struct {
 // Bits implements protocol.Message.
 func (m gcMsg) Bits() int { return m.alpha.EncodedBits() + m.beta.EncodedBits() + m.payload.Bits() }
 
-// Key implements protocol.Message.
-func (m gcMsg) Key() string { return m.alpha.Key() + "|" + m.beta.Key() }
+// Key implements protocol.Message: alpha's key, '|', beta's key, built in one
+// exactly sized buffer that the returned string then shares.
+func (m gcMsg) Key() string {
+	buf := make([]byte, 0, (m.alpha.EncodedBits()+7)/8+1+(m.beta.EncodedBits()+7)/8)
+	buf = m.alpha.AppendKey(buf)
+	buf = append(buf, '|')
+	buf = m.beta.AppendKey(buf)
+	// buf is never written again, so the string may alias it (the same
+	// hand-off strings.Builder makes).
+	return unsafe.String(unsafe.SliceData(buf), len(buf))
+}
+
+// gcState is the internal-vertex state ((alpha_j)_{j=1..d}, beta) shared by
+// general broadcast and label assignment, with the transition both apply on
+// every receipt after the first.
+type gcState struct {
+	payload Payload
+	alphas  []interval.Union // alpha_j, 1-indexed in the paper, 0-indexed here
+	beta    interval.Union
+	// frozen caches the union of everything that never grows after the
+	// first receipt: alpha_1..alpha_{d-1} and, for label assignment, the
+	// label alpha_0. It is built on the first step that needs it.
+	frozen    interval.Union
+	hasFrozen bool
+}
+
+func newGCState(payload Payload, outDeg int) gcState {
+	return gcState{payload: payload, alphas: make([]interval.Union, outDeg)}
+}
+
+// step is the pi != pi0 transition for a vertex with at least one out-edge:
+// alpha_1..alpha_{d-1} are frozen, fresh alpha' content flows to edge d, and
+// already-seen content is cycle evidence that joins beta. label is alpha_0
+// (empty for general broadcast); it is read only when frozen is first built.
+//
+// The paper grows the state by alpha_d ∪= aIn \ frozen and
+// beta ∪= bIn ∪ (aIn ∩ all alphas), then sends the growth. step computes
+// that growth from the incoming side, so its cost follows the message and
+// not the accumulated state:
+//
+//	overlap    = (aIn ∩ frozen) ∪ (aIn ∩ alpha_d)
+//	alphaDelta = (aIn \ frozen) \ alpha_d
+//	betaDelta  = (bIn ∪ overlap) \ beta
+//
+// Each delta is the same point set as (state ∪ x) \ state, and a canonical
+// union is unique for its point set, so the messages are identical.
+func (s *gcState) step(aIn, bIn, label interval.Union) []protocol.Message {
+	last := len(s.alphas) - 1
+	if !s.hasFrozen {
+		s.hasFrozen = true
+		s.frozen = label
+		for _, a := range s.alphas[:last] {
+			s.frozen = s.frozen.Union(a)
+		}
+	}
+	overlap := aIn.Intersect(s.frozen).Union(aIn.Intersect(s.alphas[last]))
+	alphaDelta := aIn.Subtract(s.frozen).Subtract(s.alphas[last])
+	betaDelta := bIn.Union(overlap).Subtract(s.beta)
+	if alphaDelta.IsEmpty() && betaDelta.IsEmpty() {
+		return nil
+	}
+	outs := make([]protocol.Message, len(s.alphas))
+	if !alphaDelta.IsEmpty() {
+		s.alphas[last] = s.alphas[last].Union(alphaDelta)
+	}
+	if !betaDelta.IsEmpty() {
+		s.beta = s.beta.Union(betaDelta)
+		for j := 0; j < last; j++ {
+			outs[j] = gcMsg{payload: s.payload, beta: betaDelta}
+		}
+	}
+	outs[last] = gcMsg{payload: s.payload, alpha: alphaDelta, beta: betaDelta}
+	return outs
+}
+
+// firstSends returns the messages of a first receipt: every out-edge j
+// carries (alpha_j, beta) unless both are empty.
+func (s *gcState) firstSends() []protocol.Message {
+	outs := make([]protocol.Message, len(s.alphas))
+	for j, a := range s.alphas {
+		if a.IsEmpty() && s.beta.IsEmpty() {
+			continue
+		}
+		outs[j] = gcMsg{payload: s.payload, alpha: a, beta: s.beta}
+	}
+	return outs
+}
 
 // gcNode is an internal vertex's state (alphas, beta) and transition logic.
 type gcNode struct {
 	outDeg  int
-	payload Payload
 	literal bool
 	// virgin is true while the state is pi0 (nothing received yet).
 	virgin bool
 	inited bool
-	alphas []interval.Union // alpha_j, 1-indexed in the paper, 0-indexed here
-	beta   interval.Union
+	gcState
 }
 
 // Receive implements the f and g of Section 4.
@@ -109,59 +193,23 @@ func (n *gcNode) Receive(msg protocol.Message, _ int) ([]protocol.Message, error
 		return nil, nil
 	}
 
-	outs := make([]protocol.Message, n.outDeg)
-	if n.virgin {
-		// pi == pi0: canonically partition alpha' among the out-edges and
-		// adopt beta' wholesale.
-		n.virgin = false
-		if !aIn.IsEmpty() {
-			var parts []interval.Union
-			if n.literal {
-				parts = aIn.CanonicalPartitionLiteral(n.outDeg)
-			} else {
-				parts = aIn.CanonicalPartition(n.outDeg)
-			}
-			copy(n.alphas, parts)
-		}
-		n.beta = bIn
-		for j := 0; j < n.outDeg; j++ {
-			if n.alphas[j].IsEmpty() && n.beta.IsEmpty() {
-				continue
-			}
-			outs[j] = gcMsg{payload: n.payload, alpha: n.alphas[j], beta: n.beta}
-		}
-		return outs, nil
+	if !n.virgin {
+		return n.step(aIn, bIn, interval.EmptyUnion()), nil
 	}
-
-	// pi != pi0: alpha_1..alpha_{d-1} are frozen; fresh alpha' content flows
-	// to edge d, already-seen content is cycle evidence and joins beta.
-	last := n.outDeg - 1
-	overlap := interval.EmptyUnion()
-	for _, aj := range n.alphas {
-		overlap = overlap.Union(aIn.Intersect(aj))
-	}
-	frozen := interval.EmptyUnion()
-	for j := 0; j < last; j++ {
-		frozen = frozen.Union(n.alphas[j])
-	}
-	oldAlphaLast := n.alphas[last]
-	oldBeta := n.beta
-	n.alphas[last] = n.alphas[last].Union(aIn.Subtract(frozen))
-	n.beta = n.beta.Union(bIn).Union(overlap)
-
-	betaDelta := n.beta.Subtract(oldBeta)
-	alphaDelta := n.alphas[last].Subtract(oldAlphaLast)
-	for j := 0; j < n.outDeg; j++ {
-		a := interval.EmptyUnion()
-		if j == last {
-			a = alphaDelta
+	// pi == pi0: canonically partition alpha' among the out-edges and adopt
+	// beta' wholesale.
+	n.virgin = false
+	if !aIn.IsEmpty() {
+		var parts []interval.Union
+		if n.literal {
+			parts = aIn.CanonicalPartitionLiteral(n.outDeg)
+		} else {
+			parts = aIn.CanonicalPartition(n.outDeg)
 		}
-		if a.IsEmpty() && betaDelta.IsEmpty() {
-			continue
-		}
-		outs[j] = gcMsg{payload: n.payload, alpha: a, beta: betaDelta}
+		copy(n.alphas, parts)
 	}
-	return outs, nil
+	n.beta = bIn
+	return n.firstSends(), nil
 }
 
 // Alphas exposes the per-edge alpha state for invariant checks and the
@@ -180,26 +228,28 @@ type gcTerminal struct {
 	cover interval.Union
 }
 
-// Receive implements protocol.Node.
+// Receive implements protocol.Node. The three unions are owned by the
+// terminal and grow in place; nothing outside it ever holds their storage.
 func (t *gcTerminal) Receive(msg protocol.Message, _ int) ([]protocol.Message, error) {
 	m, ok := msg.(gcMsg)
 	if !ok {
 		return nil, fmt.Errorf("generalcast: unexpected message type %T", msg)
 	}
-	t.alpha = t.alpha.Union(m.alpha)
-	t.beta = t.beta.Union(m.beta)
-	t.cover = t.cover.Union(m.alpha).Union(m.beta)
+	t.alpha.Absorb(m.alpha)
+	t.beta.Absorb(m.beta)
+	t.cover.Absorb(m.alpha)
+	t.cover.Absorb(m.beta)
 	return nil, nil
 }
 
 // Done implements the stopping predicate S.
 func (t *gcTerminal) Done() bool { return t.cover.IsFull() }
 
-// Output returns the covered union (== [0,1) on termination).
-func (t *gcTerminal) Output() any { return t.cover }
+// Output returns a copy of the covered union (== [0,1) on termination).
+func (t *gcTerminal) Output() any { return t.cover.Clone() }
 
-// AlphaSeen exposes the alpha content received so far (for tests).
-func (t *gcTerminal) AlphaSeen() interval.Union { return t.alpha }
+// AlphaSeen returns a copy of the alpha content received so far (for tests).
+func (t *gcTerminal) AlphaSeen() interval.Union { return t.alpha.Clone() }
 
-// BetaSeen exposes the beta content received so far (for tests).
-func (t *gcTerminal) BetaSeen() interval.Union { return t.beta }
+// BetaSeen returns a copy of the beta content received so far (for tests).
+func (t *gcTerminal) BetaSeen() interval.Union { return t.beta.Clone() }

@@ -42,20 +42,18 @@ func (p *LabelAssign) NewNode(inDeg, outDeg int, role protocol.Role) protocol.No
 	if role == protocol.RoleTerminal {
 		return &gcTerminal{}
 	}
-	return &labelNode{outDeg: outDeg, payload: p.payload, alphas: make([]interval.Union, outDeg)}
+	return &labelNode{outDeg: outDeg, gcState: newGCState(p.payload, outDeg)}
 }
 
 // labelNode is an internal vertex's state ((alpha_j)_{j=0..d}, beta), where
 // alpha_0 (the field `label`) is the vertex's own share.
 type labelNode struct {
 	outDeg  int
-	payload Payload
 	virgin  bool
 	inited  bool
 	labeled bool
 	label   interval.Union // alpha_0
-	alphas  []interval.Union
-	beta    interval.Union
+	gcState
 }
 
 // Receive implements the modified f and g of Section 5.
@@ -91,14 +89,7 @@ func (n *labelNode) Receive(msg protocol.Message, _ int) ([]protocol.Message, er
 		if n.outDeg == 0 {
 			return nil, nil
 		}
-		outs := make([]protocol.Message, n.outDeg)
-		for j := 0; j < n.outDeg; j++ {
-			if n.alphas[j].IsEmpty() && n.beta.IsEmpty() {
-				continue
-			}
-			outs[j] = gcMsg{payload: n.payload, alpha: n.alphas[j], beta: n.beta}
-		}
-		return outs, nil
+		return n.firstSends(), nil
 	}
 
 	if n.outDeg == 0 {
@@ -106,38 +97,11 @@ func (n *labelNode) Receive(msg protocol.Message, _ int) ([]protocol.Message, er
 		return nil, nil
 	}
 
-	// pi != pi0: exactly the Section 4 update; alpha_0 never changes. The
-	// overlap computation includes alpha_0: content coinciding with the label
-	// is already in beta (added at labeling time), so this is a no-op kept
-	// for fidelity to "f is exactly as defined previously".
-	last := n.outDeg - 1
-	overlap := aIn.Intersect(n.label)
-	for _, aj := range n.alphas {
-		overlap = overlap.Union(aIn.Intersect(aj))
-	}
-	frozen := n.label
-	for j := 0; j < last; j++ {
-		frozen = frozen.Union(n.alphas[j])
-	}
-	oldAlphaLast := n.alphas[last]
-	oldBeta := n.beta
-	n.alphas[last] = n.alphas[last].Union(aIn.Subtract(frozen))
-	n.beta = n.beta.Union(bIn).Union(overlap)
-
-	betaDelta := n.beta.Subtract(oldBeta)
-	alphaDelta := n.alphas[last].Subtract(oldAlphaLast)
-	outs := make([]protocol.Message, n.outDeg)
-	for j := 0; j < n.outDeg; j++ {
-		a := interval.EmptyUnion()
-		if j == last {
-			a = alphaDelta
-		}
-		if a.IsEmpty() && betaDelta.IsEmpty() {
-			continue
-		}
-		outs[j] = gcMsg{payload: n.payload, alpha: a, beta: betaDelta}
-	}
-	return outs, nil
+	// pi != pi0: exactly the Section 4 update with alpha_0 in the frozen
+	// prefix; alpha_0 never changes. Content coinciding with the label is
+	// already in beta (added at labeling time), so its overlap is a no-op
+	// kept for fidelity to "f is exactly as defined previously".
+	return n.step(aIn, bIn, n.label), nil
 }
 
 // Label returns the vertex's assigned label and whether one was assigned.

@@ -59,7 +59,7 @@ func (p *MapExtract) NewNode(inDeg, outDeg int, role protocol.Role) protocol.Nod
 		return &mapTerminal{records: map[string]EdgeRecord{}}
 	}
 	return &mapNode{
-		inner:   labelNode{outDeg: outDeg, payload: p.payload, alphas: make([]interval.Union, outDeg)},
+		inner:   labelNode{outDeg: outDeg, gcState: newGCState(p.payload, outDeg)},
 		outDeg:  outDeg,
 		records: map[string]EdgeRecord{},
 	}

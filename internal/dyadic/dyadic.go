@@ -56,6 +56,8 @@ func FromFrac(num uint64, p uint) D {
 	return normalize([]uint64{num}, p)
 }
 
+// normalize builds the canonical D for limbs/2^prec. It reduces in place, so
+// limbs must be freshly allocated by the caller and not shared.
 func normalize(limbs []uint64, prec uint) D {
 	limbs = stripHigh(limbs)
 	if len(limbs) == 0 {
@@ -69,7 +71,7 @@ func normalize(limbs []uint64, prec uint) D {
 		tz = prec
 	}
 	if tz > 0 {
-		limbs = stripHigh(shr(limbs, tz))
+		limbs = stripHigh(shrInPlace(limbs, tz))
 		prec -= tz
 	}
 	return D{limbs: limbs, prec: prec}
@@ -108,15 +110,27 @@ func (d D) IsOne() bool {
 // number of binary fraction digits needed to write d exactly.
 func (d D) Prec() uint { return d.prec }
 
-// Cmp compares d and o, returning -1, 0, or +1.
+// Cmp compares d and o, returning -1, 0, or +1. Both numerators are aligned
+// to the common precision through a virtual shift, so Cmp never allocates.
 func (d D) Cmp(o D) int {
-	p := d.prec
-	if o.prec > p {
-		p = o.prec
+	sd, so, _ := align(d, o)
+	la, lb := bitLen(d.limbs, sd), bitLen(o.limbs, so)
+	if la != lb {
+		if la < lb {
+			return -1
+		}
+		return 1
 	}
-	a := shl(d.limbs, p-d.prec)
-	b := shl(o.limbs, p-o.prec)
-	return cmp(a, b)
+	for i := (la+63)/64 - 1; i >= 0; i-- {
+		a, b := wordAt(d.limbs, sd, i), wordAt(o.limbs, so, i)
+		if a != b {
+			if a < b {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
 }
 
 // Equal reports whether d == o.
@@ -127,40 +141,41 @@ func (d D) Less(o D) bool { return d.Cmp(o) < 0 }
 
 // Add returns d + o.
 func (d D) Add(o D) D {
-	p := d.prec
-	if o.prec > p {
-		p = o.prec
+	sd, so, p := align(d, o)
+	n := (max(bitLen(d.limbs, sd), bitLen(o.limbs, so))+63)/64 + 1
+	out := make([]uint64, n)
+	var carry uint64
+	for i := range out {
+		out[i], carry = bits.Add64(wordAt(d.limbs, sd, i), wordAt(o.limbs, so, i), carry)
 	}
-	a := shl(d.limbs, p-d.prec)
-	b := shl(o.limbs, p-o.prec)
-	return normalize(add(a, b), p)
+	return normalize(out, p)
 }
 
 // Sub returns d - o. It panics if d < o: the protocols only ever subtract a
 // part from the whole, so a negative result is an invariant violation.
 func (d D) Sub(o D) D {
-	p := d.prec
-	if o.prec > p {
-		p = o.prec
+	sd, so, p := align(d, o)
+	n := (max(bitLen(d.limbs, sd), bitLen(o.limbs, so)) + 63) / 64
+	out := make([]uint64, n)
+	var borrow uint64
+	for i := range out {
+		out[i], borrow = bits.Sub64(wordAt(d.limbs, sd, i), wordAt(o.limbs, so, i), borrow)
 	}
-	a := shl(d.limbs, p-d.prec)
-	b := shl(o.limbs, p-o.prec)
-	diff, ok := sub(a, b)
-	if !ok {
+	if borrow != 0 {
 		panic("dyadic: Sub would produce a negative value")
 	}
-	return normalize(diff, p)
+	return normalize(out, p)
 }
 
 // Half returns d / 2.
 func (d D) Half() D { return d.Shr(1) }
 
-// Shr returns d / 2^k.
+// Shr returns d / 2^k. The result shares d's limbs: D values are immutable.
 func (d D) Shr(k uint) D {
 	if d.IsZero() {
 		return D{}
 	}
-	return D{limbs: append([]uint64(nil), d.limbs...), prec: d.prec + k}
+	return D{limbs: d.limbs, prec: d.prec + k}
 }
 
 // MulUint returns d * c for a small scalar c.
@@ -202,7 +217,7 @@ func (d D) String() string {
 	if d.prec == 0 {
 		return intString(d.limbs)
 	}
-	ip := shr(d.limbs, d.prec)
+	ip := shrInPlace(append([]uint64(nil), d.limbs...), d.prec)
 	var sb strings.Builder
 	sb.WriteString(intString(ip))
 	sb.WriteByte('.')
@@ -342,99 +357,50 @@ func setBit(limbs []uint64, i uint) {
 	limbs[i/64] |= 1 << (i % 64)
 }
 
-func cmp(a, b []uint64) int {
-	an, bn := len(a), len(b)
-	for an > 0 && a[an-1] == 0 {
-		an--
-	}
-	for bn > 0 && b[bn-1] == 0 {
-		bn--
-	}
-	if an != bn {
-		if an < bn {
-			return -1
-		}
-		return 1
-	}
-	for i := an - 1; i >= 0; i-- {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return 0
+// align returns the shifts that bring d's and o's numerators to their common
+// precision p: the values are (d.limbs<<sd)/2^p and (o.limbs<<so)/2^p.
+func align(d, o D) (sd, so, p uint) {
+	p = max(d.prec, o.prec)
+	return p - d.prec, p - o.prec, p
 }
 
-func add(a, b []uint64) []uint64 {
-	if len(a) < len(b) {
-		a, b = b, a
-	}
-	out := make([]uint64, len(a)+1)
-	var carry uint64
-	for i := range a {
-		var bv uint64
-		if i < len(b) {
-			bv = b[i]
-		}
-		out[i], carry = bits.Add64(a[i], bv, carry)
-	}
-	out[len(a)] = carry
-	return out
-}
-
-// sub computes a - b; ok is false if the result would be negative.
-func sub(a, b []uint64) (out []uint64, ok bool) {
-	if cmp(a, b) < 0 {
-		return nil, false
-	}
-	out = make([]uint64, len(a))
-	var borrow uint64
-	for i := range a {
-		var bv uint64
-		if i < len(b) {
-			bv = b[i]
-		}
-		out[i], borrow = bits.Sub64(a[i], bv, borrow)
-	}
-	return out, true
-}
-
-func shl(a []uint64, k uint) []uint64 {
+// bitLen returns the bit length of a<<s, ignoring high zero limbs; 0 for 0.
+func bitLen(a []uint64, s uint) int {
+	a = stripHigh(a)
 	if len(a) == 0 {
-		return nil
+		return 0
 	}
-	if k == 0 {
-		return append([]uint64(nil), a...)
-	}
-	lk, bk := k/64, k%64
-	out := make([]uint64, len(a)+int(lk)+1)
-	for i, v := range a {
-		out[i+int(lk)] |= v << bk
-		if bk != 0 {
-			out[i+int(lk)+1] |= v >> (64 - bk)
-		}
-	}
-	return out
+	return 64*(len(a)-1) + bits.Len64(a[len(a)-1]) + int(s)
 }
 
-func shr(a []uint64, k uint) []uint64 {
-	if len(a) == 0 {
-		return nil
+// wordAt returns word i (little-endian) of a<<s without materializing the
+// shifted value.
+func wordAt(a []uint64, s uint, i int) uint64 {
+	j, bk := i-int(s/64), s%64
+	var w uint64
+	if j >= 0 && j < len(a) {
+		w = a[j] << bk
 	}
-	lk, bk := k/64, k%64
-	if int(lk) >= len(a) {
-		return nil
+	if bk != 0 && j >= 1 && j-1 < len(a) {
+		w |= a[j-1] >> (64 - bk)
 	}
-	out := make([]uint64, len(a)-int(lk))
-	for i := range out {
-		out[i] = a[i+int(lk)] >> bk
-		if bk != 0 && i+int(lk)+1 < len(a) {
-			out[i] |= a[i+int(lk)+1] << (64 - bk)
+	return w
+}
+
+// shrInPlace shifts a right by k bits, reusing a's storage.
+func shrInPlace(a []uint64, k uint) []uint64 {
+	lk, bk := int(k/64), k%64
+	if lk >= len(a) {
+		return a[:0]
+	}
+	n := len(a) - lk
+	for i := 0; i < n; i++ {
+		a[i] = a[i+lk] >> bk
+		if bk != 0 && i+lk+1 < len(a) {
+			a[i] |= a[i+lk+1] << (64 - bk)
 		}
 	}
-	return out
+	return a[:n]
 }
 
 func mulScalar(a []uint64, c uint64) []uint64 {

@@ -2,6 +2,7 @@ package dyadic
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -258,9 +259,16 @@ func TestQuickMulUintIsRepeatedAdd(t *testing.T) {
 func TestQuickNormalizeIdempotent(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		d := randD(rng, 200)
-		n := normalize(append([]uint64(nil), d.limbs...), d.prec)
-		return n.Equal(d) && n.prec == d.prec && cmp(n.limbs, d.limbs) == 0
+		a, b := randD(rng, 200), randD(rng, 300)
+		// Add and Sub reduce their results in place; normalizing any value
+		// again must change nothing.
+		for _, d := range []D{a, a.Add(b), a.Add(b).Sub(a)} {
+			n := normalize(append([]uint64(nil), d.limbs...), d.prec)
+			if !n.Equal(d) || n.prec != d.prec || !slices.Equal(n.limbs, d.limbs) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -300,5 +308,93 @@ func TestNormalizeStripsAfterShift(t *testing.T) {
 	}
 	if !d.Equal(d2) {
 		t.Fatal("value changed")
+	}
+}
+
+// refCmp is the shift-then-compare definition of Cmp: both numerators are
+// materialized at the common precision and compared limb by limb. Cmp must
+// agree with it on every pair, including representations with redundant
+// high zero limbs.
+func refCmp(d, o D) int {
+	p := max(d.prec, o.prec)
+	a, b := refShl(d.limbs, p-d.prec), refShl(o.limbs, p-o.prec)
+	an, bn := len(stripHigh(a)), len(stripHigh(b))
+	if an != bn {
+		if an < bn {
+			return -1
+		}
+		return 1
+	}
+	for i := an - 1; i >= 0; i-- {
+		if a[i] != b[i] {
+			if a[i] < b[i] {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
+}
+
+func refShl(a []uint64, k uint) []uint64 {
+	if len(a) == 0 {
+		return nil
+	}
+	lk, bk := k/64, k%64
+	out := make([]uint64, len(a)+int(lk)+1)
+	for i, v := range a {
+		out[i+int(lk)] |= v << bk
+		if bk != 0 {
+			out[i+int(lk)+1] |= v >> (64 - bk)
+		}
+	}
+	return out
+}
+
+func TestCmpMatchesShiftReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	check := func(a, b D) {
+		t.Helper()
+		if got, want := a.Cmp(b), refCmp(a, b); got != want {
+			t.Fatalf("Cmp(%s, %s) = %d, reference %d", a, b, got, want)
+		}
+	}
+	for i := 0; i < 20000; i++ {
+		// Precisions up to 300 bits span one to five limbs, so the virtual
+		// shift crosses word boundaries in both directions.
+		a, b := randD(rng, 300), randD(rng, 300)
+		check(a, b)
+		check(b, a)
+		check(a, a)
+		// Same value, different precision: a rescaled copy of a is equal to
+		// it but carries more limbs before normalization.
+		k := uint(rng.Intn(130))
+		wide := D{limbs: refShl(a.limbs, k), prec: a.prec + k}
+		check(a, wide)
+		check(wide, a)
+		check(wide, b)
+		// Equal values with different limb counts: redundant high zero limbs.
+		padded := D{limbs: append(append([]uint64(nil), a.limbs...), 0, 0), prec: a.prec}
+		check(a, padded)
+		check(padded, b)
+	}
+	for _, v := range []D{Zero(), One(), FromUint(3), Pow2(64), Pow2(128), Pow2(200)} {
+		for _, w := range []D{Zero(), One(), FromUint(2), Pow2(63), Pow2(129), Pow2(200)} {
+			check(v, w)
+			check(w, v)
+		}
+	}
+}
+
+func TestCmpAddSubDoNotAllocateBeyondResult(t *testing.T) {
+	a, b := FromFrac(12345, 70), FromFrac(3, 5)
+	if n := testing.AllocsPerRun(100, func() { _ = a.Cmp(b) }); n != 0 {
+		t.Fatalf("Cmp allocates %.0f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = a.Add(b) }); n != 1 {
+		t.Fatalf("Add allocates %.0f times, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = b.Sub(a) }); n != 1 {
+		t.Fatalf("Sub allocates %.0f times, want 1", n)
 	}
 }

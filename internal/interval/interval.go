@@ -12,6 +12,8 @@ package interval
 import (
 	"fmt"
 	"math/bits"
+	"slices"
+	"sort"
 	"strings"
 
 	"repro/internal/bitio"
@@ -110,7 +112,9 @@ func (iv Interval) Split(k int) []Interval {
 // canonical form: sorted by Lo. The zero value is the empty union.
 //
 // Unions are value types: operations return new unions and never mutate
-// their receivers or arguments.
+// their receivers or arguments, and Union, Intersect and Subtract return
+// storage of their own. The one exception is Absorb, which grows an
+// accumulator in place.
 type Union struct {
 	ivs []Interval
 }
@@ -134,6 +138,9 @@ func NewUnion(ivs ...Interval) Union {
 // Intervals returns the canonical intervals of u in increasing order.
 // The caller must not modify the returned slice.
 func (u Union) Intervals() []Interval { return u.ivs }
+
+// Clone returns a copy of u that shares no storage with it.
+func (u Union) Clone() Union { return Union{ivs: slices.Clone(u.ivs)} }
 
 // NumIntervals returns the number of maximal intervals in u.
 func (u Union) NumIntervals() int { return len(u.ivs) }
@@ -194,69 +201,149 @@ func (u Union) AddInterval(iv Interval) Union {
 	return Union{ivs: out}
 }
 
-// Union returns u ∪ o.
+// Union returns u ∪ o. It walks the smaller operand and gallops through the
+// larger one, copying the runs that cannot touch the small side wholesale:
+// one allocation, O(k log n) comparisons for a k-interval union against an
+// n-interval one, and O(n+k) for operands of similar size.
 func (u Union) Union(o Union) Union {
 	if len(u.ivs) < len(o.ivs) {
 		u, o = o, u
 	}
-	res := Union{ivs: append([]Interval(nil), u.ivs...)}
-	for _, iv := range o.ivs {
-		res = res.AddInterval(iv)
+	if len(u.ivs) == 0 {
+		return Union{}
 	}
-	return res
+	out := make([]Interval, 0, len(u.ivs)+len(o.ivs))
+	i := 0
+	for _, b := range o.ivs {
+		// Copy the intervals of u that end before b starts, not touching it.
+		k := seek(u.ivs, i, func(a Interval) bool { return a.Hi.Cmp(b.Lo) < 0 })
+		out = append(out, u.ivs[i:k]...)
+		i = k
+		lo, hi := b.Lo, b.Hi
+		// The previous merged interval may reach b through a long u interval.
+		if n := len(out); n > 0 && out[n-1].Hi.Cmp(lo) >= 0 {
+			lo, hi = out[n-1].Lo, maxD(hi, out[n-1].Hi)
+			out = out[:n-1]
+		}
+		for ; i < len(u.ivs) && u.ivs[i].Lo.Cmp(hi) <= 0; i++ {
+			lo, hi = minD(lo, u.ivs[i].Lo), maxD(hi, u.ivs[i].Hi)
+		}
+		out = append(out, Interval{Lo: lo, Hi: hi})
+	}
+	return Union{ivs: append(out, u.ivs[i:]...)}
 }
 
-// Intersect returns u ∩ o.
-func (u Union) Intersect(o Union) Union {
-	var out []Interval
-	i, j := 0, 0
-	for i < len(u.ivs) && j < len(o.ivs) {
-		a, b := u.ivs[i], o.ivs[j]
-		lo := a.Lo
-		if b.Lo.Cmp(lo) > 0 {
-			lo = b.Lo
+// Absorb sets u to u ∪ o in place: for each interval of o it finds the
+// insertion point by a galloping binary search, coalesces the touching run
+// and splices the result into u's storage. It is for accumulators whose storage no other
+// Union shares — u's backing array is overwritten — and it never adopts o's
+// backing array, so o stays independent of u.
+func (u *Union) Absorb(o Union) {
+	if len(o.ivs) >= len(u.ivs) {
+		u.ivs = u.Union(o).ivs
+		return
+	}
+	i := 0
+	for _, b := range o.ivs {
+		i = seek(u.ivs, i, func(a Interval) bool { return a.Hi.Cmp(b.Lo) < 0 })
+		j, lo, hi := i, b.Lo, b.Hi
+		for ; j < len(u.ivs) && u.ivs[j].Lo.Cmp(hi) <= 0; j++ {
+			lo, hi = minD(lo, u.ivs[j].Lo), maxD(hi, u.ivs[j].Hi)
 		}
-		hi := a.Hi
-		if b.Hi.Cmp(hi) < 0 {
-			hi = b.Hi
-		}
-		if lo.Cmp(hi) < 0 {
-			out = append(out, Interval{Lo: lo, Hi: hi})
-		}
-		if a.Hi.Cmp(b.Hi) < 0 {
-			i++
+		if j == i {
+			u.ivs = slices.Insert(u.ivs, i, Interval{Lo: lo, Hi: hi})
 		} else {
-			j++
+			u.ivs[i] = Interval{Lo: lo, Hi: hi}
+			u.ivs = slices.Delete(u.ivs, i+1, j)
+		}
+	}
+}
+
+// Intersect returns u ∩ o. It walks the smaller operand and gallops past the
+// intervals of the larger one that end before the current small interval.
+func (u Union) Intersect(o Union) Union {
+	if len(u.ivs) < len(o.ivs) {
+		u, o = o, u
+	}
+	var out []Interval
+	i := 0
+	for _, b := range o.ivs {
+		i = seek(u.ivs, i, func(a Interval) bool { return a.Hi.Cmp(b.Lo) <= 0 })
+		for ; i < len(u.ivs) && u.ivs[i].Lo.Cmp(b.Hi) < 0; i++ {
+			a := u.ivs[i]
+			out = append(out, Interval{Lo: maxD(a.Lo, b.Lo), Hi: minD(a.Hi, b.Hi)})
+			if a.Hi.Cmp(b.Hi) > 0 {
+				break // a reaches past b and may meet the next interval of o
+			}
 		}
 	}
 	return Union{ivs: out}
 }
 
-// Subtract returns u \ o.
+// Subtract returns u \ o. Runs of u that no interval of o reaches are copied
+// wholesale, and intervals of o that end before the current interval of u
+// are galloped past, so a small operand on either side costs O(k log n)
+// comparisons.
 func (u Union) Subtract(o Union) Union {
 	var out []Interval
-	j := 0
-	for _, a := range u.ivs {
-		lo := a.Lo
-		for j < len(o.ivs) && o.ivs[j].Hi.Cmp(lo) <= 0 {
-			j++
+	i, j := 0, 0
+	for i < len(u.ivs) {
+		if j == len(o.ivs) {
+			out = append(out, u.ivs[i:]...)
+			break
 		}
-		k := j
-		for k < len(o.ivs) && o.ivs[k].Lo.Cmp(a.Hi) < 0 {
+		// Copy the intervals of u that end before o[j] starts.
+		k := seek(u.ivs, i, func(a Interval) bool { return a.Hi.Cmp(o.ivs[j].Lo) <= 0 })
+		out = append(out, u.ivs[i:k]...)
+		if i = k; i == len(u.ivs) {
+			break
+		}
+		a := u.ivs[i]
+		j = seek(o.ivs, j, func(b Interval) bool { return b.Hi.Cmp(a.Lo) <= 0 })
+		lo := a.Lo
+		for k := j; k < len(o.ivs) && o.ivs[k].Lo.Cmp(a.Hi) < 0; k++ {
 			b := o.ivs[k]
 			if b.Lo.Cmp(lo) > 0 {
 				out = append(out, Interval{Lo: lo, Hi: b.Lo})
 			}
-			if b.Hi.Cmp(lo) > 0 {
-				lo = b.Hi
-			}
-			k++
+			lo = maxD(lo, b.Hi)
 		}
 		if lo.Cmp(a.Hi) < 0 {
 			out = append(out, Interval{Lo: lo, Hi: a.Hi})
 		}
+		i++
 	}
 	return Union{ivs: out}
+}
+
+// seek returns the first index k >= i with !before(ivs[k]) (or len(ivs)),
+// where before holds on a prefix of ivs. It gallops from i and then binary
+// searches the last step, costing O(log(k-i)) calls of before.
+func seek(ivs []Interval, i int, before func(Interval) bool) int {
+	if i >= len(ivs) || !before(ivs[i]) {
+		return i
+	}
+	step := 1 // invariant: before(ivs[i])
+	for i+step < len(ivs) && before(ivs[i+step]) {
+		i += step
+		step *= 2
+	}
+	hi := min(i+step, len(ivs))
+	return i + 1 + sort.Search(hi-i-1, func(k int) bool { return !before(ivs[i+1+k]) })
+}
+
+func minD(a, b dyadic.D) dyadic.D {
+	if b.Cmp(a) < 0 {
+		return b
+	}
+	return a
+}
+
+func maxD(a, b dyadic.D) dyadic.D {
+	if b.Cmp(a) > 0 {
+		return b
+	}
+	return a
 }
 
 // Equal reports whether u and o cover the same point set.
@@ -331,9 +418,15 @@ func DecodeUnion(r *bitio.Reader) (Union, error) {
 
 // Key returns a canonical string for use as a map key.
 func (u Union) Key() string {
-	var w bitio.Writer
+	return string(u.AppendKey(nil))
+}
+
+// AppendKey appends the bytes of Key to dst, growing dst at most once.
+func (u Union) AppendKey(dst []byte) []byte {
+	dst = slices.Grow(dst, (u.EncodedBits()+7)/8)
+	w := bitio.AppendWriter(dst)
 	u.Encode(&w)
-	return string(w.Bytes())
+	return w.Bytes()
 }
 
 // MaxEndpointPrec returns the largest fraction-bit length among the end
