@@ -2,10 +2,12 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/bitio"
 	"repro/internal/dyadic"
+	"repro/internal/graph"
 	"repro/internal/interval"
 	"repro/internal/protocol"
 	"repro/internal/scenario"
@@ -51,6 +53,61 @@ func TestIntervalProtocolAllocsPerDelivery(t *testing.T) {
 				t.Fatalf("%.2f allocations per delivery, want <= %d", per, maxPerDelivery)
 			}
 		})
+	}
+}
+
+// TestTreeProtocolAllocsPerDelivery bounds the heap allocations of
+// power-of-2 tree broadcast, whole run included. Its messages come from a
+// table built once per protocol, metering finds them in the interner's value
+// memo, and the terminal sums in place, so what remains per delivery is the
+// engine's share plus one outs slice per firing vertex.
+func TestTreeProtocolAllocsPerDelivery(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race mode: instrumentation allocates on its own")
+	}
+	const maxPerDelivery = 2
+	// The interner's memo keys on message values; a pow2Msg that stopped
+	// being comparable would send every metered send through Key instead.
+	if !reflect.TypeOf(pow2Msg{}).Comparable() {
+		t.Fatal("pow2Msg is not comparable")
+	}
+	g := graph.RandomGroundedTree(5000, 0.2, 7)
+	p := NewTreeBroadcast([]byte("m"), RulePow2)
+	sched, err := sim.NewScheduler("random")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := sim.Options{Scheduler: sched, Seed: 3, TrackAlphabet: true}
+	var deliveries int
+	allocs := testing.AllocsPerRun(5, func() {
+		r, err := sim.Run(g, p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Verdict != sim.Terminated {
+			t.Fatalf("verdict %v, want terminated", r.Verdict)
+		}
+		deliveries = r.Steps
+	})
+	per := allocs / float64(deliveries)
+	t.Logf("%.0f allocations over %d deliveries: %.2f per delivery", allocs, deliveries, per)
+	if per > maxPerDelivery {
+		t.Fatalf("%.2f allocations per delivery, want <= %d", per, maxPerDelivery)
+	}
+}
+
+// BenchmarkPow2TreeReceive measures one internal vertex of out-degree 3
+// forwarding its commodity: the outs slice is its only allocation.
+func BenchmarkPow2TreeReceive(b *testing.B) {
+	p := NewTreeBroadcast([]byte("m"), RulePow2)
+	n := p.NewNode(1, 3, protocol.RoleInternal).(*pow2TreeNode)
+	in := p.pow2(5)
+	b.ReportAllocs()
+	for b.Loop() {
+		n.fired = false
+		if _, err := n.Receive(in, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -130,6 +187,37 @@ func TestTerminalStateDoesNotAlias(t *testing.T) {
 		overwrite(term.BetaSeen())
 		if term.cover.Key() != cover || term.alpha.Key() != alpha || term.beta.Key() != beta {
 			t.Fatalf("receipt %d: a write outside the terminal changed its state", i)
+		}
+	}
+}
+
+// TestDyadicTerminalOutputDoesNotAlias shows that the commodity a tree or
+// DAG terminal reports stays fixed while the terminal keeps summing in place.
+func TestDyadicTerminalOutputDoesNotAlias(t *testing.T) {
+	tree := NewTreeBroadcast(nil, RulePow2)
+	dag := NewDAGBroadcast(nil)
+	for name, c := range map[string]struct {
+		term protocol.Node
+		msg  func(exp uint) protocol.Message
+	}{
+		"treecast": {tree.NewNode(1, 0, protocol.RoleTerminal), tree.pow2},
+		"dagcast": {dag.NewNode(1, 0, protocol.RoleTerminal), func(exp uint) protocol.Message {
+			return dagMsg{x: dyadic.Pow2(exp)}
+		}},
+	} {
+		var outs []dyadic.D
+		var want []string
+		for exp := uint(1); exp < 200; exp++ {
+			if _, err := c.term.Receive(c.msg(exp), 0); err != nil {
+				t.Fatal(err)
+			}
+			out := c.term.(protocol.Terminal).Output().(dyadic.D)
+			outs, want = append(outs, out), append(want, out.String())
+		}
+		for i, out := range outs {
+			if out.String() != want[i] {
+				t.Fatalf("%s: output %d changed from %s to %s as the terminal received more", name, i, want[i], out)
+			}
 		}
 	}
 }

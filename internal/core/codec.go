@@ -179,23 +179,22 @@ func DecodeMessage(r *bitio.Reader) (protocol.Message, error) {
 
 func encPayload(w *bitio.Writer, p Payload) {
 	w.WriteDelta0(uint64(len(p)))
-	w.WriteBytes(p)
+	for i := 0; i < len(p); i++ {
+		w.WriteBits(uint64(p[i]), 8)
+	}
 }
 
 func decPayload(r *bitio.Reader) (Payload, error) {
 	n, err := r.ReadDelta0()
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	if n*8 > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("core: payload length %d exceeds remaining bits", n)
+		return "", fmt.Errorf("core: payload length %d exceeds remaining bits", n)
 	}
 	b, err := r.ReadBytes(int(n))
 	if err != nil {
-		return nil, err
-	}
-	if len(b) == 0 {
-		return nil, nil
+		return "", err
 	}
 	return Payload(b), nil
 }

@@ -131,6 +131,55 @@ func TestWireBitsMatchesAccounting(t *testing.T) {
 	}
 }
 
+// TestProtocolsCopyThePayload builds every protocol from a buffer, then
+// overwrites the buffer: the messages on the wire must still carry the bytes
+// the protocol was built with, so a caller may reuse its buffer.
+func TestProtocolsCopyThePayload(t *testing.T) {
+	const want = "payload"
+	ctors := map[string]func([]byte) protocol.Protocol{
+		"treecast/pow2":  func(m []byte) protocol.Protocol { return NewTreeBroadcast(m, RulePow2) },
+		"treecast/naive": func(m []byte) protocol.Protocol { return NewTreeBroadcast(m, RuleNaive) },
+		"dagcast":        func(m []byte) protocol.Protocol { return NewDAGBroadcast(m) },
+		"generalcast":    func(m []byte) protocol.Protocol { return NewGeneralBroadcast(m) },
+		"generalcast/literal": func(m []byte) protocol.Protocol {
+			return NewGeneralBroadcastLiteral(m)
+		},
+		"labelcast": func(m []byte) protocol.Protocol { return NewLabelAssign(m) },
+		"mapcast":   func(m []byte) protocol.Protocol { return NewMapExtract(m) },
+	}
+	for name, ctor := range ctors {
+		buf := []byte(want)
+		p := ctor(buf)
+		copy(buf, "XXXXXXX")
+		var w bitio.Writer
+		if err := EncodeMessage(&w, p.InitialMessage()); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		m, err := DecodeMessage(bitio.NewReader(w.Bytes(), w.Len()))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var got Payload
+		switch m := m.(type) {
+		case pow2Msg:
+			got = m.payload
+		case naiveMsg:
+			got = m.payload
+		case dagMsg:
+			got = m.payload
+		case gcMsg:
+			got = m.payload
+		case mapMsg:
+			got = m.gc.payload
+		default:
+			t.Fatalf("%s: unexpected message type %T", name, m)
+		}
+		if string(got) != want {
+			t.Errorf("%s: payload on the wire is %q after the caller's buffer changed, want %q", name, got, want)
+		}
+	}
+}
+
 func TestDecodeRejectsGarbage(t *testing.T) {
 	// Unknown tag.
 	var w bitio.Writer

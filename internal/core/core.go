@@ -29,32 +29,25 @@ import (
 
 // Payload is the broadcast message m. Every protocol message carries it; its
 // contribution to communication cost is the |m| term of the paper's bounds.
-type Payload []byte
+// It is an immutable string, so the protocol constructors copy the caller's
+// bytes once and the message types that carry it stay comparable.
+type Payload string
 
 // Bits returns the encoded size of the payload in bits.
 func (p Payload) Bits() int { return 8 * len(p) }
 
-// pow2Shares implements the improved flow-distribution rule of Section 3.1:
+// pow2Share implements the improved flow-distribution rule of Section 3.1:
 // a vertex of out-degree d that received commodity x = 2^-exp sends
 // x / 2^ceil(log2 d) on its first 2d - 2^ceil(log2 d) out-edges and twice
-// that on the rest. The returned slice holds the exponent increments, all of
-// which keep the value a power of 2, so commodities can be encoded in
+// that on the rest. It returns out-port j's exponent increment (0 <= j < d),
+// which keeps every share a power of 2, so commodities can be encoded in
 // O(log exp) bits instead of the Theta(exp) bits the naive x/d rule needs.
-func pow2Shares(d int) []uint {
-	if d < 1 {
-		return nil
-	}
+func pow2Share(d, j int) uint {
 	ceil := uint(bits.Len(uint(d - 1))) // ceil(log2 d); 0 for d == 1
-	alpha := 2*d - (1 << ceil)
-	shares := make([]uint, d)
-	for j := range shares {
-		if j < alpha {
-			shares[j] = ceil
-		} else {
-			shares[j] = ceil - 1
-		}
+	if j < 2*d-(1<<ceil) {
+		return ceil
 	}
-	return shares
+	return ceil - 1
 }
 
 // gammaBits is a helper for message-size accounting of small integers.

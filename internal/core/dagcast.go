@@ -79,14 +79,15 @@ func (n *dagNode) Receive(msg protocol.Message, _ int) ([]protocol.Message, erro
 		return nil, fmt.Errorf("dagcast: unexpected message type %T", msg)
 	}
 	n.heard++
+	// Not Absorb: the sum's limbs are shared by the Shr shares sent below.
 	n.sum = n.sum.Add(m.x)
 	if n.fired || n.heard < n.inDeg || n.outDeg == 0 {
 		return nil, nil
 	}
 	n.fired = true
 	outs := make([]protocol.Message, n.outDeg)
-	for j, inc := range pow2Shares(n.outDeg) {
-		outs[j] = dagMsg{payload: n.payload, x: n.sum.Shr(inc)}
+	for j := range outs {
+		outs[j] = dagMsg{payload: n.payload, x: n.sum.Shr(pow2Share(n.outDeg, j))}
 	}
 	return outs, nil
 }
@@ -95,18 +96,18 @@ type dagTerminal struct {
 	sum dyadic.D
 }
 
-// Receive accumulates incoming shares.
+// Receive accumulates incoming shares in place.
 func (t *dagTerminal) Receive(msg protocol.Message, _ int) ([]protocol.Message, error) {
 	m, ok := msg.(dagMsg)
 	if !ok {
 		return nil, fmt.Errorf("dagcast: unexpected message type %T", msg)
 	}
-	t.sum = t.sum.Add(m.x)
+	t.sum.Absorb(m.x)
 	return nil, nil
 }
 
 // Done implements the stopping predicate S: a full unit arrived.
 func (t *dagTerminal) Done() bool { return t.sum.IsOne() }
 
-// Output returns the accumulated commodity.
-func (t *dagTerminal) Output() any { return t.sum }
+// Output returns a copy of the accumulated commodity.
+func (t *dagTerminal) Output() any { return t.sum.Clone() }

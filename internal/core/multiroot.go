@@ -32,8 +32,8 @@ func (p *TreeBroadcast) InitialMessages(d int) []protocol.Message {
 		}
 		return outs
 	}
-	for j, inc := range pow2Shares(d) {
-		outs[j] = pow2Msg{payload: p.payload, exp: inc}
+	for j := range outs {
+		outs[j] = p.pow2(pow2Share(d, j))
 	}
 	return outs
 }
@@ -41,9 +41,8 @@ func (p *TreeBroadcast) InitialMessages(d int) []protocol.Message {
 // InitialMessages implements protocol.MultiInitializer.
 func (p *DAGBroadcast) InitialMessages(d int) []protocol.Message {
 	outs := make([]protocol.Message, d)
-	one := dyadic.One()
-	for j, inc := range pow2Shares(d) {
-		outs[j] = dagMsg{payload: p.payload, x: one.Shr(inc)}
+	for j := range outs {
+		outs[j] = dagMsg{payload: p.payload, x: dyadic.Pow2(pow2Share(d, j))}
 	}
 	return outs
 }

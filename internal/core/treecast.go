@@ -45,6 +45,11 @@ func (r TreeRule) String() string {
 type TreeBroadcast struct {
 	payload Payload
 	rule    TreeRule
+	// pow2Msgs[exp] is the boxed message (m, 2^-exp) under RulePow2, built
+	// once so a delivery hands out shared interface values instead of
+	// boxing a fresh one per out-edge. It is never written after
+	// construction: one protocol value may serve many runs at once.
+	pow2Msgs []protocol.Message
 }
 
 var _ protocol.Protocol = (*TreeBroadcast)(nil)
@@ -52,7 +57,23 @@ var _ protocol.Protocol = (*TreeBroadcast)(nil)
 // NewTreeBroadcast returns the grounded-tree broadcast protocol carrying the
 // given payload m under the given rule.
 func NewTreeBroadcast(m []byte, rule TreeRule) *TreeBroadcast {
-	return &TreeBroadcast{payload: Payload(m), rule: rule}
+	p := &TreeBroadcast{payload: Payload(m), rule: rule}
+	if rule == RulePow2 {
+		p.pow2Msgs = make([]protocol.Message, 64)
+		for exp := range p.pow2Msgs {
+			p.pow2Msgs[exp] = pow2Msg{payload: p.payload, exp: uint(exp)}
+		}
+	}
+	return p
+}
+
+// pow2 returns the message (m, 2^-exp), from the shared table when exp is
+// small enough.
+func (p *TreeBroadcast) pow2(exp uint) protocol.Message {
+	if exp < uint(len(p.pow2Msgs)) {
+		return p.pow2Msgs[exp]
+	}
+	return pow2Msg{payload: p.payload, exp: exp}
 }
 
 // Name implements protocol.Protocol.
@@ -63,7 +84,7 @@ func (p *TreeBroadcast) InitialMessage() protocol.Message {
 	if p.rule == RuleNaive {
 		return naiveMsg{payload: p.payload, x: big.NewRat(1, 1)}
 	}
-	return pow2Msg{payload: p.payload, exp: 0}
+	return p.pow2(0)
 }
 
 // NewNode implements protocol.Protocol.
@@ -77,11 +98,13 @@ func (p *TreeBroadcast) NewNode(inDeg, outDeg int, role protocol.Role) protocol.
 	if p.rule == RuleNaive {
 		return &naiveTreeNode{outDeg: outDeg, payload: p.payload}
 	}
-	return &pow2TreeNode{outDeg: outDeg, payload: p.payload}
+	return &pow2TreeNode{p: p, outDeg: outDeg}
 }
 
 // pow2Msg is (m, 2^-exp): the commodity is transmitted as its exponent,
 // gamma-coded, so a value as small as 2^-|E| costs only O(log |E|) bits.
+// It is comparable, so the metering interner finds a re-sent value in its
+// memo without rendering Key.
 type pow2Msg struct {
 	payload Payload
 	exp     uint
@@ -97,9 +120,9 @@ func (m pow2Msg) Key() string { return fmt.Sprintf("2^-%d", m.exp) }
 func (m pow2Msg) Value() dyadic.D { return dyadic.Pow2(m.exp) }
 
 type pow2TreeNode struct {
-	outDeg  int
-	payload Payload
-	fired   bool
+	p      *TreeBroadcast
+	outDeg int
+	fired  bool
 }
 
 // Receive forwards the commodity per the power-of-2 rule. Grounded-tree
@@ -117,8 +140,8 @@ func (n *pow2TreeNode) Receive(msg protocol.Message, _ int) ([]protocol.Message,
 	}
 	n.fired = true
 	outs := make([]protocol.Message, n.outDeg)
-	for j, inc := range pow2Shares(n.outDeg) {
-		outs[j] = pow2Msg{payload: n.payload, exp: m.exp + inc}
+	for j := range outs {
+		outs[j] = n.p.pow2(m.exp + pow2Share(n.outDeg, j))
 	}
 	return outs, nil
 }
@@ -127,21 +150,21 @@ type pow2TreeTerminal struct {
 	sum dyadic.D
 }
 
-// Receive accumulates incoming shares.
+// Receive accumulates incoming shares in place.
 func (t *pow2TreeTerminal) Receive(msg protocol.Message, _ int) ([]protocol.Message, error) {
 	m, ok := msg.(pow2Msg)
 	if !ok {
 		return nil, fmt.Errorf("treecast: unexpected message type %T", msg)
 	}
-	t.sum = t.sum.Add(m.Value())
+	t.sum.Absorb(m.Value())
 	return nil, nil
 }
 
 // Done implements the stopping predicate S: the shares sum to exactly 1.
 func (t *pow2TreeTerminal) Done() bool { return t.sum.IsOne() }
 
-// Output returns the accumulated commodity.
-func (t *pow2TreeTerminal) Output() any { return t.sum }
+// Output returns a copy of the accumulated commodity.
+func (t *pow2TreeTerminal) Output() any { return t.sum.Clone() }
 
 // naiveMsg is (m, x) with x an exact rational, as in the naive x/d rule.
 type naiveMsg struct {

@@ -12,6 +12,7 @@ package dyadic
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 
 	"repro/internal/bitio"
@@ -25,7 +26,8 @@ import (
 //   - the zero value of D represents the number 0 and is ready to use.
 //
 // D values are immutable; operations return fresh values and never alias
-// their operands' storage in a way callers can observe.
+// their operands' storage in a way callers can observe. The one exception is
+// Absorb, which grows an accumulator in place.
 type D struct {
 	limbs []uint64 // numerator, little-endian; nil means 0
 	prec  uint     // denominator exponent: value = limbs / 2^prec
@@ -34,8 +36,13 @@ type D struct {
 // Zero returns the dyadic 0.
 func Zero() D { return D{} }
 
-// One returns the dyadic 1.
-func One() D { return D{limbs: []uint64{1}} }
+// unitLimbs is the numerator 1 that One and Pow2 share. Nothing writes it:
+// normalize reduces only fresh limbs, and Absorb moves an accumulator that
+// holds it to storage of its own first.
+var unitLimbs = []uint64{1}
+
+// One returns the dyadic 1. It does not allocate.
+func One() D { return D{limbs: unitLimbs} }
 
 // FromUint returns v as a dyadic integer.
 func FromUint(v uint64) D {
@@ -46,7 +53,8 @@ func FromUint(v uint64) D {
 }
 
 // Pow2 returns 2^(-k), the canonical power-of-2 commodity of Section 3.1.
-func Pow2(k uint) D { return normalize([]uint64{1}, k) }
+// It does not allocate.
+func Pow2(k uint) D { return D{limbs: unitLimbs, prec: k} }
 
 // FromFrac returns num/2^p.
 func FromFrac(num uint64, p uint) D {
@@ -57,7 +65,8 @@ func FromFrac(num uint64, p uint) D {
 }
 
 // normalize builds the canonical D for limbs/2^prec. It reduces in place, so
-// limbs must be freshly allocated by the caller and not shared.
+// limbs must be freshly allocated by the caller, or an accumulator's own
+// (Absorb), and not shared.
 func normalize(limbs []uint64, prec uint) D {
 	limbs = stripHigh(limbs)
 	if len(limbs) == 0 {
@@ -149,6 +158,49 @@ func (d D) Add(o D) D {
 		out[i], carry = bits.Add64(wordAt(d.limbs, sd, i), wordAt(o.limbs, so, i), carry)
 	}
 	return normalize(out, p)
+}
+
+// Absorb sets d to d + o in place. It is for accumulators — the zero value,
+// or a D built by earlier Absorb calls whose limbs no other D shares: it
+// shifts and adds inside d's own storage when the capacity allows, and
+// otherwise moves d to fresh storage with spare capacity. It never adopts or
+// writes o's limbs, so o stays independent of d.
+func (d *D) Absorb(o D) {
+	if o.IsZero() {
+		return
+	}
+	sd, so, p := align(*d, o)
+	// One word more than the wider operand when the carry may need it.
+	n := (max(bitLen(d.limbs, sd), bitLen(o.limbs, so)) + 64) / 64
+	a := d.limbs
+	if cap(a) < n || &a[:1][0] == &unitLimbs[0] {
+		a = make([]uint64, n, 2*n)
+		for i := range a {
+			a[i] = wordAt(d.limbs, sd, i)
+		}
+	} else {
+		a = a[:n]
+		clear(a[len(d.limbs):]) // words a previous normalize stripped
+		if sd > 0 {
+			// Shift left from the top down: word i reads only words <= i.
+			for i := n - 1; i >= 0; i-- {
+				a[i] = wordAt(a, sd, i)
+			}
+		}
+	}
+	var carry uint64
+	for i := range a {
+		a[i], carry = bits.Add64(a[i], wordAt(o.limbs, so, i), carry)
+	}
+	*d = normalize(a, p)
+}
+
+// Clone returns a copy of d that shares no storage with it.
+func (d D) Clone() D {
+	if d.IsZero() {
+		return D{}
+	}
+	return D{limbs: slices.Clone(d.limbs), prec: d.prec}
 }
 
 // Sub returns d - o. It panics if d < o: the protocols only ever subtract a

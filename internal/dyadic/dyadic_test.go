@@ -398,3 +398,109 @@ func TestCmpAddSubDoNotAllocateBeyondResult(t *testing.T) {
 		t.Fatalf("Sub allocates %.0f times, want 1", n)
 	}
 }
+
+// TestAbsorbMatchesAdd folds random sequences with Absorb and with Add and
+// requires the same canonical representation after every step. The operands
+// reach past 128 bits (several limbs) and land both below and above the
+// running sum's precision, and the sequences start from zero.
+func TestAbsorbMatchesAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for seq := 0; seq < 300; seq++ {
+		var acc, ref D
+		for step := 0; step < 40; step++ {
+			o := randD(rng, []uint{8, 64, 130, 300}[rng.Intn(4)]).Shr(uint(rng.Intn(200)))
+			if rng.Intn(8) == 0 {
+				o = FromUint(uint64(rng.Intn(5)))
+			}
+			before := o.Clone()
+			acc.Absorb(o)
+			ref = ref.Add(o)
+			if acc.prec != ref.prec || !slices.Equal(acc.limbs, ref.limbs) {
+				t.Fatalf("seq %d step %d: Absorb gives %s (prec %d, %d limbs), Add gives %s (prec %d, %d limbs)",
+					seq, step, acc, acc.prec, len(acc.limbs), ref, ref.prec, len(ref.limbs))
+			}
+			if o.prec != before.prec || !slices.Equal(o.limbs, before.limbs) {
+				t.Fatalf("seq %d step %d: Absorb wrote its operand", seq, step)
+			}
+		}
+	}
+}
+
+// TestAbsorbNormalizesToOne splits 1 into random powers of 2, some of them
+// several limbs deep, and absorbs them in random order: the sum must shrink
+// back to the one-limb 1, and absorbing more afterwards must still agree
+// with Add (the words the reduction stripped are stale, not zero).
+func TestAbsorbNormalizesToOne(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	deepest := uint(0)
+	for trial := 0; trial < 200; trial++ {
+		parts := []uint{0}
+		for len(parts) < 200 {
+			i := rng.Intn(len(parts))
+			k := parts[i] + uint(rng.Intn(64)) + 1
+			deepest = max(deepest, k)
+			// Replace 2^-p by 2^-k plus the powers 2^-(p+1) .. 2^-k.
+			for e := parts[i] + 1; e <= k; e++ {
+				parts = append(parts, e)
+			}
+			parts[i] = k
+		}
+		rng.Shuffle(len(parts), func(i, j int) { parts[i], parts[j] = parts[j], parts[i] })
+		var acc D
+		for _, k := range parts {
+			acc.Absorb(Pow2(k))
+		}
+		if !acc.IsOne() || len(acc.limbs) != 1 {
+			t.Fatalf("trial %d: %d powers of 2 sum to %s (%d limbs), want 1", trial, len(parts), acc, len(acc.limbs))
+		}
+		ref := acc.Clone()
+		for range 5 {
+			o := randD(rng, 300)
+			acc.Absorb(o)
+			ref = ref.Add(o)
+			if !acc.Equal(ref) || !slices.Equal(acc.limbs, ref.limbs) {
+				t.Fatalf("trial %d: after reaching 1, Absorb gives %s, Add gives %s", trial, acc, ref)
+			}
+		}
+	}
+	if deepest <= 128 {
+		t.Fatalf("deepest share 2^-%d: the splits never needed three limbs", deepest)
+	}
+}
+
+// TestAbsorbDoesNotAlias checks that One and Pow2, which share one
+// numerator, stay 1 and 2^-k however often they are absorbed or absorbed
+// into, and that a Clone is independent of the accumulator it copies.
+func TestAbsorbDoesNotAlias(t *testing.T) {
+	var acc D
+	for k := uint(0); k < 300; k++ {
+		acc.Absorb(Pow2(k % 150))
+	}
+	one := One()
+	one.Absorb(Pow2(3))
+	p := Pow2(7)
+	p.Absorb(Pow2(7))
+	snap := acc.Clone()
+	acc.Absorb(Pow2(1))
+	if !Pow2(0).IsOne() || !One().IsOne() || !Pow2(5).Equal(FromFrac(1, 5)) {
+		t.Fatalf("shared unit numerator written: Pow2(0) = %s, One = %s, Pow2(5) = %s", Pow2(0), One(), Pow2(5))
+	}
+	if !one.Equal(FromFrac(9, 3)) || !p.Equal(Pow2(6)) {
+		t.Fatalf("Absorb into One or Pow2: got %s and %s", one, p)
+	}
+	if !snap.Equal(acc.Sub(Pow2(1))) {
+		t.Fatalf("Clone %s changed when the accumulator absorbed more", snap)
+	}
+}
+
+func TestAbsorbInPlaceDoesNotAllocate(t *testing.T) {
+	var acc D
+	acc.Absorb(Pow2(63))
+	k := uint(0)
+	if n := testing.AllocsPerRun(100, func() {
+		acc.Absorb(Pow2(62 + k%2))
+		k++
+	}); n != 0 {
+		t.Fatalf("Absorb with room to spare allocates %.0f times, want 0", n)
+	}
+}

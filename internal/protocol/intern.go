@@ -23,6 +23,10 @@ type Symbol uint32
 //   - the canonical key map (map[string]Symbol) is consulted on a memo miss;
 //     only a first-ever sighting of a key allocates (the key string itself).
 //
+// Only comparable message types reach the memo, so a protocol should keep
+// its message types comparable (no slice, map or func fields): values of any
+// other type render Key on every call.
+//
 // Correctness never depends on the memo: distinct message values with equal
 // keys unify through the key map, so Key -> Symbol stays injective (the
 // property test in internal/core asserts this across every protocol).
