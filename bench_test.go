@@ -244,7 +244,7 @@ func BenchmarkE9LinearCuts(b *testing.B) {
 
 // BenchmarkE10Mapping: topology extraction on random cyclic networks.
 func BenchmarkE10Mapping(b *testing.B) {
-	for _, n := range []int{16, 48} {
+	for _, n := range []int{16, 48, 126} {
 		g := graph.RandomDigraph(n, int64(n*13), graph.RandomDigraphOpts{ExtraEdges: 2 * n, TerminalFrac: 0.2})
 		p := core.NewMapExtract(nil)
 		b.Run(fmt.Sprintf("V=%d", g.NumVertices()), func(b *testing.B) {

@@ -96,6 +96,41 @@ func TestTreeProtocolAllocsPerDelivery(t *testing.T) {
 	}
 }
 
+// TestMapProtocolAllocsPerDelivery bounds the heap allocations of topology
+// extraction, whole run included. Each vertex renders its label's key once,
+// records are deduplicated by comparable IDs built from those keys, and the
+// terminal updates its closure once per new record, so a delivery costs the
+// forwarded messages and the records learned; rebuilding the closure on
+// every delivery, as a stopping check over all records, costs thousands.
+func TestMapProtocolAllocsPerDelivery(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race mode: instrumentation allocates on its own")
+	}
+	const maxPerDelivery = 16
+	g := graph.RandomDAG(100, 200, 7)
+	sched, err := sim.NewScheduler("random")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := sim.Options{Scheduler: sched, Seed: 3}
+	var deliveries int
+	allocs := testing.AllocsPerRun(2, func() {
+		r, err := sim.Run(g, NewMapExtract(nil), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Verdict != sim.Terminated {
+			t.Fatalf("verdict %v, want terminated", r.Verdict)
+		}
+		deliveries = r.Steps
+	})
+	per := allocs / float64(deliveries)
+	t.Logf("%.0f allocations over %d deliveries: %.2f per delivery", allocs, deliveries, per)
+	if per > maxPerDelivery {
+		t.Fatalf("%.2f allocations per delivery, want <= %d", per, maxPerDelivery)
+	}
+}
+
 // BenchmarkPow2TreeReceive measures one internal vertex of out-degree 3
 // forwarding its commodity: the outs slice is its only allocation.
 func BenchmarkPow2TreeReceive(b *testing.B) {

@@ -272,8 +272,7 @@ func decEndpoint(r *bitio.Reader) (Endpoint, error) {
 		if err != nil {
 			return Endpoint{}, err
 		}
-		e.Label = iv
-		return e, nil
+		return labeledEndpoint(iv), nil
 	default:
 		return Endpoint{}, fmt.Errorf("core: unknown endpoint kind %d", k)
 	}

@@ -11,7 +11,8 @@
 //   - LabelAssign: unique label assignment of Section 5 (Theorem 5.1), where
 //     each vertex keeps a sub-interval of [0, 1) as its identity;
 //   - MapExtract: topology extraction built on LabelAssign (the mapping
-//     application of Sections 1 and 6; protocol detailed in DESIGN.md).
+//     application of Sections 1 and 6; its cost per delivery is described in
+//     docs/ARCHITECTURE.md, "Performance architecture").
 //
 // All protocols follow the commodity-preserving paradigm: the root injects
 // one unit of commodity; internal vertices partition what they receive among

@@ -76,13 +76,16 @@ func (m gcMsg) Bits() int { return m.alpha.EncodedBits() + m.beta.EncodedBits() 
 // Key implements protocol.Message: alpha's key, '|', beta's key, built in one
 // exactly sized buffer that the returned string then shares.
 func (m gcMsg) Key() string {
-	buf := make([]byte, 0, (m.alpha.EncodedBits()+7)/8+1+(m.beta.EncodedBits()+7)/8)
-	buf = m.alpha.AppendKey(buf)
-	buf = append(buf, '|')
-	buf = m.beta.AppendKey(buf)
+	buf := m.appendKey(make([]byte, 0, (m.alpha.EncodedBits()+7)/8+1+(m.beta.EncodedBits()+7)/8))
 	// buf is never written again, so the string may alias it (the same
 	// hand-off strings.Builder makes).
 	return unsafe.String(unsafe.SliceData(buf), len(buf))
+}
+
+func (m gcMsg) appendKey(dst []byte) []byte {
+	dst = m.alpha.AppendKey(dst)
+	dst = append(dst, '|')
+	return m.beta.AppendKey(dst)
 }
 
 // gcState is the internal-vertex state ((alpha_j)_{j=1..d}, beta) shared by

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
+	"unsafe"
 
 	"repro/internal/bitio"
 	"repro/internal/graph"
@@ -13,7 +16,9 @@ import (
 
 // MapExtract is the topology-extraction protocol (the "mapping" application
 // the paper motivates in Sections 1 and 6; the paper asserts labels enable
-// it but gives no protocol — see DESIGN.md section 3 for the construction).
+// it but gives no protocol). The construction is described below;
+// docs/ARCHITECTURE.md, "Performance architecture", explains what it costs
+// per delivery.
 //
 // It runs the Section 5 labeling protocol and additionally floods edge
 // records: every message carries its sender's label, out-degree and the
@@ -56,12 +61,12 @@ func (p *MapExtract) InitialMessage() protocol.Message {
 // NewNode implements protocol.Protocol.
 func (p *MapExtract) NewNode(inDeg, outDeg int, role protocol.Role) protocol.Node {
 	if role == protocol.RoleTerminal {
-		return &mapTerminal{records: map[string]EdgeRecord{}}
+		return newMapTerminal()
 	}
 	return &mapNode{
-		inner:   labelNode{outDeg: outDeg, gcState: newGCState(p.payload, outDeg)},
-		outDeg:  outDeg,
-		records: map[string]EdgeRecord{},
+		inner:  labelNode{outDeg: outDeg, gcState: newGCState(p.payload, outDeg)},
+		outDeg: outDeg,
+		seen:   map[recordID]struct{}{},
 	}
 }
 
@@ -83,15 +88,32 @@ const (
 type Endpoint struct {
 	Kind  EndpointKind
 	Label interval.Interval // set when Kind == EndpointLabeled
+	// key caches Key for a labeled endpoint. The protocol and the codec
+	// build labeled endpoints with labeledEndpoint, so a vertex's key is
+	// rendered once, when it is labeled, and every record shares it.
+	key string
+}
+
+// Keys of the two distinguished endpoints.
+const (
+	rootKey     = "s"
+	terminalKey = "t"
+)
+
+// labeledEndpoint returns the endpoint named by label, with its key cached.
+func labeledEndpoint(label interval.Interval) Endpoint {
+	return Endpoint{Kind: EndpointLabeled, Label: label, key: label.String()}
 }
 
 // Key returns a canonical string for map indexing.
 func (e Endpoint) Key() string {
-	switch e.Kind {
-	case EndpointRoot:
-		return "s"
-	case EndpointTerminal:
-		return "t"
+	switch {
+	case e.Kind == EndpointRoot:
+		return rootKey
+	case e.Kind == EndpointTerminal:
+		return terminalKey
+	case e.key != "":
+		return e.key
 	default:
 		return e.Label.String()
 	}
@@ -114,9 +136,37 @@ type EdgeRecord struct {
 	InPort     int
 }
 
-// Key returns a canonical string identifying the edge.
+// Key returns a canonical string identifying the edge:
+// from#outPort->to#inPort.
 func (r EdgeRecord) Key() string {
-	return fmt.Sprintf("%s#%d->%s#%d", r.From.Key(), r.OutPort, r.To.Key(), r.InPort)
+	buf := r.appendKey(make([]byte, 0, r.keyCap()))
+	// buf is never written again, so the string may alias it.
+	return unsafe.String(unsafe.SliceData(buf), len(buf))
+}
+
+// keyCap bounds the length of Key: the two endpoint keys, the separators
+// and two decimal ints.
+func (r EdgeRecord) keyCap() int { return len(r.From.Key()) + len(r.To.Key()) + 4 + 2*20 }
+
+func (r EdgeRecord) appendKey(dst []byte) []byte {
+	dst = append(dst, r.From.Key()...)
+	dst = append(dst, '#')
+	dst = strconv.AppendInt(dst, int64(r.OutPort), 10)
+	dst = append(dst, "->"...)
+	dst = append(dst, r.To.Key()...)
+	dst = append(dst, '#')
+	return strconv.AppendInt(dst, int64(r.InPort), 10)
+}
+
+// recordID identifies a record as Key does, as a comparable value built from
+// the endpoints' cached keys.
+type recordID struct {
+	from, to        string
+	outPort, inPort int
+}
+
+func (r EdgeRecord) id() recordID {
+	return recordID{from: r.From.Key(), to: r.To.Key(), outPort: r.OutPort, inPort: r.InPort}
 }
 
 // Bits returns the encoding cost of the record.
@@ -150,27 +200,69 @@ func (m mapMsg) Bits() int {
 	return n
 }
 
-// Key implements protocol.Message.
+// Key implements protocol.Message: the labeling message's key, '|', the
+// sender's key, #outPort/senderDeg, '|', then the record keys in sorted
+// order joined by ';'.
 func (m mapMsg) Key() string {
-	var sb strings.Builder
-	sb.WriteString(m.gc.Key())
-	sb.WriteByte('|')
-	sb.WriteString(m.sender.Key())
-	fmt.Fprintf(&sb, "#%d/%d|", m.outPort, m.senderDeg)
-	keys := make([]string, len(m.records))
-	for i, r := range m.records {
-		keys[i] = r.Key()
+	// Render the record keys into one scratch buffer and sort views of it.
+	var scratch []byte
+	var recKeys [][]byte
+	if len(m.records) > 0 {
+		n := 0
+		for _, r := range m.records {
+			n += r.keyCap()
+		}
+		scratch = make([]byte, 0, n)
+		recKeys = make([][]byte, len(m.records))
+		for i, r := range m.records {
+			start := len(scratch)
+			scratch = r.appendKey(scratch)
+			recKeys[i] = scratch[start:]
+		}
+		slices.SortFunc(recKeys, bytes.Compare)
 	}
-	sort.Strings(keys)
-	sb.WriteString(strings.Join(keys, ";"))
-	return sb.String()
+	sender := m.sender.Key()
+	buf := make([]byte, 0, (m.gc.alpha.EncodedBits()+7)/8+1+(m.gc.beta.EncodedBits()+7)/8+
+		1+len(sender)+2+2*20+1+len(scratch)+len(recKeys))
+	buf = m.gc.appendKey(buf)
+	buf = append(buf, '|')
+	buf = append(buf, sender...)
+	buf = append(buf, '#')
+	buf = strconv.AppendInt(buf, int64(m.outPort), 10)
+	buf = append(buf, '/')
+	buf = strconv.AppendInt(buf, int64(m.senderDeg), 10)
+	buf = append(buf, '|')
+	for i, k := range recKeys {
+		if i > 0 {
+			buf = append(buf, ';')
+		}
+		buf = append(buf, k...)
+	}
+	// buf is never written again, so the string may alias it.
+	return unsafe.String(unsafe.SliceData(buf), len(buf))
 }
 
 // mapNode wraps labelNode with record bookkeeping.
 type mapNode struct {
-	inner   labelNode
-	outDeg  int
-	records map[string]EdgeRecord
+	inner  labelNode
+	outDeg int
+	// self is the vertex's endpoint, built once it is labeled.
+	self Endpoint
+	// seen holds every record learned so far; recordBits is their encoded
+	// size, for StateBits.
+	seen       map[recordID]struct{}
+	recordBits int
+}
+
+// learn records r and reports whether it was new.
+func (n *mapNode) learn(r EdgeRecord) bool {
+	id := r.id()
+	if _, dup := n.seen[id]; dup {
+		return false
+	}
+	n.seen[id] = struct{}{}
+	n.recordBits += r.Bits()
+	return true
 }
 
 // Receive implements protocol.Node.
@@ -185,38 +277,39 @@ func (n *mapNode) Receive(msg protocol.Message, inPort int) ([]protocol.Message,
 	if err != nil {
 		return nil, err
 	}
-	label, labeled := n.inner.Label()
-	if !labeled {
-		// Under reliable links this cannot happen: the first message on
-		// every edge carries alpha content (canonical-partition discipline),
-		// so a vertex is labeled on its very first receipt. Under message
-		// loss, a beta-/record-only message can reach a vertex whose
-		// labeling message was dropped. The vertex has no identity to stamp
-		// records with, so it absorbs what it learned and stays silent; its
-		// in-edges remain unrecorded, the terminal's closure stays
-		// incomplete, and the mapping conservatively never terminates —
-		// liveness is lost to the fault, safety is not.
-		for _, r := range m.records {
-			n.records[r.Key()] = r
+	if n.self.Kind != EndpointLabeled {
+		label, labeled := n.inner.Label()
+		if !labeled {
+			// Under reliable links this cannot happen: the first message on
+			// every edge carries alpha content (canonical-partition
+			// discipline), so a vertex is labeled on its very first receipt.
+			// Under message loss, a beta-/record-only message can reach a
+			// vertex whose labeling message was dropped. The vertex has no
+			// identity to stamp records with, so it absorbs what it learned
+			// and stays silent; its in-edges remain unrecorded, the
+			// terminal's closure stays incomplete, and the mapping
+			// conservatively never terminates — liveness is lost to the
+			// fault, safety is not.
+			for _, r := range m.records {
+				n.learn(r)
+			}
+			return nil, nil
 		}
-		return nil, nil
+		n.self = labeledEndpoint(label.Intervals()[0])
 	}
-	self := Endpoint{Kind: EndpointLabeled, Label: label.Intervals()[0]}
 
 	// Learn records: the edge this message arrived on, plus everything the
 	// sender flooded to us.
 	var fresh []EdgeRecord
-	learn := func(r EdgeRecord) {
-		k := r.Key()
-		if _, seen := n.records[k]; !seen {
-			n.records[k] = r
+	for _, r := range m.records {
+		if n.learn(r) {
 			fresh = append(fresh, r)
 		}
 	}
-	for _, r := range m.records {
-		learn(r)
+	own := EdgeRecord{From: m.sender, FromOutDeg: m.senderDeg, OutPort: m.outPort, To: n.self, InPort: inPort}
+	if n.learn(own) {
+		fresh = append(fresh, own)
 	}
-	learn(EdgeRecord{From: m.sender, FromOutDeg: m.senderDeg, OutPort: m.outPort, To: self, InPort: inPort})
 
 	if n.outDeg == 0 {
 		return nil, nil
@@ -236,7 +329,7 @@ func (n *mapNode) Receive(msg protocol.Message, inPort int) ([]protocol.Message,
 		}
 		outs[j] = mapMsg{
 			gc:        gcPart,
-			sender:    self,
+			sender:    n.self,
 			senderDeg: n.outDeg,
 			outPort:   j,
 			records:   fresh,
@@ -264,11 +357,39 @@ func (t *Topology) NumVertices() int { return len(t.Vertices) }
 // NumEdges returns the number of edges in the extracted map.
 func (t *Topology) NumEdges() int { return len(t.Edges) }
 
-// mapTerminal accumulates records and stops when they are closed.
+// mapTerminal accumulates records and stops when they are closed: every
+// vertex the root reaches through recorded edges has all of its declared
+// out-ports recorded. It maintains that predicate as records arrive, so
+// Done is O(1) and each record is indexed once.
 type mapTerminal struct {
-	records map[string]EdgeRecord
 	// gc accumulates the labeling commodity for observability.
 	gc gcTerminal
+	// recs holds the distinct records in arrival order.
+	recs []EdgeRecord
+	// vertices maps an endpoint key to what is known about that vertex.
+	vertices map[string]*mapVertex
+	// open counts the reached vertices other than t whose out-degree is
+	// unknown or which have an unrecorded out-port.
+	open int
+}
+
+// mapVertex is the terminal's view of one vertex.
+type mapVertex struct {
+	// ports[j] indexes recs by out-port j; -1 while the port is unrecorded.
+	// It is nil until the first record from the vertex declares its
+	// out-degree.
+	ports []int
+	// missing counts the -1 entries of ports.
+	missing int
+	// reached is set once the root reaches the vertex through recorded
+	// edges.
+	reached bool
+}
+
+func newMapTerminal() *mapTerminal {
+	t := &mapTerminal{vertices: map[string]*mapVertex{}}
+	t.reach(rootKey)
+	return t
 }
 
 // Receive implements protocol.Node.
@@ -281,80 +402,113 @@ func (t *mapTerminal) Receive(msg protocol.Message, inPort int) ([]protocol.Mess
 		return nil, err
 	}
 	for _, r := range m.records {
-		t.records[r.Key()] = r
+		t.add(r)
 	}
-	own := EdgeRecord{
+	t.add(EdgeRecord{
 		From: m.sender, FromOutDeg: m.senderDeg, OutPort: m.outPort,
 		To: Endpoint{Kind: EndpointTerminal}, InPort: inPort,
-	}
-	t.records[own.Key()] = own
+	})
 	return nil, nil
+}
+
+func (t *mapTerminal) vertex(k string) *mapVertex {
+	v := t.vertices[k]
+	if v == nil {
+		v = &mapVertex{}
+		t.vertices[k] = v
+	}
+	return v
+}
+
+// add records r unless its out-port is recorded, and updates the closure
+// state. Records are truthful: an out-port leads to one edge, so a second
+// record of a port is a copy of the first. A port beyond the declared
+// out-degree is ignored, as the closure never visits it.
+func (t *mapTerminal) add(r EdgeRecord) {
+	src := t.vertex(r.From.Key())
+	if src.ports == nil {
+		src.ports = make([]int, r.FromOutDeg)
+		for j := range src.ports {
+			src.ports[j] = -1
+		}
+		src.missing = r.FromOutDeg
+	}
+	if r.OutPort >= len(src.ports) || src.ports[r.OutPort] >= 0 {
+		return
+	}
+	t.recs = append(t.recs, r)
+	src.ports[r.OutPort] = len(t.recs) - 1
+	src.missing--
+	if !src.reached {
+		return
+	}
+	if src.missing == 0 {
+		t.open--
+	}
+	t.reach(r.To.Key())
+}
+
+// reach marks the vertex keyed k as reached from the root, and with it every
+// vertex its recorded out-edges lead to.
+func (t *mapTerminal) reach(k string) {
+	if k == terminalKey {
+		return
+	}
+	v := t.vertex(k)
+	if v.reached {
+		return
+	}
+	v.reached = true
+	if v.ports == nil || v.missing > 0 {
+		t.open++
+	}
+	for _, i := range v.ports {
+		if i >= 0 {
+			t.reach(t.recs[i].To.Key())
+		}
+	}
 }
 
 // Done implements the stopping predicate: the record set is closed under
 // declared out-degrees starting from the root.
-func (t *mapTerminal) Done() bool {
-	_, closed := t.closure()
-	return closed
-}
+func (t *mapTerminal) Done() bool { return t.open == 0 }
 
-// Output returns the extracted Topology.
+// Output returns the extracted Topology: the vertices in breadth-first order
+// from the root over out-ports, the edges sorted by Key.
 func (t *mapTerminal) Output() any {
-	topo, _ := t.closure()
-	return topo
-}
-
-// closure walks the recorded graph from the root and checks that every
-// discovered vertex has all its declared out-ports recorded.
-func (t *mapTerminal) closure() (*Topology, bool) {
-	// Index records by source endpoint.
-	bySrc := map[string]map[int]EdgeRecord{}
-	degOf := map[string]int{}
-	epOf := map[string]Endpoint{}
-	for _, r := range t.records {
-		k := r.From.Key()
-		if bySrc[k] == nil {
-			bySrc[k] = map[int]EdgeRecord{}
-		}
-		bySrc[k][r.OutPort] = r
-		degOf[k] = r.FromOutDeg
-		epOf[k] = r.From
-		epOf[r.To.Key()] = r.To
-	}
-	root := Endpoint{Kind: EndpointRoot}
-	topo := &Topology{Vertices: []Endpoint{root, {Kind: EndpointTerminal}}}
-	visited := map[string]bool{root.Key(): true, "t": true}
-	queue := []string{root.Key()}
-	closed := true
-	for len(queue) > 0 {
-		k := queue[0]
-		queue = queue[1:]
-		if k == "t" {
-			continue
-		}
-		deg, known := degOf[k]
-		if !known {
-			// Vertex discovered as a target but no out-edge recorded yet.
-			closed = false
-			continue
-		}
-		for port := 0; port < deg; port++ {
-			r, ok := bySrc[k][port]
-			if !ok {
-				closed = false
+	topo := &Topology{Vertices: []Endpoint{{Kind: EndpointRoot}, {Kind: EndpointTerminal}}}
+	visited := map[string]bool{rootKey: true, terminalKey: true}
+	var keys []string
+	for queue := []string{rootKey}; len(queue) > 0; queue = queue[1:] {
+		for _, i := range t.vertices[queue[0]].ports {
+			if i < 0 {
 				continue
 			}
+			r := t.recs[i]
 			topo.Edges = append(topo.Edges, r)
-			tk := r.To.Key()
-			if !visited[tk] {
+			keys = append(keys, r.Key())
+			if tk := r.To.Key(); !visited[tk] {
 				visited[tk] = true
 				topo.Vertices = append(topo.Vertices, r.To)
 				queue = append(queue, tk)
 			}
 		}
 	}
-	sort.Slice(topo.Edges, func(i, j int) bool { return topo.Edges[i].Key() < topo.Edges[j].Key() })
-	return topo, closed
+	sort.Sort(recordsByKey{topo.Edges, keys})
+	return topo
+}
+
+// recordsByKey sorts records by their precomputed keys.
+type recordsByKey struct {
+	recs []EdgeRecord
+	keys []string
+}
+
+func (s recordsByKey) Len() int           { return len(s.recs) }
+func (s recordsByKey) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
+func (s recordsByKey) Swap(i, j int) {
+	s.recs[i], s.recs[j] = s.recs[j], s.recs[i]
+	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
 // ToGraph materializes the extracted topology as a graph.G with the exact

@@ -71,17 +71,13 @@ func (n *labelNode) StateBits() int {
 // StateBits implements protocol.StateSized: the labeling state plus the
 // learned edge records.
 func (n *mapNode) StateBits() int {
-	b := n.inner.StateBits()
-	for _, r := range n.records {
-		b += r.Bits()
-	}
-	return b
+	return n.inner.StateBits() + n.recordBits
 }
 
 // StateBits implements protocol.StateSized.
 func (t *mapTerminal) StateBits() int {
 	b := t.gc.StateBits()
-	for _, r := range t.records {
+	for _, r := range t.recs {
 		b += r.Bits()
 	}
 	return b

@@ -24,7 +24,7 @@ func Sweeps(quick bool) []Sweep {
 	e6Sizes := []int{8, 16, 32, 64, 128}
 	e7Sizes := []int{8, 16, 32, 64, 128}
 	e8Heights := []int{2, 4, 6, 8, 16, 32, 64, 128}
-	e10Sizes := []int{8, 16, 32, 64}
+	e10Sizes := []int{8, 16, 32, 64, 128, 256, 512}
 	e11Sizes := []int{8, 16, 32, 64}
 	e12Graphs := 50
 	if quick {
