@@ -1,11 +1,11 @@
 package anonnet
 
-// One benchmark per experiment of DESIGN.md's index (E1-E10). Each bench
+// One benchmark per experiment of the E-index (E1-E13). Each bench
 // runs the experiment's representative workload under the Go benchmark
 // harness and reports the paper's cost metrics as custom benchmark metrics
 // (bits/op, messages/op, ...), so `go test -bench=. -benchmem` regenerates
 // the quantitative picture of every theorem and figure. The full sweeps
-// behind EXPERIMENTS.md live in cmd/anonbench.
+// live in cmd/anonbench, which prints every table.
 
 import (
 	"fmt"

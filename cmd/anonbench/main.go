@@ -1,5 +1,5 @@
-// Command anonbench regenerates every experiment table of EXPERIMENTS.md:
-// the quantitative checks of each theorem and figure of the paper. It is
+// Command anonbench regenerates every experiment table (E1-E13, printed to
+// stdout): the quantitative checks of each theorem and figure of the paper. It is
 // also the keeper of the performance trajectory: -bench emits a
 // machine-readable BENCH.json (see docs/BENCHMARKS.md) that CI compares
 // against the committed BENCH_baseline.json.

@@ -29,7 +29,7 @@ func ablationGraph(t *testing.T) *graph.G {
 }
 
 // TestAblationLiteralPartitionViolatesTheorem42 shows the literal rule is
-// broken exactly as DESIGN.md section 3.1 claims: the protocol terminates
+// broken exactly as docs/ARCHITECTURE.md's faithfulness notes claim: the protocol terminates
 // although a vertex never received the message.
 func TestAblationLiteralPartitionViolatesTheorem42(t *testing.T) {
 	g := ablationGraph(t)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/dyadic"
 	"repro/internal/graph"
 	"repro/internal/interval"
+	"repro/internal/msgq"
 	"repro/internal/protocol"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -93,6 +94,32 @@ func TestTreeProtocolAllocsPerDelivery(t *testing.T) {
 	t.Logf("%.0f allocations over %d deliveries: %.2f per delivery", allocs, deliveries, per)
 	if per > maxPerDelivery {
 		t.Fatalf("%.2f allocations per delivery, want <= %d", per, maxPerDelivery)
+	}
+}
+
+// TestTreeBroadcastUsesNoChunks pins the queue layout a grounded-tree
+// broadcast relies on: every vertex receives once, so no edge ever holds more
+// than one message, and the queues' inline front slots carry the whole run.
+// A pooled chunk recycled here means a message left the inline slot.
+func TestTreeBroadcastUsesNoChunks(t *testing.T) {
+	recycled := 0
+	msgq.TestingRecycleObserver = func(int) { recycled++ }
+	defer func() { msgq.TestingRecycleObserver = nil }()
+
+	g := graph.RandomGroundedTree(2000, 0.2, 7)
+	sched, err := sim.NewScheduler("random")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := sim.Run(g, NewTreeBroadcast([]byte("m"), RulePow2), sim.Options{Scheduler: sched, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Verdict != sim.Terminated {
+		t.Fatalf("verdict %v, want terminated", r.Verdict)
+	}
+	if recycled != 0 {
+		t.Fatalf("tree broadcast recycled %d queue chunks, want 0", recycled)
 	}
 }
 

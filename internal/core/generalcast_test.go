@@ -182,9 +182,10 @@ func TestGeneralSymbolSizeBounded(t *testing.T) {
 }
 
 func TestGeneralEveryEdgeCarriesFirstMessageWithAlpha(t *testing.T) {
-	// The DESIGN.md substitution guarantees every out-edge receives alpha
-	// content on the sender's first firing; consequently on termination
-	// every edge carried at least one message.
+	// The r == 1 partition substitution (docs/ARCHITECTURE.md, "Faithfulness
+	// notes") guarantees every out-edge receives alpha content on the
+	// sender's first firing; consequently on termination every edge carried
+	// at least one message.
 	for seed := int64(0); seed < 5; seed++ {
 		g := graph.RandomDigraph(25, seed, graph.RandomDigraphOpts{ExtraEdges: 25, TerminalFrac: 0.25})
 		r, err := sim.Run(g, NewGeneralBroadcast(nil), sim.Options{Order: sim.OrderLIFO})

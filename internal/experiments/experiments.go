@@ -1,8 +1,9 @@
 // Package experiments contains the drivers that regenerate every
-// quantitative claim of the paper (the experiment index E1-E10 of
-// DESIGN.md). Each driver runs a parameter sweep on the paper's graph
+// quantitative claim of the paper (the experiments E1-E13 registered in
+// sweeps.go). Each driver runs a parameter sweep on the paper's graph
 // families, measures the paper's cost metrics, fits them against the
-// predicted complexity shapes, and renders a table for EXPERIMENTS.md.
+// predicted complexity shapes, and renders a table that cmd/anonbench
+// prints.
 package experiments
 
 import (
@@ -584,7 +585,8 @@ func E11Rounds(sizes []int) (*Table, error) {
 	return t, nil
 }
 
-// E12Ablation quantifies DESIGN.md's partition-rule substitution: the
+// E12Ablation quantifies the partition-rule substitution recorded in
+// docs/ARCHITECTURE.md's faithfulness notes: the
 // paper's literal canonical-partition rule (empty last part when the
 // commodity is a single interval) lets the terminal declare termination
 // while vertices behind the starved out-edge never received the broadcast,
@@ -592,7 +594,7 @@ func E11Rounds(sizes []int) (*Table, error) {
 func E12Ablation(graphs int) (*Table, error) {
 	t := &Table{
 		ID:     "E12",
-		Title:  "Ablation: literal vs repaired canonical partition (DESIGN.md §3.1)",
+		Title:  "Ablation: literal vs repaired canonical partition (docs/ARCHITECTURE.md, Faithfulness notes)",
 		Claim:  "with the repaired rule, termination implies every vertex was visited (Theorem 4.2); the literal rule breaks this",
 		Header: []string{"rule", "graphs", "terminated", "terminated w/ unvisited vertices"},
 	}
@@ -630,7 +632,7 @@ func E12Ablation(graphs int) (*Table, error) {
 		t.Summary = "VIOLATION: repaired rule terminated with unvisited vertices"
 		return t, nil
 	}
-	t.Summary = fmt.Sprintf("The literal rule silently broke the broadcast guarantee on %d of %d graphs; the repaired rule never did. The substitution documented in DESIGN.md is load-bearing.", lit.bad, graphs)
+	t.Summary = fmt.Sprintf("The literal rule silently broke the broadcast guarantee on %d of %d graphs; the repaired rule never did. The substitution documented in docs/ARCHITECTURE.md's faithfulness notes is load-bearing.", lit.bad, graphs)
 	return t, nil
 }
 

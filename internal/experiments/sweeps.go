@@ -1,7 +1,7 @@
 package experiments
 
-// Sweep is one registered experiment driver: a stable ID (the E-numbers of
-// DESIGN.md/EXPERIMENTS.md) plus a closure that runs the full sweep and
+// Sweep is one registered experiment driver: a stable ID (the E-number that
+// heads its table in anonbench's output) plus a closure that runs the full sweep and
 // renders its table. The registry lives here — not in cmd/anonbench — so the
 // CLI, the parallel matrix runner, and the benchmark tiers all draw from one
 // list that cannot drift.

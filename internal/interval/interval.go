@@ -449,7 +449,7 @@ func (u Union) MaxEndpointPrec() uint {
 // split I_1 into d-1 pieces for the first d-1 parts and give ∪_{k>=2} I_k to
 // the last part.
 //
-// Faithfulness note (DESIGN.md §3.1): when r == 1 the paper's literal rule
+// Faithfulness note (docs/ARCHITECTURE.md, "Faithfulness notes"): when r == 1 the paper's literal rule
 // would leave the last part empty and the subgraph behind the corresponding
 // out-edge would never be visited, contradicting Theorem 4.2. We therefore
 // split I_1 into d pieces in that case. Every vertex still splits at most one

@@ -176,7 +176,8 @@ func TestCanonicalPartitionMultiInterval(t *testing.T) {
 }
 
 func TestCanonicalPartitionSingleInterval(t *testing.T) {
-	// r == 1: the DESIGN.md substitution — split into d non-empty parts.
+	// r == 1: the substitution in docs/ARCHITECTURE.md's faithfulness notes —
+	// split into d non-empty parts.
 	u := FullUnion()
 	parts := u.CanonicalPartition(3)
 	if len(parts) != 3 {

@@ -19,7 +19,8 @@ type Symbol uint32
 //   - a value memo (map[Message]Symbol) hits when the same message value is
 //     transmitted again. Interface-keyed map lookups do not allocate, and
 //     most protocols here re-send small comparable message values, so after
-//     warm-up an Intern call costs two map probes and zero heap.
+//     warm-up an Intern call costs zero heap and one map probe (two when
+//     the message's type differs from the previous call's).
 //   - the canonical key map (map[string]Symbol) is consulted on a memo miss;
 //     only a first-ever sighting of a key allocates (the key string itself).
 //
@@ -40,6 +41,10 @@ type Interner struct {
 	// hashable caches, per dynamic message type, whether values of that type
 	// may be used as map keys at all (a slice-carrying message would panic).
 	hashable map[reflect.Type]bool
+	// lastType and lastHashable repeat the most recent hashable lookup, so a
+	// stream of one message type skips the type probe.
+	lastType     reflect.Type
+	lastHashable bool
 }
 
 // memoCap bounds the value memo. Protocols that allocate a fresh pointer per
@@ -62,11 +67,7 @@ func NewInterner() *Interner {
 // Symbol on first sight. The fast path (value already memoized) performs no
 // allocation and never calls m.Key.
 func (in *Interner) Intern(m Message) Symbol {
-	hashable, known := in.hashable[reflect.TypeOf(m)]
-	if !known {
-		hashable = reflect.TypeOf(m).Comparable()
-		in.hashable[reflect.TypeOf(m)] = hashable
-	}
+	hashable := in.typeHashable(reflect.TypeOf(m))
 	if hashable {
 		if s, ok := in.memo[m]; ok {
 			return s
@@ -83,6 +84,20 @@ func (in *Interner) Intern(m Message) Symbol {
 		in.memo[m] = s
 	}
 	return s
+}
+
+// typeHashable reports whether values of dynamic type t are comparable.
+func (in *Interner) typeHashable(t reflect.Type) bool {
+	if t == in.lastType {
+		return in.lastHashable
+	}
+	hashable, known := in.hashable[t]
+	if !known {
+		hashable = t.Comparable()
+		in.hashable[t] = hashable
+	}
+	in.lastType, in.lastHashable = t, hashable
+	return hashable
 }
 
 // KeyOf returns the canonical key interned as s. It panics on a Symbol this

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/msgq"
@@ -27,5 +28,14 @@ func TestEngineTeardownNeverPinsPayloads(t *testing.T) {
 	}
 	if dirty != 0 {
 		t.Fatalf("engine teardown recycled %d live slots", dirty)
+	}
+}
+
+// TestEdgeRecordSize pins the per-edge record at 40 bytes: a delivery reads
+// one record, and the run allocates one per edge, so a larger record costs
+// both cache footprint and allocated bytes on every run.
+func TestEdgeRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(edgeRecord{}); got > 40 {
+		t.Fatalf("edgeRecord is %d bytes, want <= 40", got)
 	}
 }
