@@ -19,6 +19,11 @@ var ErrUnexpectedEOF = errors.New("bitio: unexpected end of bit stream")
 
 // Writer accumulates bits most-significant-bit first.
 // The zero value is ready to use.
+//
+// The buffer always holds every bit written, the last byte zero-padded:
+// len(buf) == ceil(nbit/8). Multi-bit writes fill the partial last byte and
+// then append whole bytes, so their cost follows the bytes written, not the
+// bits.
 type Writer struct {
 	buf  []byte
 	nbit int // total bits written
@@ -55,18 +60,41 @@ func (w *Writer) WriteBits(v uint64, n int) {
 	if n < 0 || n > 64 {
 		panic(fmt.Sprintf("bitio: WriteBits width %d out of range", n))
 	}
-	for i := n - 1; i >= 0; i-- {
-		w.WriteBit(uint(v>>uint(i)) & 1)
+	if n == 0 {
+		return
+	}
+	v <<= uint(64 - n) // left-align: the next bit to write is bit 63
+	if r := w.nbit % 8; r != 0 {
+		// Fill the 8-r free low bits of the partial last byte.
+		w.buf[len(w.buf)-1] |= byte(v >> uint(56+r))
+		if n <= 8-r {
+			w.nbit += n
+			return
+		}
+		v <<= uint(8 - r)
+		n -= 8 - r
+		w.nbit += 8 - r
+	}
+	// Byte-aligned: append the rest a byte at a time; the bits below v's
+	// n are zero, so the last byte comes out zero-padded.
+	w.nbit += n
+	for ; n > 0; n -= 8 {
+		w.buf = append(w.buf, byte(v>>56))
+		v <<= 8
 	}
 }
 
 // WriteUnary appends v as a unary code: v zero bits followed by a one bit.
 // Costs v+1 bits.
 func (w *Writer) WriteUnary(v uint64) {
-	for i := uint64(0); i < v; i++ {
-		w.WriteBit(0)
+	// The padding of the last byte is already zero, so the zero bits need
+	// only the bytes that hold them; then the one bit is set.
+	one := w.nbit + int(v)
+	if need := one/8 + 1 - len(w.buf); need > 0 {
+		w.buf = append(w.buf, make([]byte, need)...)
 	}
-	w.WriteBit(1)
+	w.buf[one/8] |= 1 << (7 - uint(one%8))
+	w.nbit = one + 1
 }
 
 // WriteGamma appends v >= 1 as an Elias gamma code.
@@ -76,6 +104,11 @@ func (w *Writer) WriteGamma(v uint64) {
 		panic("bitio: WriteGamma requires v >= 1")
 	}
 	n := bits.Len64(v) - 1 // floor(log2 v)
+	if n < 32 {
+		// n zero bits and then v's n+1 bits: v itself in 2n+1 bits.
+		w.WriteBits(v, 2*n+1)
+		return
+	}
 	w.WriteUnary(uint64(n))
 	w.WriteBits(v, n) // v without its leading one bit
 }
@@ -90,6 +123,11 @@ func (w *Writer) WriteDelta(v uint64) {
 		panic("bitio: WriteDelta requires v >= 1")
 	}
 	n := bits.Len64(v) // number of significant bits
+	if l := bits.Len64(uint64(n)) - 1; 2*l+n <= 64 {
+		// gamma(n) is n in 2l+1 bits; v's low n-1 bits follow it.
+		w.WriteBits(uint64(n)<<uint(n-1)|v&(1<<uint(n-1)-1), 2*l+n)
+		return
+	}
 	w.WriteGamma(uint64(n))
 	w.WriteBits(v, n-1)
 }

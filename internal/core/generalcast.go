@@ -29,7 +29,10 @@ type GeneralBroadcast struct {
 	literal bool
 }
 
-var _ protocol.Protocol = (*GeneralBroadcast)(nil)
+var (
+	_ protocol.Protocol    = (*GeneralBroadcast)(nil)
+	_ protocol.KeyAppender = gcMsg{}
+)
 
 // NewGeneralBroadcast returns the general-graph broadcast protocol carrying
 // payload m.
@@ -76,25 +79,38 @@ func (m gcMsg) Bits() int { return m.alpha.EncodedBits() + m.beta.EncodedBits() 
 // Key implements protocol.Message: alpha's key, '|', beta's key, built in one
 // exactly sized buffer that the returned string then shares.
 func (m gcMsg) Key() string {
-	buf := m.appendKey(make([]byte, 0, (m.alpha.EncodedBits()+7)/8+1+(m.beta.EncodedBits()+7)/8))
+	buf := m.AppendKey(make([]byte, 0, (m.alpha.EncodedBits()+7)/8+1+(m.beta.EncodedBits()+7)/8))
 	// buf is never written again, so the string may alias it (the same
 	// hand-off strings.Builder makes).
 	return unsafe.String(unsafe.SliceData(buf), len(buf))
 }
 
-func (m gcMsg) appendKey(dst []byte) []byte {
+// AppendKey implements protocol.KeyAppender: gcMsg carries unions, so it is
+// not comparable, and metering finds its symbol through the key bytes.
+func (m gcMsg) AppendKey(dst []byte) []byte {
 	dst = m.alpha.AppendKey(dst)
 	dst = append(dst, '|')
 	return m.beta.AppendKey(dst)
 }
 
 // gcState is the internal-vertex state ((alpha_j)_{j=1..d}, beta) shared by
-// general broadcast and label assignment, with the transition both apply on
-// every receipt after the first.
+// general broadcast, label assignment and mapping, with the transition all
+// three apply on every receipt after the first.
+//
+// Ownership: beta and alpha_d start out shared. A first receipt adopts beta
+// from the incoming message and hands every alpha_j to firstSends' messages,
+// so their storage belongs to messages that other vertices may still hold.
+// The first growth of each copies (Union) and marks the result owned; every
+// later growth is in place (Union.Absorb). State that was handed out is
+// therefore never written, and nothing the state owns is ever sent: step
+// sends only deltas, and Absorb never adopts its argument's storage.
 type gcState struct {
 	payload Payload
 	alphas  []interval.Union // alpha_j, 1-indexed in the paper, 0-indexed here
 	beta    interval.Union
+	// ownBeta and ownLast record that beta and alpha_d have storage of
+	// their own and may grow in place.
+	ownBeta, ownLast bool
 	// frozen caches the union of everything that never grows after the
 	// first receipt: alpha_1..alpha_{d-1} and, for label assignment, the
 	// label alpha_0. It is built on the first step that needs it.
@@ -104,6 +120,16 @@ type gcState struct {
 
 func newGCState(payload Payload, outDeg int) gcState {
 	return gcState{payload: payload, alphas: make([]interval.Union, outDeg)}
+}
+
+// grow sets *u to *u ∪ delta: by a copying Union the first time, after which
+// *owned is set and growth is in place.
+func grow(u *interval.Union, owned *bool, delta interval.Union) {
+	if *owned {
+		u.Absorb(delta)
+		return
+	}
+	*u, *owned = u.Union(delta), true
 }
 
 // step is the pi != pi0 transition for a vertex with at least one out-edge:
@@ -131,20 +157,31 @@ func (s *gcState) step(aIn, bIn, label interval.Union) []protocol.Message {
 			s.frozen = s.frozen.Union(a)
 		}
 	}
-	overlap := aIn.Intersect(s.frozen).Union(aIn.Intersect(s.alphas[last]))
-	alphaDelta := aIn.Subtract(s.frozen).Subtract(s.alphas[last])
-	betaDelta := bIn.Union(overlap).Subtract(s.beta)
+	var alphaDelta, betaDelta interval.Union
+	cycle := bIn
+	if !aIn.IsEmpty() {
+		overlap := aIn.Intersect(s.frozen).Union(aIn.Intersect(s.alphas[last]))
+		alphaDelta = aIn.Subtract(s.frozen).Subtract(s.alphas[last])
+		if !overlap.IsEmpty() {
+			cycle = bIn.Union(overlap)
+		}
+	}
+	betaDelta = cycle.Subtract(s.beta)
 	if alphaDelta.IsEmpty() && betaDelta.IsEmpty() {
 		return nil
 	}
 	outs := make([]protocol.Message, len(s.alphas))
 	if !alphaDelta.IsEmpty() {
-		s.alphas[last] = s.alphas[last].Union(alphaDelta)
+		grow(&s.alphas[last], &s.ownLast, alphaDelta)
 	}
 	if !betaDelta.IsEmpty() {
-		s.beta = s.beta.Union(betaDelta)
-		for j := 0; j < last; j++ {
-			outs[j] = gcMsg{payload: s.payload, beta: betaDelta}
+		grow(&s.beta, &s.ownBeta, betaDelta)
+		if last > 0 {
+			// One boxed message serves every frozen edge.
+			m := protocol.Message(gcMsg{payload: s.payload, beta: betaDelta})
+			for j := 0; j < last; j++ {
+				outs[j] = m
+			}
 		}
 	}
 	outs[last] = gcMsg{payload: s.payload, alpha: alphaDelta, beta: betaDelta}
@@ -192,7 +229,7 @@ func (n *gcNode) Receive(msg protocol.Message, _ int) ([]protocol.Message, error
 		// the non-termination the theorems require for vertices that are not
 		// connected to t.
 		n.virgin = false
-		n.beta = n.beta.Union(bIn)
+		grow(&n.beta, &n.ownBeta, bIn)
 		return nil, nil
 	}
 
@@ -215,12 +252,19 @@ func (n *gcNode) Receive(msg protocol.Message, _ int) ([]protocol.Message, error
 	return n.firstSends(), nil
 }
 
-// Alphas exposes the per-edge alpha state for invariant checks and the
-// omniscient-observer tests; the protocol itself never reads it externally.
-func (n *gcNode) Alphas() []interval.Union { return n.alphas }
+// Alphas returns a copy of the per-edge alpha state for invariant checks and
+// the omniscient-observer tests; the protocol itself never reads it
+// externally.
+func (n *gcNode) Alphas() []interval.Union {
+	out := make([]interval.Union, len(n.alphas))
+	for j, a := range n.alphas {
+		out[j] = a.Clone()
+	}
+	return out
+}
 
-// Beta exposes the beta state for invariant checks.
-func (n *gcNode) Beta() interval.Union { return n.beta }
+// Beta returns a copy of the beta state for invariant checks.
+func (n *gcNode) Beta() interval.Union { return n.beta.Clone() }
 
 // gcTerminal accumulates everything that arrives; S(pi) holds when
 // alpha ∪ beta = [0, 1). The combined cover is maintained incrementally so

@@ -93,7 +93,7 @@ func (n *labelNode) Receive(msg protocol.Message, _ int) ([]protocol.Message, er
 	}
 
 	if n.outDeg == 0 {
-		n.beta = n.beta.Union(bIn)
+		grow(&n.beta, &n.ownBeta, bIn)
 		return nil, nil
 	}
 

@@ -224,7 +224,7 @@ func (m mapMsg) Key() string {
 	sender := m.sender.Key()
 	buf := make([]byte, 0, (m.gc.alpha.EncodedBits()+7)/8+1+(m.gc.beta.EncodedBits()+7)/8+
 		1+len(sender)+2+2*20+1+len(scratch)+len(recKeys))
-	buf = m.gc.appendKey(buf)
+	buf = m.gc.AppendKey(buf)
 	buf = append(buf, '|')
 	buf = append(buf, sender...)
 	buf = append(buf, '#')

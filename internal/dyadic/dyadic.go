@@ -10,6 +10,7 @@
 package dyadic
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -123,6 +124,13 @@ func (d D) Prec() uint { return d.prec }
 // to the common precision through a virtual shift, so Cmp never allocates.
 func (d D) Cmp(o D) int {
 	sd, so, _ := align(d, o)
+	if len(d.limbs) <= 1 && len(o.limbs) <= 1 {
+		// One-limb fast path: both aligned numerators fit in a word.
+		a, b := limbAt(d.limbs, 0), limbAt(o.limbs, 0)
+		if sd < 64 && so < 64 && a>>(64-sd) == 0 && b>>(64-so) == 0 {
+			return cmp.Compare(a<<sd, b<<so)
+		}
+	}
 	la, lb := bitLen(d.limbs, sd), bitLen(o.limbs, so)
 	if la != lb {
 		if la < lb {
@@ -341,8 +349,15 @@ func (d D) Encode(w *bitio.Writer) {
 	}
 	w.WriteBit(0)
 	w.WriteDelta0(uint64(d.prec))
-	for i := uint(1); i <= d.prec; i++ {
-		w.WriteBit(d.FracBit(i))
+	if d.prec == 0 {
+		return
+	}
+	// The fraction digits are the numerator's low prec bits, most
+	// significant first: the top limb's share, then whole limbs.
+	top := int(d.prec-1) / 64
+	w.WriteBits(limbAt(d.limbs, top), int(d.prec-1)%64+1)
+	for i := top - 1; i >= 0; i-- {
+		w.WriteBits(limbAt(d.limbs, i), 64)
 	}
 }
 
@@ -403,6 +418,14 @@ func bit(limbs []uint64, i uint) uint {
 		return 0
 	}
 	return uint(limbs[li]>>bi) & 1
+}
+
+// limbAt returns limb i of a numerator, 0 past its stripped high end.
+func limbAt(limbs []uint64, i int) uint64 {
+	if i < len(limbs) {
+		return limbs[i]
+	}
+	return 0
 }
 
 func setBit(limbs []uint64, i uint) {

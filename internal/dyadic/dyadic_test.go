@@ -229,6 +229,33 @@ func TestQuickEncodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeMatchesFracBits pins Encode's limb-at-a-time digits to the
+// digit-at-a-time spelling through FracBit, across limb boundaries.
+func TestEncodeMatchesFracBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	ds := []D{Zero(), One(), Pow2(1), Pow2(63), Pow2(64), Pow2(65), Pow2(128), Pow2(129)}
+	for i := 0; i < 2000; i++ {
+		ds = append(ds, randD(rng, 300))
+	}
+	for _, d := range ds {
+		var got, want bitio.Writer
+		d.Encode(&got)
+		if d.IsOne() {
+			want.WriteBit(1)
+		} else {
+			want.WriteBit(0)
+			want.WriteDelta0(uint64(d.Prec()))
+			for i := uint(1); i <= d.Prec(); i++ {
+				want.WriteBit(d.FracBit(i))
+			}
+		}
+		if got.Len() != want.Len() || !slices.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("Encode(%s) = %x (%d bits), digit by digit %x (%d bits)",
+				d, got.Bytes(), got.Len(), want.Bytes(), want.Len())
+		}
+	}
+}
+
 func TestQuickKeyInjective(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -360,6 +387,11 @@ func TestCmpMatchesShiftReference(t *testing.T) {
 		}
 	}
 	for i := 0; i < 20000; i++ {
+		// Precisions around one word decide the one-limb fast path: it
+		// applies only while both aligned numerators fit in 64 bits.
+		s, u := randD(rng, 70), randD(rng, 70).Shr(uint(rng.Intn(8)))
+		check(s, u)
+		check(u, s)
 		// Precisions up to 300 bits span one to five limbs, so the virtual
 		// shift crosses word boundaries in both directions.
 		a, b := randD(rng, 300), randD(rng, 300)

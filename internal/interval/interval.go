@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/bitio"
@@ -114,7 +113,10 @@ func (iv Interval) Split(k int) []Interval {
 // Unions are value types: operations return new unions and never mutate
 // their receivers or arguments, and Union, Intersect and Subtract return
 // storage of their own. The one exception is Absorb, which grows an
-// accumulator in place.
+// accumulator in place. Its ownership rule: a union adopted from elsewhere
+// (a received message, or a part handed to a sent one) is shared and never
+// absorbed into; its first growth goes through Union, which yields storage
+// of its own, and from then on the accumulator is owned and grows by Absorb.
 type Union struct {
 	ivs []Interval
 }
@@ -216,7 +218,7 @@ func (u Union) Union(o Union) Union {
 	i := 0
 	for _, b := range o.ivs {
 		// Copy the intervals of u that end before b starts, not touching it.
-		k := seek(u.ivs, i, func(a Interval) bool { return a.Hi.Cmp(b.Lo) < 0 })
+		k := seek(u.ivs, i, b.Lo, false)
 		out = append(out, u.ivs[i:k]...)
 		i = k
 		lo, hi := b.Lo, b.Hi
@@ -245,7 +247,7 @@ func (u *Union) Absorb(o Union) {
 	}
 	i := 0
 	for _, b := range o.ivs {
-		i = seek(u.ivs, i, func(a Interval) bool { return a.Hi.Cmp(b.Lo) < 0 })
+		i = seek(u.ivs, i, b.Lo, false)
 		j, lo, hi := i, b.Lo, b.Hi
 		for ; j < len(u.ivs) && u.ivs[j].Lo.Cmp(hi) <= 0; j++ {
 			lo, hi = minD(lo, u.ivs[j].Lo), maxD(hi, u.ivs[j].Hi)
@@ -268,7 +270,7 @@ func (u Union) Intersect(o Union) Union {
 	var out []Interval
 	i := 0
 	for _, b := range o.ivs {
-		i = seek(u.ivs, i, func(a Interval) bool { return a.Hi.Cmp(b.Lo) <= 0 })
+		i = seek(u.ivs, i, b.Lo, true)
 		for ; i < len(u.ivs) && u.ivs[i].Lo.Cmp(b.Hi) < 0; i++ {
 			a := u.ivs[i]
 			out = append(out, Interval{Lo: maxD(a.Lo, b.Lo), Hi: minD(a.Hi, b.Hi)})
@@ -293,13 +295,13 @@ func (u Union) Subtract(o Union) Union {
 			break
 		}
 		// Copy the intervals of u that end before o[j] starts.
-		k := seek(u.ivs, i, func(a Interval) bool { return a.Hi.Cmp(o.ivs[j].Lo) <= 0 })
+		k := seek(u.ivs, i, o.ivs[j].Lo, true)
 		out = append(out, u.ivs[i:k]...)
 		if i = k; i == len(u.ivs) {
 			break
 		}
 		a := u.ivs[i]
-		j = seek(o.ivs, j, func(b Interval) bool { return b.Hi.Cmp(a.Lo) <= 0 })
+		j = seek(o.ivs, j, a.Lo, true)
 		lo := a.Lo
 		for k := j; k < len(o.ivs) && o.ivs[k].Lo.Cmp(a.Hi) < 0; k++ {
 			b := o.ivs[k]
@@ -316,20 +318,34 @@ func (u Union) Subtract(o Union) Union {
 	return Union{ivs: out}
 }
 
-// seek returns the first index k >= i with !before(ivs[k]) (or len(ivs)),
-// where before holds on a prefix of ivs. It gallops from i and then binary
-// searches the last step, costing O(log(k-i)) calls of before.
-func seek(ivs []Interval, i int, before func(Interval) bool) int {
-	if i >= len(ivs) || !before(ivs[i]) {
+// seek returns the first index k >= i whose interval does not end before x,
+// or len(ivs). An interval ends before x when Hi < x, or Hi <= x with atX;
+// the end points of a canonical union increase, so those intervals form a
+// prefix. It gallops from i and then binary searches the last step, costing
+// O(log(k-i)) comparisons.
+func seek(ivs []Interval, i int, x dyadic.D, atX bool) int {
+	lim := 0 // ends before x: Hi.Cmp(x) < lim
+	if atX {
+		lim = 1
+	}
+	if i >= len(ivs) || ivs[i].Hi.Cmp(x) >= lim {
 		return i
 	}
-	step := 1 // invariant: before(ivs[i])
-	for i+step < len(ivs) && before(ivs[i+step]) {
+	step := 1 // invariant: ivs[i] ends before x
+	for i+step < len(ivs) && ivs[i+step].Hi.Cmp(x) < lim {
 		i += step
 		step *= 2
 	}
-	hi := min(i+step, len(ivs))
-	return i + 1 + sort.Search(hi-i-1, func(k int) bool { return !before(ivs[i+1+k]) })
+	lo, hi := i+1, min(i+step, len(ivs))
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ivs[mid].Hi.Cmp(x) < lim {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 func minD(a, b dyadic.D) dyadic.D {
@@ -418,12 +434,13 @@ func DecodeUnion(r *bitio.Reader) (Union, error) {
 
 // Key returns a canonical string for use as a map key.
 func (u Union) Key() string {
-	return string(u.AppendKey(nil))
+	return string(u.AppendKey(make([]byte, 0, (u.EncodedBits()+7)/8)))
 }
 
-// AppendKey appends the bytes of Key to dst, growing dst at most once.
+// AppendKey appends the bytes of Key to dst. It writes into dst's spare
+// capacity and grows dst as append does, so a caller that reuses its buffer
+// or sizes it from EncodedBits pays no allocation.
 func (u Union) AppendKey(dst []byte) []byte {
-	dst = slices.Grow(dst, (u.EncodedBits()+7)/8)
 	w := bitio.AppendWriter(dst)
 	u.Encode(&w)
 	return w.Bytes()

@@ -25,8 +25,11 @@ type Symbol uint32
 //     only a first-ever sighting of a key allocates (the key string itself).
 //
 // Only comparable message types reach the memo, so a protocol should keep
-// its message types comparable (no slice, map or func fields): values of any
-// other type render Key on every call.
+// its message types comparable (no slice, map or func fields). A message
+// type that cannot be comparable — one carrying interval unions, say —
+// should implement KeyAppender: its key is then appended into a scratch
+// buffer the Interner reuses and probed without allocating, so a repeated
+// key still costs no heap. Any other type renders Key on every call.
 //
 // Correctness never depends on the memo: distinct message values with equal
 // keys unify through the key map, so Key -> Symbol stays injective (the
@@ -45,6 +48,9 @@ type Interner struct {
 	// stream of one message type skips the type probe.
 	lastType     reflect.Type
 	lastHashable bool
+	// scratch receives KeyAppender keys; it is reused across calls, and a
+	// key is copied out of it only when it is seen for the first time.
+	scratch []byte
 }
 
 // memoCap bounds the value memo. Protocols that allocate a fresh pointer per
@@ -64,8 +70,9 @@ func NewInterner() *Interner {
 }
 
 // Intern returns the Symbol of m's canonical key, assigning the next dense
-// Symbol on first sight. The fast path (value already memoized) performs no
-// allocation and never calls m.Key.
+// Symbol on first sight. The fast paths (value already memoized, or a
+// KeyAppender whose key is already known) perform no allocation, and neither
+// calls m.Key.
 func (in *Interner) Intern(m Message) Symbol {
 	hashable := in.typeHashable(reflect.TypeOf(m))
 	if hashable {
@@ -73,16 +80,30 @@ func (in *Interner) Intern(m Message) Symbol {
 			return s
 		}
 	}
-	k := m.Key()
-	s, ok := in.byKey[k]
-	if !ok {
-		s = Symbol(len(in.keys))
-		in.keys = append(in.keys, k)
-		in.byKey[k] = s
+	var s Symbol
+	if ka, ok := m.(KeyAppender); ok {
+		in.scratch = ka.AppendKey(in.scratch[:0])
+		// A map index by string(bytes) does not allocate.
+		if s, ok = in.byKey[string(in.scratch)]; !ok {
+			s = in.add(string(in.scratch))
+		}
+	} else {
+		k := m.Key()
+		if s, ok = in.byKey[k]; !ok {
+			s = in.add(k)
+		}
 	}
 	if hashable && len(in.memo) < memoCap {
 		in.memo[m] = s
 	}
+	return s
+}
+
+// add assigns the next Symbol to key k, which the table has not seen.
+func (in *Interner) add(k string) Symbol {
+	s := Symbol(len(in.keys))
+	in.keys = append(in.keys, k)
+	in.byKey[k] = s
 	return s
 }
 

@@ -18,6 +18,14 @@ type sliceMsg struct{ b []byte }
 func (m sliceMsg) Bits() int   { return 8 * len(m.b) }
 func (m sliceMsg) Key() string { return string(m.b) }
 
+// appendMsg is unhashable too, but appends its key: the interner must find
+// its symbol through the scratch buffer, never calling Key.
+type appendMsg struct{ b []byte }
+
+func (m appendMsg) Bits() int                   { return 8 * len(m.b) }
+func (m appendMsg) Key() string                 { panic("Intern called Key on a KeyAppender") }
+func (m appendMsg) AppendKey(dst []byte) []byte { return append(dst, m.b...) }
+
 func TestInternerBasics(t *testing.T) {
 	in := NewInterner()
 	a := in.Intern(keyMsg{"a"})
@@ -95,11 +103,31 @@ func TestInternSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestInternKeyAppenderZeroAlloc: a KeyAppender message whose key has been
+// seen before is interned without allocating, although it misses the value
+// memo.
+func TestInternKeyAppenderZeroAlloc(t *testing.T) {
+	in := NewInterner()
+	msgs := [4]Message{appendMsg{[]byte("alpha")}, appendMsg{[]byte("b")}, appendMsg{[]byte("gamma|delta")}, appendMsg{nil}}
+	for _, m := range msgs {
+		in.Intern(m)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		in.Intern(msgs[i&3])
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state Intern of a KeyAppender allocates %.1f per call, want 0", allocs)
+	}
+}
+
 // FuzzInternRoundTrip is the intern/lookup round-trip fuzz target: for an
 // arbitrary pair of byte-string keys, interning must be injective
 // (same symbol iff same key), KeyOf must invert Intern, and re-interning
-// must be stable — via both the hashable fast path and the unhashable
-// fallback.
+// must be stable — via the hashable fast path, the unhashable fallback and
+// the KeyAppender path, which must agree with Key and must not let its
+// reused scratch buffer change a stored key.
 func FuzzInternRoundTrip(f *testing.F) {
 	f.Add("", "x")
 	f.Add("a", "a")
@@ -124,6 +152,21 @@ func FuzzInternRoundTrip(f *testing.F) {
 		}
 		if k1 != k2 && in.Len() != 2 {
 			t.Fatalf("distinct keys produced %d symbols", in.Len())
+		}
+		// The AppendKey path finds the symbols the Key path assigned.
+		if in.Intern(appendMsg{[]byte(k1)}) != s1 || in.Intern(appendMsg{[]byte(k2)}) != s2 {
+			t.Fatalf("AppendKey and Key paths disagree for %q,%q", k1, k2)
+		}
+		// A table filled through the scratch buffer: the second key is
+		// appended over the first one's bytes, which must already be copied.
+		ap := NewInterner()
+		a1 := ap.Intern(appendMsg{[]byte(k1)})
+		a2 := ap.Intern(appendMsg{[]byte(k2)})
+		if (a1 == a2) != (k1 == k2) || ap.KeyOf(a1) != k1 || ap.KeyOf(a2) != k2 {
+			t.Fatalf("KeyAppender interning of %q,%q: symbols %d,%d keys %q,%q", k1, k2, a1, a2, ap.KeyOf(a1), ap.KeyOf(a2))
+		}
+		if ap.Intern(keyMsg{k1}) != a1 || ap.Intern(sliceMsg{[]byte(k2)}) != a2 {
+			t.Fatalf("Key path disagrees with a table filled by AppendKey for %q,%q", k1, k2)
 		}
 	})
 }

@@ -26,6 +26,15 @@ type Message interface {
 	Key() string
 }
 
+// KeyAppender is implemented by messages that can append their Key to a
+// caller's buffer: AppendKey(dst) returns dst followed by exactly the bytes
+// of Key(). Metering uses it to look a key up without building a string (see
+// Interner), so a message type that is not comparable — and therefore
+// misses the Interner's value memo — should implement it.
+type KeyAppender interface {
+	AppendKey(dst []byte) []byte
+}
+
 // Role distinguishes the three kinds of vertices of the model.
 type Role int
 

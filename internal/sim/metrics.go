@@ -83,9 +83,11 @@ type Metrics struct {
 
 	// Hot-path alphabet accounting. During the run symbols are interned to
 	// dense IDs and counted in flat slices; the string-keyed maps above are
-	// materialized once, by finalize, at the measurement boundary — so a
-	// delivery costs two map probes and zero allocations instead of a
-	// Key() string build per message.
+	// materialized once, by finalize, at the measurement boundary. A
+	// comparable message is found in the interner's value memo, and a
+	// protocol.KeyAppender appends its key into a reused buffer, so a send
+	// whose symbol is already known allocates nothing; only other message
+	// types build a Key() string per send.
 	interner      *protocol.Interner
 	symCounts     []int
 	firstSym      []uint32 // per-edge symbol+1; 0 = edge carried nothing yet
