@@ -73,13 +73,15 @@ func checkIntervalProtocolAllocs(t *testing.T, family string, params map[string]
 // TestTreeProtocolAllocsPerDelivery bounds the heap allocations of
 // power-of-2 tree broadcast, whole run included. Its messages come from a
 // table built once per protocol, metering finds them in the interner's value
-// memo, and the terminal sums in place, so what remains per delivery is the
-// engine's share plus one outs slice per firing vertex.
+// memo, the terminal sums in place, and the nodes come from one batch whose
+// outs backing each firing vertex fills a window of, so what remains is a
+// fixed per-run cost. The bound is the measured 0.012 plus headroom; one
+// allocation per vertex, a node or an outs slice, would cost about 0.6.
 func TestTreeProtocolAllocsPerDelivery(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race mode: instrumentation allocates on its own")
 	}
-	const maxPerDelivery = 2
+	const maxPerDelivery = 0.05
 	// The interner's memo keys on message values; a pow2Msg that stopped
 	// being comparable would send every metered send through Key instead.
 	if !reflect.TypeOf(pow2Msg{}).Comparable() {
@@ -104,9 +106,9 @@ func TestTreeProtocolAllocsPerDelivery(t *testing.T) {
 		deliveries = r.Steps
 	})
 	per := allocs / float64(deliveries)
-	t.Logf("%.0f allocations over %d deliveries: %.2f per delivery", allocs, deliveries, per)
+	t.Logf("%.0f allocations over %d deliveries: %.3f per delivery", allocs, deliveries, per)
 	if per > maxPerDelivery {
-		t.Fatalf("%.2f allocations per delivery, want <= %d", per, maxPerDelivery)
+		t.Fatalf("%.3f allocations per delivery, want <= %g", per, maxPerDelivery)
 	}
 }
 
@@ -172,14 +174,16 @@ func TestMapProtocolAllocsPerDelivery(t *testing.T) {
 }
 
 // BenchmarkPow2TreeReceive measures one internal vertex of out-degree 3
-// forwarding its commodity: the outs slice is its only allocation.
+// forwarding its commodity. It fills the window of the outs backing the node
+// was built with, so it allocates nothing.
 func BenchmarkPow2TreeReceive(b *testing.B) {
 	p := NewTreeBroadcast([]byte("m"), RulePow2)
 	n := p.NewNode(1, 3, protocol.RoleInternal).(*pow2TreeNode)
+	hi := n.hi
 	in := p.pow2(5)
 	b.ReportAllocs()
 	for b.Loop() {
-		n.fired = false
+		n.hi = hi // re-arm the fire-once node
 		if _, err := n.Receive(in, 0); err != nil {
 			b.Fatal(err)
 		}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/big"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -236,5 +238,93 @@ func TestTreeBroadcastPayloadDelivered(t *testing.T) {
 	if r.Metrics.TotalBits-r0.Metrics.TotalBits != wantPayloadBits {
 		t.Fatalf("payload accounting: with-m %d, without-m %d, delta %d != %d",
 			r.Metrics.TotalBits, r0.Metrics.TotalBits, r.Metrics.TotalBits-r0.Metrics.TotalBits, wantPayloadBits)
+	}
+}
+
+// TestTreeBatchMatchesNewNode checks the nodes TreeBroadcast.NewNodes builds
+// against nodes built one by one with NewNode, under both rules: a root, one
+// internal vertex of every out-degree 0-9 and a terminal, fed the same
+// commodities. Each node fires once, returning exactly its out-degree's
+// messages in a slice with no spare capacity, so an append to one vertex's
+// outs cannot write into the next vertex's window of the shared backing.
+// Like TestNodeStateDoesNotAlias it then writes through every returned slice
+// and checks that no other vertex's messages changed.
+func TestTreeBatchMatchesNewNode(t *testing.T) {
+	type vertex struct {
+		in, out int
+		role    protocol.Role
+	}
+	vs := []vertex{{0, 1, protocol.RoleRoot}}
+	for d := 0; d <= 9; d++ {
+		vs = append(vs, vertex{1, d, protocol.RoleInternal})
+	}
+	vs = append(vs, vertex{4, 0, protocol.RoleTerminal})
+	keys := func(outs []protocol.Message) []string {
+		ks := make([]string, len(outs))
+		for j, m := range outs {
+			ks[j] = m.Key()
+		}
+		return ks
+	}
+	for _, rule := range []TreeRule{RulePow2, RuleNaive} {
+		p := NewTreeBroadcast([]byte("m"), rule)
+		for _, exp := range []uint{0, 1, 7, 60, 63, 64, 300} {
+			// junk is a message no vertex sends, written through the outs.
+			in, junk := p.pow2(exp), p.pow2(5000)
+			if rule == RuleNaive {
+				in = naiveMsg{payload: p.payload, x: new(big.Rat).SetFrac(big.NewInt(1), new(big.Int).Lsh(big.NewInt(1), exp))}
+				junk = naiveMsg{payload: p.payload, x: big.NewRat(7, 1)}
+			}
+			batch := make([]protocol.Node, len(vs))
+			p.NewNodes(batch, func(v int) (int, int, protocol.Role) { return vs[v].in, vs[v].out, vs[v].role })
+			sent := make([][]protocol.Message, len(vs))
+			want := make([][]string, len(vs))
+			for v, x := range vs {
+				single := p.NewNode(x.in, x.out, x.role)
+				got, err := batch[v].Receive(in, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := single.Receive(in, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("%s exp=%d %s out=%d", rule, exp, x.role, x.out)
+				if !reflect.DeepEqual(keys(got), keys(ref)) {
+					t.Fatalf("%s: batch node sent %v, NewNode's sent %v", name, keys(got), keys(ref))
+				}
+				if x.role == protocol.RoleTerminal || x.out == 0 {
+					if got != nil {
+						t.Fatalf("%s: sent %d messages, want none", name, len(got))
+					}
+					continue
+				}
+				if len(got) != x.out || cap(got) != len(got) {
+					t.Fatalf("%s: outs has len %d cap %d, want both %d", name, len(got), cap(got), x.out)
+				}
+				if again, err := batch[v].Receive(in, 0); err != nil || again != nil {
+					t.Fatalf("%s: second receipt sent %v (err %v), want nothing", name, again, err)
+				}
+				sent[v], want[v] = got, keys(got)
+			}
+			if _, ok := batch[len(vs)-1].(protocol.Terminal); !ok {
+				t.Fatalf("%s exp=%d: batch terminal is %T, not a Terminal", rule, exp, batch[len(vs)-1])
+			}
+			for v := range sent {
+				if sent[v] == nil {
+					continue
+				}
+				_ = append(sent[v], junk)
+				for j := range sent[v] {
+					sent[v][j] = junk
+				}
+				for w := range sent {
+					if w != v && sent[w] != nil && !reflect.DeepEqual(keys(sent[w]), want[w]) {
+						t.Fatalf("%s exp=%d: writing vertex %d's outs changed vertex %d's", rule, exp, v, w)
+					}
+				}
+				want[v] = keys(sent[v])
+			}
+		}
 	}
 }

@@ -69,17 +69,23 @@ func (p *Partition) OfEdgeTo(g *G, e EdgeID) int { return p.Of[g.Edge(e).To] }
 //
 //  1. Seeding: the root plus k-1 seed vertices drawn from the given seed
 //     spread the shards across the graph.
-//  2. Balanced region growing: a multi-source BFS over the undirected view
-//     of the CSR adjacency, expanding shards in round-robin so sizes stay
-//     within one frontier step of each other.
+//  2. Region growing: a multi-source BFS over the undirected view of the
+//     CSR adjacency, shards taking turns. A turn expands one frontier
+//     vertex and claims all of its unassigned neighbours, so one turn can
+//     claim a vertex's whole degree: sizes are not balanced once a
+//     high-degree vertex is expanded. On a grounded tree the terminal has
+//     in-degree about 0.6|V|, and the shard that expands it ends with most
+//     of the vertices (93-99% on the repository benchmark's 50,000-vertex
+//     trees at two shards).
 //  3. Greedy refinement: a bounded number of passes move boundary vertices
 //     to the neighboring shard holding the majority of their incident
-//     edges, when the move strictly reduces the cut and keeps sizes within
-//     the balance envelope.
+//     edges, when the move strictly reduces the cut and the receiving shard
+//     is below about 1.5x the even share. It never moves vertices out of
+//     an oversized shard for balance alone.
 //
 // The result is a heuristic edge-cut, not an optimum — what matters for the
-// sharded engine is that it is deterministic, balanced, and cheap (O(|V| +
-// |E|) per pass) while keeping most edges internal on graphs with locality.
+// sharded engine is that it is deterministic and cheap (O(|V| + |E|) per
+// pass) while keeping most edges internal on graphs with locality.
 func PartitionGraph(g *G, k int, seed int64) *Partition {
 	nV := g.NumVertices()
 	if k < 1 {
@@ -114,9 +120,9 @@ func PartitionGraph(g *G, k int, seed int64) *Partition {
 		}
 	}
 
-	// Balanced multi-source BFS over the undirected adjacency: each shard
-	// expands one vertex per turn, so region sizes grow in lockstep and the
-	// frontiers meet roughly midway.
+	// Multi-source BFS over the undirected adjacency: each shard expands one
+	// vertex per turn. Turns, not claimed vertices, advance in lockstep, so
+	// a shard that expands a high-degree vertex grows by its whole degree.
 	frontiers := make([][]VertexID, k)
 	heads := make([]int, k)
 	assigned := 0

@@ -143,7 +143,7 @@ func Run(g *graph.G, p protocol.Protocol, codec protocol.Codec, opts Options) (*
 		return runSharded(g, p, codec, opts)
 	}
 
-	nodes, term, err := buildNodes(g, p)
+	nodes, term, err := sim.BuildNodes(g, p)
 	if err != nil {
 		return nil, err
 	}
@@ -190,51 +190,6 @@ func Run(g *graph.G, p protocol.Protocol, codec protocol.Codec, opts Options) (*
 		r.res.Output = term.Output()
 	}
 	return r.res, nil
-}
-
-// buildNodes instantiates one protocol node per vertex (with the role the
-// graph assigns it) and returns the terminal's control handle.
-func buildNodes(g *graph.G, p protocol.Protocol) ([]protocol.Node, protocol.Terminal, error) {
-	nV := g.NumVertices()
-	nodes := make([]protocol.Node, nV)
-	var term protocol.Terminal
-	for v := 0; v < nV; v++ {
-		role := protocol.RoleInternal
-		switch graph.VertexID(v) {
-		case g.Root():
-			role = protocol.RoleRoot
-		case g.Terminal():
-			role = protocol.RoleTerminal
-		}
-		n := p.NewNode(g.InDegree(graph.VertexID(v)), g.OutDegree(graph.VertexID(v)), role)
-		if role == protocol.RoleTerminal {
-			t, ok := n.(protocol.Terminal)
-			if !ok {
-				return nil, nil, fmt.Errorf("netrun: protocol %q terminal node does not implement Terminal", p.Name())
-			}
-			term = t
-		}
-		nodes[v] = n
-	}
-	return nodes, term, nil
-}
-
-// initialMessages builds sigma0: one message per root out-port, via the
-// MultiInitializer hook when the root has fan-out.
-func initialMessages(g *graph.G, p protocol.Protocol) ([]protocol.Message, error) {
-	d := g.OutDegree(g.Root())
-	if d == 1 {
-		return []protocol.Message{p.InitialMessage()}, nil
-	}
-	mi, ok := p.(protocol.MultiInitializer)
-	if !ok {
-		return nil, fmt.Errorf("netrun: root has out-degree %d but protocol %q does not implement MultiInitializer", d, p.Name())
-	}
-	inits := mi.InitialMessages(d)
-	if len(inits) != d {
-		return nil, fmt.Errorf("netrun: protocol returned %d initial messages for out-degree %d", len(inits), d)
-	}
-	return inits, nil
 }
 
 // runCore is the state and accounting shared by both wiring modes of the
@@ -667,7 +622,7 @@ func (r *runner) start() error {
 	}
 	// Inject the initial message(s) from the root.
 	root := r.g.Root()
-	inits, err := initialMessages(r.g, r.p)
+	inits, err := sim.InitialMessages(r.g, r.p)
 	if err != nil {
 		return err
 	}

@@ -85,7 +85,7 @@ type shardRunner struct {
 // runSharded executes p on g in sharded mode. The caller (Run) has already
 // applied option defaults and guaranteed opts.Shards >= 2.
 func runSharded(g *graph.G, p protocol.Protocol, codec protocol.Codec, opts Options) (*sim.Result, error) {
-	nodes, term, err := buildNodes(g, p)
+	nodes, term, err := sim.BuildNodes(g, p)
 	if err != nil {
 		return nil, err
 	}
@@ -404,7 +404,7 @@ func (r *shardRunner) readLoop(dst int, conn net.Conn) {
 
 // inject sends sigma0 from the root through its shard's send path.
 func (r *shardRunner) inject() error {
-	inits, err := initialMessages(r.g, r.p)
+	inits, err := sim.InitialMessages(r.g, r.p)
 	if err != nil {
 		return err
 	}

@@ -67,6 +67,11 @@ type Node interface {
 	// the messages to transmit (g): outs[j] is sent on out-port j, nil means
 	// phi (no message). The returned slice must have length equal to the
 	// vertex's out-degree, or be nil when nothing is sent at all.
+	//
+	// The node owns the returned slice: the caller reads it and never writes
+	// it. A node may return storage it keeps, so a slice stays valid only
+	// until the node's next Receive; a node that fires at most once returns
+	// storage it never reuses.
 	Receive(msg Message, inPort int) (outs []Message, err error)
 }
 
@@ -103,6 +108,19 @@ type MultiInitializer interface {
 	// mean no message on that port). The returned slice must have length
 	// rootOutDeg.
 	InitialMessages(rootOutDeg int) []Message
+}
+
+// BatchBuilder is implemented by protocols that build all of a run's nodes
+// in one call, so that per-vertex state can live in a few slabs shared by
+// the run instead of one heap object per vertex. Like NewNode it sees no
+// graph: the engine describes each vertex by its degrees and role.
+// Protocols without it are built one NewNode call per vertex.
+type BatchBuilder interface {
+	// NewNodes sets nodes[v], for every v in [0, len(nodes)), to a node
+	// equivalent to NewNode(vertex(v)): the same messages for the same
+	// receipts, and independent of every other node's state. It may call
+	// vertex more than once per v.
+	NewNodes(nodes []Node, vertex func(v int) (inDeg, outDeg int, role Role))
 }
 
 // Compile-time helper: protocols may embed NopNode for roles that never

@@ -21,25 +21,9 @@ import (
 // baseline.
 func runSeedReference(g *graph.G, p protocol.Protocol, opts Options) (*Result, error) {
 	nV, nE := g.NumVertices(), g.NumEdges()
-	nodes := make([]protocol.Node, nV)
-	var term protocol.Terminal
-	for v := 0; v < nV; v++ {
-		role := protocol.RoleInternal
-		switch graph.VertexID(v) {
-		case g.Root():
-			role = protocol.RoleRoot
-		case g.Terminal():
-			role = protocol.RoleTerminal
-		}
-		n := p.NewNode(g.InDegree(graph.VertexID(v)), g.OutDegree(graph.VertexID(v)), role)
-		if role == protocol.RoleTerminal {
-			t, ok := n.(protocol.Terminal)
-			if !ok {
-				return nil, fmt.Errorf("sim: protocol %q terminal node does not implement Terminal", p.Name())
-			}
-			term = t
-		}
-		nodes[v] = n
+	nodes, term, err := BuildNodes(g, p)
+	if err != nil {
+		return nil, err
 	}
 
 	res := &Result{

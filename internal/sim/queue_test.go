@@ -31,11 +31,12 @@ func TestEngineTeardownNeverPinsPayloads(t *testing.T) {
 	}
 }
 
-// TestEdgeRecordSize pins the per-edge record at 40 bytes: a delivery reads
-// one record, and the run allocates one per edge, so a larger record costs
-// both cache footprint and allocated bytes on every run.
+// TestEdgeRecordSize pins the per-edge record of the sequential and sharded
+// engines at 40 bytes: a delivery reads one record, and the run allocates
+// one per edge, so a larger record costs both cache footprint and allocated
+// bytes on every run.
 func TestEdgeRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(edgeRecord{}); got > 40 {
-		t.Fatalf("edgeRecord is %d bytes, want <= 40", got)
+	if got := unsafe.Sizeof(EdgeRecord{}); got > 40 {
+		t.Fatalf("EdgeRecord is %d bytes, want <= 40", got)
 	}
 }

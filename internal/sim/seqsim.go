@@ -17,7 +17,7 @@ import (
 // (links are FIFO). The run ends when the terminal's stopping predicate
 // holds (Terminated) or no events remain (Quiescent).
 //
-// The engine keeps one 40-byte record per edge (edgeRecord): the edge's
+// The engine keeps one 40-byte record per edge (EdgeRecord): the edge's
 // msgq FIFO, whose front message sits inline, and the head vertex and
 // in-port a delivery needs, so a delivery reads one record rather than a
 // queue, a pooled chunk and the graph's edge table. On tree_seq (the
@@ -34,25 +34,9 @@ import (
 // batch_test.go asserts byte-identical schedules with it on and off.
 func Run(g *graph.G, p protocol.Protocol, opts Options) (*Result, error) {
 	nV, nE := g.NumVertices(), g.NumEdges()
-	nodes := make([]protocol.Node, nV)
-	var term protocol.Terminal
-	for v := 0; v < nV; v++ {
-		role := protocol.RoleInternal
-		switch graph.VertexID(v) {
-		case g.Root():
-			role = protocol.RoleRoot
-		case g.Terminal():
-			role = protocol.RoleTerminal
-		}
-		n := p.NewNode(g.InDegree(graph.VertexID(v)), g.OutDegree(graph.VertexID(v)), role)
-		if role == protocol.RoleTerminal {
-			t, ok := n.(protocol.Terminal)
-			if !ok {
-				return nil, fmt.Errorf("sim: protocol %q terminal node does not implement Terminal", p.Name())
-			}
-			term = t
-		}
-		nodes[v] = n
+	nodes, term, err := BuildNodes(g, p)
+	if err != nil {
+		return nil, err
 	}
 
 	res := &Result{
@@ -107,16 +91,8 @@ func Run(g *graph.G, p protocol.Protocol, opts Options) (*Result, error) {
 	// One record per edge: its FIFO and where it delivers. An edge is
 	// registered with the scheduler exactly when its front message is
 	// deliverable.
-	msgq.Warm()
-	recs := make([]edgeRecord, nE)
-	for i, edge := range g.Edges() {
-		recs[i].to, recs[i].toPort = int32(edge.To), int32(edge.ToPort)
-	}
-	defer func() {
-		for e := range recs {
-			recs[e].q.Release()
-		}
-	}()
+	recs := NewEdgeRecords(g)
+	defer ReleaseEdgeRecords(recs)
 	var sendSeq uint64 // global send-sequence number, drives HeadSeq
 	var newPushes int  // scheduler registrations since the last delivery began
 	faults, err := NewFaultState(g, &opts)
@@ -134,7 +110,7 @@ func Run(g *graph.G, p protocol.Protocol, opts Options) (*Result, error) {
 		tr.Enqueued()
 		seq := sendSeq
 		sendSeq++
-		q := &recs[e].q
+		q := &recs[e].Q
 		q.Push(msg, seq)
 		if q.Len() == 1 {
 			sched.Push(PendingEdge{Edge: e, HeadSeq: seq})
@@ -181,18 +157,18 @@ func Run(g *graph.G, p protocol.Protocol, opts Options) (*Result, error) {
 			}
 
 			rec := &recs[e]
-			msg := rec.q.Pop()
+			msg := rec.Q.Pop()
 			res.Metrics.delivered()
-			pendingHere := rec.q.Len() > 0
+			pendingHere := rec.Q.Len() > 0
 			if pendingHere && !batchOn {
 				// Legacy ordering: re-register before processing the
 				// delivery, as insertion-order-sensitive schedulers
 				// (random, rr-vertex, replay scripts) require.
-				sched.Push(PendingEdge{Edge: e, HeadSeq: rec.q.FrontSeq()})
+				sched.Push(PendingEdge{Edge: e, HeadSeq: rec.Q.FrontSeq()})
 			}
 			newPushes = 0
 
-			to := graph.VertexID(rec.to)
+			to := graph.VertexID(rec.To)
 			if faults.CrashDelivery(to) {
 				// Crash-stopped vertex: the message is consumed off the link
 				// (the delivery stays in the schedule, so recorded traces
@@ -207,7 +183,7 @@ func Run(g *graph.G, p protocol.Protocol, opts Options) (*Result, error) {
 				if opts.Observer != nil {
 					opts.Observer.OnDeliver(res.Steps, e, msg)
 				}
-				outs, err := nodes[to].Receive(msg, int(rec.toPort))
+				outs, err := nodes[to].Receive(msg, int(rec.ToPort))
 				if err != nil {
 					return res, fmt.Errorf("sim: vertex %d receive: %w", to, err)
 				}
@@ -253,7 +229,7 @@ func Run(g *graph.G, p protocol.Protocol, opts Options) (*Result, error) {
 				forced = true
 				continue
 			}
-			pe := PendingEdge{Edge: e, HeadSeq: rec.q.FrontSeq()}
+			pe := PendingEdge{Edge: e, HeadSeq: rec.Q.FrontSeq()}
 			if caps.PushOrderFree {
 				sched.Push(pe)
 			} else {
@@ -266,13 +242,32 @@ func Run(g *graph.G, p protocol.Protocol, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// edgeRecord is everything a delivery on one edge touches: the edge's FIFO
+// EdgeRecord is everything a delivery on one edge touches: the edge's FIFO
 // and its head's vertex and in-port, built once per run from g.Edges().
 // Keeping them in one 40-byte record means a delivery reads one record
 // instead of a queue array entry and a 40-byte graph.Edge. Vertex and port
 // are int32: a graph with 2^31 vertices would not fit in memory alongside
-// its engine state anyway.
-type edgeRecord struct {
-	q          msgq.Queue
-	to, toPort int32
+// its engine state anyway. The sequential and sharded engines share it.
+type EdgeRecord struct {
+	Q          msgq.Queue
+	To, ToPort int32
+}
+
+// NewEdgeRecords returns one record per edge of g, indexed by edge ID, with
+// every queue empty. ReleaseEdgeRecords hands the queues' chunks back.
+func NewEdgeRecords(g *graph.G) []EdgeRecord {
+	msgq.Warm()
+	recs := make([]EdgeRecord, g.NumEdges())
+	for i, edge := range g.Edges() {
+		recs[i].To, recs[i].ToPort = int32(edge.To), int32(edge.ToPort)
+	}
+	return recs
+}
+
+// ReleaseEdgeRecords returns the pooled chunks still held by the queues of
+// recs, at the end of a run.
+func ReleaseEdgeRecords(recs []EdgeRecord) {
+	for e := range recs {
+		recs[e].Q.Release()
+	}
 }

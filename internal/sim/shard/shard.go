@@ -36,7 +36,6 @@ import (
 	"sync"
 
 	"repro/internal/graph"
-	"repro/internal/msgq"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/protocol"
@@ -162,7 +161,8 @@ type shardRun struct {
 	term   protocol.Terminal
 	obs    *sim.SerializedObserver
 
-	queues  []msgq.Queue
+	// recs[e] is edge e's queue and head, the sequential engine's record.
+	recs    []sim.EdgeRecord
 	visited []bool
 	faults  *sim.FaultState
 
@@ -171,7 +171,7 @@ type shardRun struct {
 	// all sends route through it, so within a superstep every vertex (its
 	// node state, visited slot, crash quota, in-queues) still has exactly one
 	// owning shard.
-	owner []int
+	owner []int32
 
 	// Ghost routing (nil under Options.NoGhosts or when the partition marked
 	// no ghost edges): ghostBuf[e] is the sender-side buffer of ghost edge e,
@@ -210,25 +210,9 @@ func run(g *graph.G, p protocol.Protocol, opts sim.Options, shards int,
 		schedName = opts.Scheduler.Name()
 	}
 
-	nodes := make([]protocol.Node, nV)
-	var term protocol.Terminal
-	for v := 0; v < nV; v++ {
-		role := protocol.RoleInternal
-		switch graph.VertexID(v) {
-		case g.Root():
-			role = protocol.RoleRoot
-		case g.Terminal():
-			role = protocol.RoleTerminal
-		}
-		n := p.NewNode(g.InDegree(graph.VertexID(v)), g.OutDegree(graph.VertexID(v)), role)
-		if role == protocol.RoleTerminal {
-			t, ok := n.(protocol.Terminal)
-			if !ok {
-				return nil, fmt.Errorf("shard: protocol %q terminal node does not implement Terminal", p.Name())
-			}
-			term = t
-		}
-		nodes[v] = n
+	nodes, term, err := sim.BuildNodes(g, p)
+	if err != nil {
+		return nil, err
 	}
 
 	faults, err := sim.NewFaultState(g, &opts)
@@ -246,10 +230,10 @@ func run(g *graph.G, p protocol.Protocol, opts sim.Options, shards int,
 		nodes:         nodes,
 		term:          term,
 		obs:           sim.NewSerializedObserver(opts.Observer),
-		queues:        make([]msgq.Queue, nE),
+		recs:          sim.NewEdgeRecords(g),
 		visited:       make([]bool, nV),
 		faults:        faults,
-		owner:         make([]int, nV),
+		owner:         make([]int32, nV),
 		perEdgeBits:   make([]int64, nE),
 		perEdgeMsgs:   make([]int, nE),
 		trackAlphabet: opts.TrackAlphabet,
@@ -257,7 +241,9 @@ func run(g *graph.G, p protocol.Protocol, opts sim.Options, shards int,
 		noBatch:       opts.NoBatchDrain,
 		noSteal:       opts.NoWorkSteal || part.K == 1,
 	}
-	copy(run.owner, part.Of)
+	for v, s := range part.Of {
+		run.owner[v] = int32(s)
+	}
 	if !opts.NoGhosts && part.GhostEdges > 0 {
 		run.ghostBuf = make([][]protocol.Message, nE)
 		run.ghostInto = make([][]graph.EdgeID, part.K)
@@ -275,12 +261,7 @@ func run(g *graph.G, p protocol.Protocol, opts sim.Options, shards int,
 			}
 		}
 	}
-	msgq.Warm()
-	defer func() {
-		for e := range run.queues {
-			run.queues[e].Release()
-		}
-	}()
+	defer sim.ReleaseEdgeRecords(run.recs)
 	if run.trackFirstSym {
 		run.firstSym = make([]uint32, nE)
 		run.firstSymShard = make([]int32, nE)
@@ -361,9 +342,10 @@ func run(g *graph.G, p protocol.Protocol, opts sim.Options, shards int,
 		dst := run.states[run.owner[rootEdge.To]]
 		seq := dst.sendSeq
 		dst.sendSeq++
-		run.queues[rootEdge.ID].Push(init, seq)
+		q := &run.recs[rootEdge.ID].Q
+		q.Push(init, seq)
 		dst.tr.Enqueued()
-		if run.queues[rootEdge.ID].Len() == 1 {
+		if q.Len() == 1 {
 			dst.sched.Push(sim.PendingEdge{Edge: rootEdge.ID, HeadSeq: seq})
 		}
 	}
@@ -517,12 +499,13 @@ func (st *shardState) drain(run *shardRun, budget int) {
 		}
 		e := sched.Pop()
 		st.tr.Popped()
+		rec := &run.recs[e]
 		forced := false
 		for {
 			if n >= budget {
 				// Put the in-hand edge back so its traffic survives into
 				// the next superstep (the run will surface ErrStepLimit).
-				sched.Push(sim.PendingEdge{Edge: e, HeadSeq: run.queues[e].FrontSeq()})
+				sched.Push(sim.PendingEdge{Edge: e, HeadSeq: rec.Q.FrontSeq()})
 				st.steps += n
 				return
 			}
@@ -531,41 +514,41 @@ func (st *shardState) drain(run *shardRun, budget int) {
 				st.forced++
 			}
 
-			msg := run.queues[e].Pop()
+			msg := rec.Q.Pop()
 			st.delivered++
-			pendingHere := run.queues[e].Len() > 0
+			pendingHere := rec.Q.Len() > 0
 			if pendingHere && !st.batchOn {
-				sched.Push(sim.PendingEdge{Edge: e, HeadSeq: run.queues[e].FrontSeq()})
+				sched.Push(sim.PendingEdge{Edge: e, HeadSeq: rec.Q.FrontSeq()})
 			}
 			newPushes := 0
 
-			edge := run.g.Edge(e)
-			if run.faults.CrashDelivery(edge.To) {
+			to := graph.VertexID(rec.To)
+			if run.faults.CrashDelivery(to) {
 				// Crash-stopped vertex: consume without processing. The crash
-				// quota slot is owned by this shard (edge.To's owner — the
+				// quota slot is owned by this shard (the head's owner — the
 				// only shard that delivers to it), so the check is race-free.
 				if run.obs != nil {
 					run.obs.OnDeliver(0, e, msg)
 				}
 				st.tr.Delivered(forced, true)
 			} else {
-				run.visited[edge.To] = true
+				run.visited[to] = true
 				if run.obs != nil {
 					run.obs.OnDeliver(0, e, msg)
 				}
-				outs, err := run.nodes[edge.To].Receive(msg, edge.ToPort)
+				outs, err := run.nodes[to].Receive(msg, int(rec.ToPort))
 				if err != nil {
-					st.err = fmt.Errorf("shard: vertex %d receive: %w", edge.To, err)
+					st.err = fmt.Errorf("shard: vertex %d receive: %w", to, err)
 					st.steps += n
 					return
 				}
-				if outs != nil && len(outs) != run.g.OutDegree(edge.To) {
+				if outs != nil && len(outs) != run.g.OutDegree(to) {
 					st.err = fmt.Errorf("shard: vertex %d returned %d outputs, out-degree is %d",
-						edge.To, len(outs), run.g.OutDegree(edge.To))
+						to, len(outs), run.g.OutDegree(to))
 					st.steps += n
 					return
 				}
-				outIDs := run.g.OutEdgeIDs(edge.To)
+				outIDs := run.g.OutEdgeIDs(to)
 				for j, out := range outs {
 					if out == nil {
 						continue
@@ -581,13 +564,14 @@ func (st *shardState) drain(run *shardRun, budget int) {
 						continue
 					}
 					st.aliveSent++
-					dst := run.owner[run.g.Edge(oe).To]
+					orec := &run.recs[oe]
+					dst := int(run.owner[orec.To])
 					if dst == st.id {
 						seq := st.sendSeq
 						st.sendSeq++
-						run.queues[oe].Push(out, seq)
+						orec.Q.Push(out, seq)
 						st.tr.Enqueued()
-						if run.queues[oe].Len() == 1 {
+						if orec.Q.Len() == 1 {
 							sched.Push(sim.PendingEdge{Edge: oe, HeadSeq: seq})
 							newPushes++
 						}
@@ -604,7 +588,7 @@ func (st *shardState) drain(run *shardRun, budget int) {
 					}
 				}
 				st.tr.Delivered(forced, false)
-				if edge.To == run.g.Terminal() && run.term.Done() {
+				if to == run.g.Terminal() && run.term.Done() {
 					st.terminated = true
 					st.steps += n
 					return
@@ -624,7 +608,7 @@ func (st *shardState) drain(run *shardRun, budget int) {
 				forced = true
 				continue
 			}
-			pe := sim.PendingEdge{Edge: e, HeadSeq: run.queues[e].FrontSeq()}
+			pe := sim.PendingEdge{Edge: e, HeadSeq: rec.Q.FrontSeq()}
 			if st.caps.PushOrderFree {
 				sched.Push(pe)
 			} else {
@@ -649,9 +633,10 @@ func (run *shardRun) mergeInto(dst int) {
 		for _, m := range src.out[dst] {
 			seq := st.sendSeq
 			st.sendSeq++
-			run.queues[m.edge].Push(m.msg, seq)
+			q := &run.recs[m.edge].Q
+			q.Push(m.msg, seq)
 			st.tr.Enqueued()
-			if run.queues[m.edge].Len() == 1 {
+			if q.Len() == 1 {
 				st.sched.Push(sim.PendingEdge{Edge: m.edge, HeadSeq: seq})
 			}
 		}
@@ -664,12 +649,13 @@ func (run *shardRun) mergeInto(dst int) {
 		if len(buf) == 0 {
 			continue
 		}
-		wasEmpty := run.queues[e].Len() == 0
+		q := &run.recs[e].Q
+		wasEmpty := q.Len() == 0
 		first := st.sendSeq
 		for _, msg := range buf {
 			seq := st.sendSeq
 			st.sendSeq++
-			run.queues[e].Push(msg, seq)
+			q.Push(msg, seq)
 			st.tr.Enqueued()
 			buf[0] = nil // drop the payload pointer as it transfers
 			buf = buf[1:]
@@ -726,23 +712,24 @@ func (run *shardRun) steal() {
 		if donated >= target {
 			break
 		}
-		head := run.g.Edge(e).To
+		head := graph.VertexID(run.recs[e].To)
 		if run.ghostHead != nil && run.ghostHead[head] {
 			continue
 		}
 		if !donate[head] {
 			donate[head] = true
-			run.owner[head] = thief
+			run.owner[head] = int32(thief)
 		}
 		donated++
 	}
 	moved, movedMsgs := 0, 0
 	for _, e := range popped {
-		pe := sim.PendingEdge{Edge: e, HeadSeq: run.queues[e].FrontSeq()}
-		if donate[run.g.Edge(e).To] {
+		q := &run.recs[e].Q
+		pe := sim.PendingEdge{Edge: e, HeadSeq: q.FrontSeq()}
+		if donate[graph.VertexID(run.recs[e].To)] {
 			ts.sched.Push(pe)
 			moved++
-			movedMsgs += run.queues[e].Len()
+			movedMsgs += q.Len()
 		} else {
 			vs.sched.Push(pe)
 		}
