@@ -116,10 +116,24 @@ type gcState struct {
 	// label alpha_0. It is built on the first step that needs it.
 	frozen    interval.Union
 	hasFrozen bool
+	// outs is the one slice step and firstSends fill and return. A node's
+	// returned slice lapses at its next Receive (protocol.Node), so every
+	// receipt reuses it.
+	outs []protocol.Message
 }
 
 func newGCState(payload Payload, outDeg int) gcState {
 	return gcState{payload: payload, alphas: make([]interval.Union, outDeg)}
+}
+
+// sends returns the outs buffer, one nil entry per out-edge.
+func (s *gcState) sends() []protocol.Message {
+	if s.outs == nil {
+		s.outs = make([]protocol.Message, len(s.alphas))
+	} else {
+		clear(s.outs)
+	}
+	return s.outs
 }
 
 // grow sets *u to *u ∪ delta: by a copying Union the first time, after which
@@ -170,7 +184,7 @@ func (s *gcState) step(aIn, bIn, label interval.Union) []protocol.Message {
 	if alphaDelta.IsEmpty() && betaDelta.IsEmpty() {
 		return nil
 	}
-	outs := make([]protocol.Message, len(s.alphas))
+	outs := s.sends()
 	if !alphaDelta.IsEmpty() {
 		grow(&s.alphas[last], &s.ownLast, alphaDelta)
 	}
@@ -191,7 +205,7 @@ func (s *gcState) step(aIn, bIn, label interval.Union) []protocol.Message {
 // firstSends returns the messages of a first receipt: every out-edge j
 // carries (alpha_j, beta) unless both are empty.
 func (s *gcState) firstSends() []protocol.Message {
-	outs := make([]protocol.Message, len(s.alphas))
+	outs := s.sends()
 	for j, a := range s.alphas {
 		if a.IsEmpty() && s.beta.IsEmpty() {
 			continue
@@ -268,11 +282,14 @@ func (n *gcNode) Beta() interval.Union { return n.beta.Clone() }
 
 // gcTerminal accumulates everything that arrives; S(pi) holds when
 // alpha ∪ beta = [0, 1). The combined cover is maintained incrementally so
-// Done — evaluated after every delivery — is O(1).
+// Done — evaluated after every delivery — is O(1). Until beta content
+// arrives, which on a DAG is never, the cover is alpha itself and is not
+// built: it is made from alpha and beta by the first receipt that brings
+// beta, and grows with both from then on.
 type gcTerminal struct {
 	alpha interval.Union
 	beta  interval.Union
-	cover interval.Union
+	cover interval.Union // alpha ∪ beta; unused while beta is empty
 }
 
 // Receive implements protocol.Node. The three unions are owned by the
@@ -282,18 +299,34 @@ func (t *gcTerminal) Receive(msg protocol.Message, _ int) ([]protocol.Message, e
 	if !ok {
 		return nil, fmt.Errorf("generalcast: unexpected message type %T", msg)
 	}
+	first := t.beta.IsEmpty()
 	t.alpha.Absorb(m.alpha)
 	t.beta.Absorb(m.beta)
-	t.cover.Absorb(m.alpha)
-	t.cover.Absorb(m.beta)
+	switch {
+	case t.beta.IsEmpty():
+		// The cover is alpha.
+	case first:
+		t.cover = t.alpha.Union(t.beta)
+	default:
+		t.cover.Absorb(m.alpha)
+		t.cover.Absorb(m.beta)
+	}
 	return nil, nil
 }
 
+// covered returns alpha ∪ beta without copying it.
+func (t *gcTerminal) covered() interval.Union {
+	if t.beta.IsEmpty() {
+		return t.alpha
+	}
+	return t.cover
+}
+
 // Done implements the stopping predicate S.
-func (t *gcTerminal) Done() bool { return t.cover.IsFull() }
+func (t *gcTerminal) Done() bool { return t.covered().IsFull() }
 
 // Output returns a copy of the covered union (== [0,1) on termination).
-func (t *gcTerminal) Output() any { return t.cover.Clone() }
+func (t *gcTerminal) Output() any { return t.covered().Clone() }
 
 // AlphaSeen returns a copy of the alpha content received so far (for tests).
 func (t *gcTerminal) AlphaSeen() interval.Union { return t.alpha.Clone() }

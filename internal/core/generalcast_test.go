@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/interval"
+	"repro/internal/protocol"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -199,6 +201,97 @@ func TestGeneralEveryEdgeCarriesFirstMessageWithAlpha(t *testing.T) {
 			if cnt == 0 {
 				t.Fatalf("%s: edge %d carried no message", g, e)
 			}
+		}
+	}
+}
+
+// terminalTap wraps a protocol and records every message its terminal
+// receives, in delivery order.
+type terminalTap struct {
+	protocol.Protocol
+	got *[]gcMsg
+}
+
+func (p terminalTap) NewNode(inDeg, outDeg int, role protocol.Role) protocol.Node {
+	n := p.Protocol.NewNode(inDeg, outDeg, role)
+	if role != protocol.RoleTerminal {
+		return n
+	}
+	return tapNode{Terminal: n.(protocol.Terminal), got: p.got}
+}
+
+type tapNode struct {
+	protocol.Terminal
+	got *[]gcMsg
+}
+
+func (n tapNode) Receive(msg protocol.Message, inPort int) ([]protocol.Message, error) {
+	*n.got = append(*n.got, msg.(gcMsg))
+	return n.Terminal.Receive(msg, inPort)
+}
+
+// TestGCTerminalMatchesEagerCover replays the receipts of real runs into
+// the terminal, which builds its cover only once beta content arrives, and
+// into an eager reference that keeps alpha, beta and cover = alpha ∪ beta
+// from the first receipt on. After every receipt Done, Output and StateBits
+// must agree. The scalefree graph is a DAG, so general broadcast never
+// builds the cover there, while label assignment sends each label as beta;
+// on the torus both build it.
+func TestGCTerminalMatchesEagerCover(t *testing.T) {
+	graphs := map[string]struct {
+		family string
+		params map[string]int
+	}{
+		"dag":   {"scalefree", map[string]int{"n": 120, "m": 3}},
+		"torus": {"torus", map[string]int{"w": 8, "h": 8}},
+	}
+	for gname, gc := range graphs {
+		g, err := scenario.Build(gc.family, gc.params, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []protocol.Protocol{NewGeneralBroadcast([]byte("m")), NewLabelAssign(nil)} {
+			t.Run(gname+"/"+p.Name(), func(t *testing.T) {
+				var got []gcMsg
+				sched, err := sim.NewScheduler("random")
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := sim.Run(g, terminalTap{Protocol: p, got: &got}, sim.Options{Scheduler: sched, Seed: 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.Verdict != sim.Terminated {
+					t.Fatalf("verdict %v, want terminated", r.Verdict)
+				}
+				lazy := &gcTerminal{}
+				var alpha, beta, cover interval.Union
+				built := false
+				for i, m := range got {
+					if _, err := lazy.Receive(m, 0); err != nil {
+						t.Fatal(err)
+					}
+					alpha, beta = alpha.Union(m.alpha), beta.Union(m.beta)
+					cover = cover.Union(m.alpha).Union(m.beta)
+					built = built || !beta.IsEmpty()
+					if lazy.Done() != cover.IsFull() {
+						t.Fatalf("receipt %d: Done %v, eager cover full %v", i, lazy.Done(), cover.IsFull())
+					}
+					if out := lazy.Output().(interval.Union); out.Key() != cover.Key() {
+						t.Fatalf("receipt %d: Output %s, eager cover %s", i, out, cover)
+					}
+					if got, want := lazy.StateBits(), unionsBits(alpha, beta, cover); got != want {
+						t.Fatalf("receipt %d: StateBits %d, eager %d", i, got, want)
+					}
+				}
+				if !lazy.Done() {
+					t.Fatal("the recorded receipts leave the terminal not done")
+				}
+				wantBuilt := gname == "torus" || p.Name() == "labelcast"
+				if built != wantBuilt {
+					t.Fatalf("beta content arrived: %v, want %v", built, wantBuilt)
+				}
+			})
 		}
 	}
 }

@@ -252,6 +252,9 @@ type mapNode struct {
 	// size, for StateBits.
 	seen       map[recordID]struct{}
 	recordBits int
+	// outs is the slice Receive fills and returns, reused on every receipt
+	// as gcState reuses its own.
+	outs []protocol.Message
 }
 
 // learn records r and reports whether it was new.
@@ -316,8 +319,12 @@ func (n *mapNode) Receive(msg protocol.Message, inPort int) ([]protocol.Message,
 	}
 	// Forward on every out-edge on which anything changed: the labeling
 	// deltas and/or the fresh records.
-	outs := make([]protocol.Message, n.outDeg)
+	if n.outs == nil {
+		n.outs = make([]protocol.Message, n.outDeg)
+	}
+	outs := n.outs
 	for j := 0; j < n.outDeg; j++ {
+		outs[j] = nil
 		gcPart := gcMsg{payload: n.inner.payload}
 		hasGC := false
 		if innerOuts != nil && innerOuts[j] != nil {

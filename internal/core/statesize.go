@@ -60,7 +60,7 @@ func (n *gcNode) StateBits() int {
 
 // StateBits implements protocol.StateSized.
 func (t *gcTerminal) StateBits() int {
-	return unionsBits(t.alpha, t.beta, t.cover)
+	return unionsBits(t.alpha, t.beta, t.covered())
 }
 
 // StateBits implements protocol.StateSized: ((alpha_j)_{j=0..d}, beta).

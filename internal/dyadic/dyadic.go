@@ -7,14 +7,24 @@
 // arithmetic is exact; precision grows only through explicit halving, which
 // mirrors how the protocols split commodities, so the bit length of a value
 // is itself a faithful measurement of the protocol's encoding cost.
+//
+// A value is 24 bytes. A numerator that fits one 64-bit word is stored
+// inline, and arithmetic whose operands and result are inline takes a
+// word-sized path that never allocates; a power-of-2 commodity 2^-k is
+// inline at every k. Only a numerator of 65 bits or more lives in a heap
+// array of limbs, and building one costs exactly one allocation. The form is
+// canonical: a numerator below 2^64 is always inline, so Encode, Key and
+// String never depend on how a value was computed.
 package dyadic
 
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"strings"
+	"unsafe"
 
 	"repro/internal/bitio"
 )
@@ -22,52 +32,65 @@ import (
 // D is a non-negative dyadic rational num/2^prec.
 //
 // Invariants (maintained by all constructors and operations):
-//   - num is stored little-endian in limbs with no trailing zero limbs;
 //   - the value is normalized: num is odd or prec == 0 (no redundant halving);
+//   - num < 2^64 is stored inline in w, with big == nil and n == 0;
+//   - a wider num is stored little-endian in the n >= 2 limbs at big, whose
+//     top limb is non-zero; the array holds w limbs in all;
 //   - the zero value of D represents the number 0 and is ready to use.
 //
-// D values are immutable; operations return fresh values and never alias
-// their operands' storage in a way callers can observe. The one exception is
-// Absorb, which grows an accumulator in place.
+// D values are immutable: operations return fresh values, and a multi-limb
+// array, once built, is never written while any other D can see it. Copies
+// and Shr share it freely. The one exception is Absorb, which grows an
+// accumulator in place inside an array that only the accumulator holds.
+//
+// Compare values with Cmp or Equal: == on two multi-limb values compares
+// their storage, not their numerators.
 type D struct {
-	limbs []uint64 // numerator, little-endian; nil means 0
-	prec  uint     // denominator exponent: value = limbs / 2^prec
+	// w is the numerator when big is nil, and the capacity of the limb
+	// array at big otherwise.
+	w    uint64
+	prec uint32 // denominator exponent: value = num / 2^prec
+	n    uint32 // limb count of a multi-limb numerator; 0 when inline
+	big  *uint64
 }
 
 // Zero returns the dyadic 0.
 func Zero() D { return D{} }
 
-// unitLimbs is the numerator 1 that One and Pow2 share. Nothing writes it:
-// normalize reduces only fresh limbs, and Absorb moves an accumulator that
-// holds it to storage of its own first.
-var unitLimbs = []uint64{1}
-
 // One returns the dyadic 1. It does not allocate.
-func One() D { return D{limbs: unitLimbs} }
+func One() D { return D{w: 1} }
 
 // FromUint returns v as a dyadic integer.
-func FromUint(v uint64) D {
-	if v == 0 {
-		return D{}
-	}
-	return D{limbs: []uint64{v}}
-}
+func FromUint(v uint64) D { return D{w: v} }
 
 // Pow2 returns 2^(-k), the canonical power-of-2 commodity of Section 3.1.
 // It does not allocate.
-func Pow2(k uint) D { return D{limbs: unitLimbs, prec: k} }
+func Pow2(k uint) D { return D{w: 1, prec: prec32(k)} }
 
-// FromFrac returns num/2^p.
-func FromFrac(num uint64, p uint) D {
+// FromFrac returns num/2^p. It does not allocate.
+func FromFrac(num uint64, p uint) D { return reduce1(num, prec32(p)) }
+
+// prec32 converts a precision to the stored width. Precisions beyond 32 bits
+// would need a numerator of more than 4 Gbit and are rejected.
+func prec32(p uint) uint32 {
+	if p > math.MaxUint32 {
+		panic("dyadic: precision exceeds 2^32-1 bits")
+	}
+	return uint32(p)
+}
+
+// reduce1 builds the canonical D for the one-word numerator num/2^p.
+func reduce1(num uint64, p uint32) D {
 	if num == 0 {
 		return D{}
 	}
-	return normalize([]uint64{num}, p)
+	tz := min(uint32(bits.TrailingZeros64(num)), p)
+	return D{w: num >> tz, prec: p - tz}
 }
 
-// normalize builds the canonical D for limbs/2^prec. It reduces in place, so
-// limbs must be freshly allocated by the caller, or an accumulator's own
-// (Absorb), and not shared.
+// normalize builds the canonical D for limbs/2^prec. It reduces in place and
+// may keep limbs as the result's storage, so limbs must be freshly allocated
+// by the caller, or an accumulator's own (Absorb), and not shared.
 func normalize(limbs []uint64, prec uint) D {
 	limbs = stripHigh(limbs)
 	if len(limbs) == 0 {
@@ -84,7 +107,32 @@ func normalize(limbs []uint64, prec uint) D {
 		limbs = stripHigh(shrInPlace(limbs, tz))
 		prec -= tz
 	}
-	return D{limbs: limbs, prec: prec}
+	return fromLimbs(limbs, prec32(prec))
+}
+
+// fromLimbs wraps the stripped, reduced numerator limbs: a numerator of at
+// most one limb goes inline, a wider one keeps limbs as its storage.
+func fromLimbs(limbs []uint64, prec uint32) D {
+	switch len(limbs) {
+	case 0:
+		return D{}
+	case 1:
+		return D{w: limbs[0], prec: prec}
+	}
+	return D{w: uint64(cap(limbs)), prec: prec, n: uint32(len(limbs)), big: &limbs[0]}
+}
+
+// limbs returns d's numerator as little-endian limbs, nil for 0. An inline
+// numerator comes back as a one-limb view of d.w, so the slice must not
+// outlive d; a multi-limb numerator's slice has its array's full capacity.
+func (d *D) limbs() []uint64 {
+	if d.big != nil {
+		return unsafe.Slice(d.big, d.w)[:d.n]
+	}
+	if d.w == 0 {
+		return nil
+	}
+	return unsafe.Slice(&d.w, 1)
 }
 
 // stripHigh removes high-order (little-endian trailing) zero limbs.
@@ -109,29 +157,31 @@ func trailingZeros(limbs []uint64) uint {
 }
 
 // IsZero reports whether d == 0.
-func (d D) IsZero() bool { return len(d.limbs) == 0 }
+func (d D) IsZero() bool { return d.big == nil && d.w == 0 }
 
 // IsOne reports whether d == 1.
-func (d D) IsOne() bool {
-	return d.prec == 0 && len(d.limbs) == 1 && d.limbs[0] == 1
-}
+func (d D) IsOne() bool { return d.big == nil && d.w == 1 && d.prec == 0 }
 
 // Prec returns the denominator exponent of the normalized value; this is the
 // number of binary fraction digits needed to write d exactly.
-func (d D) Prec() uint { return d.prec }
+func (d D) Prec() uint { return uint(d.prec) }
 
 // Cmp compares d and o, returning -1, 0, or +1. Both numerators are aligned
 // to the common precision through a virtual shift, so Cmp never allocates.
 func (d D) Cmp(o D) int {
-	sd, so, _ := align(d, o)
-	if len(d.limbs) <= 1 && len(o.limbs) <= 1 {
-		// One-limb fast path: both aligned numerators fit in a word.
-		a, b := limbAt(d.limbs, 0), limbAt(o.limbs, 0)
-		if sd < 64 && so < 64 && a>>(64-sd) == 0 && b>>(64-so) == 0 {
-			return cmp.Compare(a<<sd, b<<so)
+	if d.big == nil && o.big == nil {
+		switch {
+		case d.prec == o.prec:
+			return cmp.Compare(d.w, o.w)
+		case d.prec < o.prec:
+			return cmpShifted(d.w, o.prec-d.prec, o.w)
+		default:
+			return -cmpShifted(o.w, d.prec-o.prec, d.w)
 		}
 	}
-	la, lb := bitLen(d.limbs, sd), bitLen(o.limbs, so)
+	sd, so, _ := align(d.prec, o.prec)
+	a, b := d.limbs(), o.limbs()
+	la, lb := bitLen(a, sd), bitLen(b, so)
 	if la != lb {
 		if la < lb {
 			return -1
@@ -139,15 +189,28 @@ func (d D) Cmp(o D) int {
 		return 1
 	}
 	for i := (la+63)/64 - 1; i >= 0; i-- {
-		a, b := wordAt(d.limbs, sd, i), wordAt(o.limbs, so, i)
-		if a != b {
-			if a < b {
+		x, y := wordAt(a, sd, i), wordAt(b, so, i)
+		if x != y {
+			if x < y {
 				return -1
 			}
 			return 1
 		}
 	}
 	return 0
+}
+
+// cmpShifted compares the word a<<s, which may overflow a word, with b.
+func cmpShifted(a uint64, s uint32, b uint64) int {
+	if fits(a, s) {
+		return cmp.Compare(a<<s, b)
+	}
+	return 1 // a<<s >= 2^64 > b
+}
+
+// fits reports whether a<<s fits one word.
+func fits(a uint64, s uint32) bool {
+	return a == 0 || s < 64 && a>>(64-s) == 0
 }
 
 // Equal reports whether d == o.
@@ -158,37 +221,72 @@ func (d D) Less(o D) bool { return d.Cmp(o) < 0 }
 
 // Add returns d + o.
 func (d D) Add(o D) D {
-	sd, so, p := align(d, o)
-	n := (max(bitLen(d.limbs, sd), bitLen(o.limbs, so))+63)/64 + 1
+	if s, ok := add1(d, o); ok {
+		return s
+	}
+	sd, so, p := align(d.prec, o.prec)
+	a, b := d.limbs(), o.limbs()
+	n := (max(bitLen(a, sd), bitLen(b, so))+63)/64 + 1
 	out := make([]uint64, n)
 	var carry uint64
 	for i := range out {
-		out[i], carry = bits.Add64(wordAt(d.limbs, sd, i), wordAt(o.limbs, so, i), carry)
+		out[i], carry = bits.Add64(wordAt(a, sd, i), wordAt(b, so, i), carry)
 	}
 	return normalize(out, p)
 }
 
+// add1 is the word-sized path of Add and Absorb: it returns d + o when both
+// are inline and the sum's numerator fits one word, and ok == false when
+// the limb path must compute it.
+func add1(d, o D) (D, bool) {
+	if d.big != nil || o.big != nil {
+		return D{}, false
+	}
+	p := max(d.prec, o.prec)
+	sd, so := p-d.prec, p-o.prec
+	if !fits(d.w, sd) || !fits(o.w, so) {
+		return D{}, false
+	}
+	sum, carry := bits.Add64(d.w<<sd, o.w<<so, 0)
+	if carry == 0 {
+		return reduce1(sum, p), true
+	}
+	// A 65-bit sum fits one word when it is even and may be halved.
+	if sum&1 != 0 || p == 0 {
+		return D{}, false
+	}
+	tz := min(uint32(bits.TrailingZeros64(sum)), p)
+	return D{w: sum>>tz | 1<<(64-tz), prec: p - tz}, true
+}
+
 // Absorb sets d to d + o in place. It is for accumulators — the zero value,
-// or a D built by earlier Absorb calls whose limbs no other D shares: it
-// shifts and adds inside d's own storage when the capacity allows, and
-// otherwise moves d to fresh storage with spare capacity. It never adopts or
-// writes o's limbs, so o stays independent of d.
+// or a D built by earlier Absorb calls whose limbs no other D shares. An
+// inline sum stays inline; otherwise it shifts and adds inside d's own limb
+// array when the capacity allows, and moves d to a fresh array with spare
+// capacity when it does not. It never adopts or writes o's limbs, so o stays
+// independent of d.
 func (d *D) Absorb(o D) {
 	if o.IsZero() {
 		return
 	}
-	sd, so, p := align(*d, o)
+	if s, ok := add1(*d, o); ok {
+		*d = s
+		return
+	}
+	sd, so, p := align(d.prec, o.prec)
+	a, b := d.limbs(), o.limbs()
 	// One word more than the wider operand when the carry may need it.
-	n := (max(bitLen(d.limbs, sd), bitLen(o.limbs, so)) + 64) / 64
-	a := d.limbs
-	if cap(a) < n || &a[:1][0] == &unitLimbs[0] {
-		a = make([]uint64, n, 2*n)
-		for i := range a {
-			a[i] = wordAt(d.limbs, sd, i)
+	n := (max(bitLen(a, sd), bitLen(b, so)) + 64) / 64
+	if d.big == nil || cap(a) < n {
+		fresh := make([]uint64, n, 2*n)
+		for i := range fresh {
+			fresh[i] = wordAt(a, sd, i)
 		}
+		a = fresh
 	} else {
+		m := len(a)
 		a = a[:n]
-		clear(a[len(d.limbs):]) // words a previous normalize stripped
+		clear(a[m:]) // words a previous normalize stripped
 		if sd > 0 {
 			// Shift left from the top down: word i reads only words <= i.
 			for i := n - 1; i >= 0; i-- {
@@ -198,28 +296,36 @@ func (d *D) Absorb(o D) {
 	}
 	var carry uint64
 	for i := range a {
-		a[i], carry = bits.Add64(a[i], wordAt(o.limbs, so, i), carry)
+		a[i], carry = bits.Add64(a[i], wordAt(b, so, i), carry)
 	}
 	*d = normalize(a, p)
 }
 
 // Clone returns a copy of d that shares no storage with it.
 func (d D) Clone() D {
-	if d.IsZero() {
-		return D{}
+	if d.big == nil {
+		return d
 	}
-	return D{limbs: slices.Clone(d.limbs), prec: d.prec}
+	return fromLimbs(slices.Clone(d.limbs()), d.prec)
 }
 
 // Sub returns d - o. It panics if d < o: the protocols only ever subtract a
 // part from the whole, so a negative result is an invariant violation.
 func (d D) Sub(o D) D {
-	sd, so, p := align(d, o)
-	n := (max(bitLen(d.limbs, sd), bitLen(o.limbs, so)) + 63) / 64
+	sd, so, p := align(d.prec, o.prec)
+	if d.big == nil && o.big == nil && fits(d.w, uint32(sd)) && fits(o.w, uint32(so)) {
+		diff, borrow := bits.Sub64(d.w<<sd, o.w<<so, 0)
+		if borrow != 0 {
+			panic("dyadic: Sub would produce a negative value")
+		}
+		return reduce1(diff, uint32(p))
+	}
+	a, b := d.limbs(), o.limbs()
+	n := (max(bitLen(a, sd), bitLen(b, so)) + 63) / 64
 	out := make([]uint64, n)
 	var borrow uint64
 	for i := range out {
-		out[i], borrow = bits.Sub64(wordAt(d.limbs, sd, i), wordAt(o.limbs, so, i), borrow)
+		out[i], borrow = bits.Sub64(wordAt(a, sd, i), wordAt(b, so, i), borrow)
 	}
 	if borrow != 0 {
 		panic("dyadic: Sub would produce a negative value")
@@ -231,11 +337,22 @@ func (d D) Sub(o D) D {
 func (d D) Half() D { return d.Shr(1) }
 
 // Shr returns d / 2^k. The result shares d's limbs: D values are immutable.
+// Only an even integer needs reducing; a multi-limb one is reduced in a copy.
 func (d D) Shr(k uint) D {
 	if d.IsZero() {
 		return D{}
 	}
-	return D{limbs: d.limbs, prec: d.prec + k}
+	p := prec32(uint(d.prec) + k)
+	if d.prec == 0 && k > 0 {
+		if d.big == nil {
+			return reduce1(d.w, p)
+		}
+		if l := d.limbs(); l[0]&1 == 0 {
+			return normalize(slices.Clone(l), uint(p))
+		}
+	}
+	d.prec = p
+	return d
 }
 
 // MulUint returns d * c for a small scalar c.
@@ -243,7 +360,12 @@ func (d D) MulUint(c uint64) D {
 	if c == 0 || d.IsZero() {
 		return D{}
 	}
-	return normalize(mulScalar(d.limbs, c), d.prec)
+	if d.big == nil {
+		if hi, lo := bits.Mul64(d.w, c); hi == 0 {
+			return reduce1(lo, d.prec)
+		}
+	}
+	return normalize(mulScalar(d.limbs(), c), uint(d.prec))
 }
 
 // Mul returns d * o (full product; precisions add).
@@ -251,10 +373,11 @@ func (d D) Mul(o D) D {
 	if d.IsZero() || o.IsZero() {
 		return D{}
 	}
-	prod := make([]uint64, len(d.limbs)+len(o.limbs))
-	for i, x := range d.limbs {
+	a, b := d.limbs(), o.limbs()
+	prod := make([]uint64, len(a)+len(b))
+	for i, x := range a {
 		var carry uint64
-		for j, y := range o.limbs {
+		for j, y := range b {
 			hi, lo := bits.Mul64(x, y)
 			var c uint64
 			prod[i+j], c = bits.Add64(prod[i+j], lo, 0)
@@ -262,11 +385,11 @@ func (d D) Mul(o D) D {
 			prod[i+j+1], c = bits.Add64(prod[i+j+1], hi, carry)
 			carry = c
 		}
-		for k := i + len(o.limbs) + 1; carry != 0 && k < len(prod); k++ {
+		for k := i + len(b) + 1; carry != 0 && k < len(prod); k++ {
 			prod[k], carry = bits.Add64(prod[k], carry, 0)
 		}
 	}
-	return normalize(prod, d.prec+o.prec)
+	return normalize(prod, uint(d.prec)+uint(o.prec))
 }
 
 // String renders d in binary positional notation, e.g. "0.1011" or "1".
@@ -274,15 +397,16 @@ func (d D) String() string {
 	if d.IsZero() {
 		return "0"
 	}
+	l := d.limbs()
 	if d.prec == 0 {
-		return intString(d.limbs)
+		return intString(l)
 	}
-	ip := shrInPlace(append([]uint64(nil), d.limbs...), d.prec)
+	ip := shrInPlace(append([]uint64(nil), l...), uint(d.prec))
 	var sb strings.Builder
 	sb.WriteString(intString(ip))
 	sb.WriteByte('.')
 	for i := int(d.prec) - 1; i >= 0; i-- {
-		sb.WriteByte('0' + byte(bit(d.limbs, uint(i))))
+		sb.WriteByte('0' + byte(bit(l, uint(i))))
 	}
 	return sb.String()
 }
@@ -330,10 +454,10 @@ func uitoa(v uint64) string {
 // FracBit returns the i-th binary fraction digit of d (i = 1 is the digit
 // immediately after the binary point). Digits beyond Prec() are 0.
 func (d D) FracBit(i uint) uint {
-	if i == 0 || i > d.prec {
+	if i == 0 || i > uint(d.prec) {
 		return 0
 	}
-	return bit(d.limbs, d.prec-i)
+	return bit(d.limbs(), uint(d.prec)-i)
 }
 
 // Encode appends a self-delimiting encoding of d (which must lie in [0, 1])
@@ -352,12 +476,17 @@ func (d D) Encode(w *bitio.Writer) {
 	if d.prec == 0 {
 		return
 	}
+	if d.big == nil && d.prec <= 64 {
+		w.WriteBits(d.w, int(d.prec))
+		return
+	}
 	// The fraction digits are the numerator's low prec bits, most
 	// significant first: the top limb's share, then whole limbs.
+	l := d.limbs()
 	top := int(d.prec-1) / 64
-	w.WriteBits(limbAt(d.limbs, top), int(d.prec-1)%64+1)
+	w.WriteBits(limbAt(l, top), int(d.prec-1)%64+1)
 	for i := top - 1; i >= 0; i-- {
-		w.WriteBits(limbAt(d.limbs, i), 64)
+		w.WriteBits(limbAt(l, i), 64)
 	}
 }
 
@@ -386,8 +515,14 @@ func Decode(r *bitio.Reader) (D, error) {
 		return D{}, fmt.Errorf("dyadic: declared precision %d exceeds remaining %d bits", p, r.Remaining())
 	}
 	prec := uint(p)
-	nl := (int(prec) + 63) / 64
-	limbs := make([]uint64, nl)
+	if prec <= 64 {
+		num, err := r.ReadBits(int(prec))
+		if err != nil {
+			return D{}, err
+		}
+		return reduce1(num, uint32(prec)), nil
+	}
+	limbs := make([]uint64, (prec+63)/64)
 	for i := uint(1); i <= prec; i++ {
 		b, err := r.ReadBit()
 		if err != nil {
@@ -404,8 +539,9 @@ func Decode(r *bitio.Reader) (D, error) {
 func (d D) Key() string {
 	var w bitio.Writer
 	w.WriteDelta0(uint64(d.prec))
-	for i := len(d.limbs) - 1; i >= 0; i-- {
-		w.WriteBits(d.limbs[i], 64)
+	l := d.limbs()
+	for i := len(l) - 1; i >= 0; i-- {
+		w.WriteBits(l[i], 64)
 	}
 	return string(w.Bytes())
 }
@@ -432,11 +568,11 @@ func setBit(limbs []uint64, i uint) {
 	limbs[i/64] |= 1 << (i % 64)
 }
 
-// align returns the shifts that bring d's and o's numerators to their common
-// precision p: the values are (d.limbs<<sd)/2^p and (o.limbs<<so)/2^p.
-func align(d, o D) (sd, so, p uint) {
-	p = max(d.prec, o.prec)
-	return p - d.prec, p - o.prec, p
+// align returns the shifts that bring numerators at precisions pd and po to
+// their common precision p: the values are (d<<sd)/2^p and (o<<so)/2^p.
+func align(pd, po uint32) (sd, so, p uint) {
+	p = uint(max(pd, po))
+	return p - uint(pd), p - uint(po), p
 }
 
 // bitLen returns the bit length of a<<s, ignoring high zero limbs; 0 for 0.

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/bitio"
 )
@@ -290,8 +291,8 @@ func TestQuickNormalizeIdempotent(t *testing.T) {
 		// Add and Sub reduce their results in place; normalizing any value
 		// again must change nothing.
 		for _, d := range []D{a, a.Add(b), a.Add(b).Sub(a)} {
-			n := normalize(append([]uint64(nil), d.limbs...), d.prec)
-			if !n.Equal(d) || n.prec != d.prec || !slices.Equal(n.limbs, d.limbs) {
+			n := normalize(append([]uint64(nil), d.limbs()...), d.Prec())
+			if !n.Equal(d) || n.prec != d.prec || !slices.Equal(n.limbs(), d.limbs()) {
 				return false
 			}
 		}
@@ -343,8 +344,8 @@ func TestNormalizeStripsAfterShift(t *testing.T) {
 // agree with it on every pair, including representations with redundant
 // high zero limbs.
 func refCmp(d, o D) int {
-	p := max(d.prec, o.prec)
-	a, b := refShl(d.limbs, p-d.prec), refShl(o.limbs, p-o.prec)
+	p := max(d.Prec(), o.Prec())
+	a, b := refShl(d.limbs(), p-d.Prec()), refShl(o.limbs(), p-o.Prec())
 	an, bn := len(stripHigh(a)), len(stripHigh(b))
 	if an != bn {
 		if an < bn {
@@ -401,12 +402,12 @@ func TestCmpMatchesShiftReference(t *testing.T) {
 		// Same value, different precision: a rescaled copy of a is equal to
 		// it but carries more limbs before normalization.
 		k := uint(rng.Intn(130))
-		wide := D{limbs: refShl(a.limbs, k), prec: a.prec + k}
+		wide := rawD(refShl(a.limbs(), k), a.Prec()+k)
 		check(a, wide)
 		check(wide, a)
 		check(wide, b)
 		// Equal values with different limb counts: redundant high zero limbs.
-		padded := D{limbs: append(append([]uint64(nil), a.limbs...), 0, 0), prec: a.prec}
+		padded := rawD(append(append([]uint64(nil), a.limbs()...), 0, 0), a.Prec())
 		check(a, padded)
 		check(padded, b)
 	}
@@ -447,11 +448,11 @@ func TestAbsorbMatchesAdd(t *testing.T) {
 			before := o.Clone()
 			acc.Absorb(o)
 			ref = ref.Add(o)
-			if acc.prec != ref.prec || !slices.Equal(acc.limbs, ref.limbs) {
+			if acc.prec != ref.prec || !slices.Equal(acc.limbs(), ref.limbs()) {
 				t.Fatalf("seq %d step %d: Absorb gives %s (prec %d, %d limbs), Add gives %s (prec %d, %d limbs)",
-					seq, step, acc, acc.prec, len(acc.limbs), ref, ref.prec, len(ref.limbs))
+					seq, step, acc, acc.prec, len(acc.limbs()), ref, ref.prec, len(ref.limbs()))
 			}
-			if o.prec != before.prec || !slices.Equal(o.limbs, before.limbs) {
+			if o.prec != before.prec || !slices.Equal(o.limbs(), before.limbs()) {
 				t.Fatalf("seq %d step %d: Absorb wrote its operand", seq, step)
 			}
 		}
@@ -482,15 +483,15 @@ func TestAbsorbNormalizesToOne(t *testing.T) {
 		for _, k := range parts {
 			acc.Absorb(Pow2(k))
 		}
-		if !acc.IsOne() || len(acc.limbs) != 1 {
-			t.Fatalf("trial %d: %d powers of 2 sum to %s (%d limbs), want 1", trial, len(parts), acc, len(acc.limbs))
+		if !acc.IsOne() || len(acc.limbs()) != 1 {
+			t.Fatalf("trial %d: %d powers of 2 sum to %s (%d limbs), want 1", trial, len(parts), acc, len(acc.limbs()))
 		}
 		ref := acc.Clone()
 		for range 5 {
 			o := randD(rng, 300)
 			acc.Absorb(o)
 			ref = ref.Add(o)
-			if !acc.Equal(ref) || !slices.Equal(acc.limbs, ref.limbs) {
+			if !acc.Equal(ref) || !slices.Equal(acc.limbs(), ref.limbs()) {
 				t.Fatalf("trial %d: after reaching 1, Absorb gives %s, Add gives %s", trial, acc, ref)
 			}
 		}
@@ -500,9 +501,9 @@ func TestAbsorbNormalizesToOne(t *testing.T) {
 	}
 }
 
-// TestAbsorbDoesNotAlias checks that One and Pow2, which share one
-// numerator, stay 1 and 2^-k however often they are absorbed or absorbed
-// into, and that a Clone is independent of the accumulator it copies.
+// TestAbsorbDoesNotAlias checks that One and Pow2 stay 1 and 2^-k however
+// often they are absorbed or absorbed into, and that a Clone is independent
+// of the accumulator it copies.
 func TestAbsorbDoesNotAlias(t *testing.T) {
 	var acc D
 	for k := uint(0); k < 300; k++ {
@@ -515,7 +516,7 @@ func TestAbsorbDoesNotAlias(t *testing.T) {
 	snap := acc.Clone()
 	acc.Absorb(Pow2(1))
 	if !Pow2(0).IsOne() || !One().IsOne() || !Pow2(5).Equal(FromFrac(1, 5)) {
-		t.Fatalf("shared unit numerator written: Pow2(0) = %s, One = %s, Pow2(5) = %s", Pow2(0), One(), Pow2(5))
+		t.Fatalf("constructor changed by Absorb: Pow2(0) = %s, One = %s, Pow2(5) = %s", Pow2(0), One(), Pow2(5))
 	}
 	if !one.Equal(FromFrac(9, 3)) || !p.Equal(Pow2(6)) {
 		t.Fatalf("Absorb into One or Pow2: got %s and %s", one, p)
@@ -534,5 +535,113 @@ func TestAbsorbInPlaceDoesNotAllocate(t *testing.T) {
 		k++
 	}); n != 0 {
 		t.Fatalf("Absorb with room to spare allocates %.0f times, want 0", n)
+	}
+}
+
+// rawD builds num/2^prec from limbs exactly as given, without normalizing,
+// so Cmp can be checked on representations the operations never produce:
+// an unreduced numerator, or high zero limbs. A numerator of at most one
+// limb goes inline.
+func rawD(limbs []uint64, prec uint) D {
+	if len(limbs) <= 1 {
+		return D{w: limbAt(limbs, 0), prec: prec32(prec)}
+	}
+	return D{w: uint64(cap(limbs)), prec: prec32(prec), n: uint32(len(limbs)), big: &limbs[0]}
+}
+
+// checkCanonical fails unless d is in the canonical form every operation
+// must return: reduced, inline exactly when the numerator fits one word, and
+// a multi-limb numerator of at least two limbs with a non-zero top limb that
+// fits its array.
+func checkCanonical(t *testing.T, what string, d D) {
+	t.Helper()
+	l := d.limbs()
+	switch {
+	case d.big == nil && d.n != 0:
+		t.Fatalf("%s: inline value with limb count %d", what, d.n)
+	case d.big != nil && (d.n < 2 || l[len(l)-1] == 0 || uint64(d.n) > d.w):
+		t.Fatalf("%s: multi-limb value with %d limbs (top %#x, capacity %d)", what, d.n, limbAt(l, len(l)-1), d.w)
+	case d.prec > 0 && (len(l) == 0 || l[0]&1 == 0):
+		t.Fatalf("%s: unreduced: even numerator at prec %d", what, d.prec)
+	}
+}
+
+func TestSizeOfD(t *testing.T) {
+	if got := unsafe.Sizeof(D{}); got > 24 {
+		t.Fatalf("dyadic.D is %d bytes, want <= 24", got)
+	}
+}
+
+// TestOneWordArithmeticDoesNotAllocate pins the word-sized path: every
+// operation whose operands and result fit one word, including sums that
+// carry out of the word and reduce back into it, runs without the heap.
+func TestOneWordArithmeticDoesNotAllocate(t *testing.T) {
+	a, b := FromFrac(12345, 40), FromFrac(3, 5)
+	near := FromFrac(1<<63+1, 64) // sums with itself past 2^64 and reduces
+	var acc D
+	buf := make([]byte, 0, 64)
+	n := testing.AllocsPerRun(100, func() {
+		_ = a.Cmp(b)
+		_ = a.Add(b)
+		_ = near.Add(near)
+		_ = b.Sub(a)
+		_ = a.Shr(70).Cmp(b.Shr(3))
+		_ = a.MulUint(7)
+		_ = FromFrac(6, 3)
+		_ = Pow2(200).Add(Pow2(200))
+		_ = One().Add(Zero())
+		acc = Zero()
+		acc.Absorb(near)
+		acc.Absorb(near)
+		acc.Absorb(FromFrac(1<<63-1, 63))
+		w := bitio.AppendWriter(buf)
+		a.Encode(&w)
+		Pow2(64).Encode(&w)
+		_ = a.EncodedBits()
+	})
+	if n != 0 {
+		t.Fatalf("one-word arithmetic allocates %.0f times, want 0", n)
+	}
+	if !acc.Equal(FromUint(2)) || acc.big != nil {
+		t.Fatalf("2 (2^63+1)/2^64 + (2^63-1)/2^63 = %s, want the inline 2", acc)
+	}
+}
+
+// TestOneWordBoundary walks sums and differences across 2^64 and checks
+// that each result is canonical, inline exactly when it fits one word, and
+// round-trips through Encode and Key.
+func TestOneWordBoundary(t *testing.T) {
+	var vals []D
+	for _, num := range []uint64{1, 3, 1<<63 - 1, 1<<63 + 1, 1<<64 - 1} {
+		for _, p := range []uint{0, 1, 63, 64, 65, 128, 200} {
+			vals = append(vals, FromFrac(num, p))
+		}
+	}
+	for _, x := range vals {
+		for _, y := range vals {
+			s := x.Add(y)
+			checkCanonical(t, x.String()+" + "+y.String(), s)
+			if !s.Sub(y).Equal(x) {
+				t.Fatalf("(%s + %s) - %s = %s", x, y, y, s.Sub(y))
+			}
+			var acc D
+			acc.Absorb(x)
+			acc.Absorb(y)
+			if acc.prec != s.prec || !slices.Equal(acc.limbs(), s.limbs()) {
+				t.Fatalf("Absorb %s, %s = %s, Add = %s", x, y, acc, s)
+			}
+			if x.Cmp(y) >= 0 {
+				checkCanonical(t, x.String()+" - "+y.String(), x.Sub(y))
+			}
+			if s.Cmp(One()) < 0 {
+				var w bitio.Writer
+				s.Encode(&w)
+				got, err := Decode(bitio.NewReader(w.Bytes(), w.Len()))
+				if err != nil || got.Key() != s.Key() {
+					t.Fatalf("Encode round trip of %s: %s (%v)", s, got, err)
+				}
+				checkCanonical(t, "Decode", got)
+			}
+		}
 	}
 }

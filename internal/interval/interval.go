@@ -471,6 +471,9 @@ func (u Union) MaxEndpointPrec() uint {
 // out-edge would never be visited, contradicting Theorem 4.2. We therefore
 // split I_1 into d pieces in that case. Every vertex still splits at most one
 // interval, into at most d parts, preserving the Theorem 4.3 length bound.
+//
+// The split parts share one backing array (see splitInto); the rest is a
+// copy. Like any union adopted from elsewhere, a part is never absorbed into.
 func (u Union) CanonicalPartition(d int) []Union {
 	if d < 1 {
 		panic("interval: CanonicalPartition requires d >= 1")
@@ -483,17 +486,23 @@ func (u Union) CanonicalPartition(d int) []Union {
 	}
 	out := make([]Union, d)
 	if len(u.ivs) == 1 {
-		for i, piece := range u.ivs[0].Split(d) {
-			out[i] = Union{ivs: []Interval{piece}}
-		}
+		splitInto(out, u.ivs[0])
 		return out
 	}
-	for i, piece := range u.ivs[0].Split(d - 1) {
-		out[i] = Union{ivs: []Interval{piece}}
-	}
-	rest := Union{ivs: append([]Interval(nil), u.ivs[1:]...)}
-	out[d-1] = rest
+	splitInto(out[:d-1], u.ivs[0])
+	out[d-1] = Union{ivs: append([]Interval(nil), u.ivs[1:]...)}
 	return out
+}
+
+// splitInto splits iv into len(parts) pieces and makes piece i the
+// one-interval union parts[i]. The parts are capped windows of Split's one
+// slice, so the split costs one allocation however many parts it makes, and
+// an append to one part copies instead of overwriting the next.
+func splitInto(parts []Union, iv Interval) {
+	pieces := iv.Split(len(parts))
+	for i := range parts {
+		parts[i] = Union{ivs: pieces[i : i+1 : i+1]}
+	}
 }
 
 // CanonicalPartitionLiteral is the paper's Section 4 rule taken literally:
@@ -514,9 +523,7 @@ func (u Union) CanonicalPartitionLiteral(d int) []Union {
 		return []Union{u}
 	}
 	out := make([]Union, d)
-	for i, piece := range u.ivs[0].Split(d - 1) {
-		out[i] = Union{ivs: []Interval{piece}}
-	}
+	splitInto(out[:d-1], u.ivs[0])
 	out[d-1] = Union{ivs: append([]Interval(nil), u.ivs[1:]...)}
 	return out
 }
