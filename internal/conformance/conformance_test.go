@@ -442,7 +442,8 @@ func TestCrossEngineQuiescence(t *testing.T) {
 
 // TestTCPConformance runs a reduced matrix over the real-socket tier: one
 // graph per protocol, compared against the sequential reference. Kept small
-// because every run opens |V| listeners and |E| connections.
+// because the per-vertex wiring opens up to |V| listeners and |E|
+// connections.
 func TestTCPConformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping socket tier")
@@ -457,9 +458,9 @@ func TestTCPConformance(t *testing.T) {
 		{protoCases[3], graph.RandomDigraph(6, 11, graph.RandomDigraphOpts{ExtraEdges: 5, TerminalFrac: 0.3})},
 		{protoCases[4], graph.Ring(4)},
 	}
-	// Both wirings of the socket tier run the same matrix: the per-vertex
-	// original and the sharded io-loop mode (one worker and listener per
-	// partition shard, cut traffic muxed per shard pair).
+	// Both owner maps of the socket tier run the same matrix: the identity
+	// partition ("per-vertex": one worker and listener per vertex) and a
+	// three-shard partition (one worker and listener per shard).
 	modes := []struct {
 		name string
 		eng  sim.Engine

@@ -24,8 +24,8 @@ func faultEngines(t *testing.T) []sim.Engine {
 	if !testing.Short() {
 		engines = append(engines,
 			netrun.Engine(core.Codec{}, netrun.Options{}),
-			// The same tier in its sharded io-loop wiring: the fault plan
-			// must survive the muxed shard-pair transport too.
+			// The same tier over a three-shard partition: the fault plan
+			// must survive in-shard edges and shard-pair channels too.
 			netrun.Engine(core.Codec{}, netrun.Options{Shards: 3}),
 		)
 	}

@@ -42,7 +42,7 @@ func TestSafetyUnderMessageLoss(t *testing.T) {
 			drops[graph.EdgeID(rng.Intn(g.NumEdges()))] = rng.Intn(3) + 1
 		}
 		r, err := sim.Run(g, proto, sim.Options{
-			Order: sim.OrderRandom, Seed: seed, DropFirst: drops,
+			Order: sim.OrderRandom, Seed: seed, Faults: &sim.Faults{DropFirst: drops},
 		})
 		if err != nil {
 			t.Logf("RUN ERROR: %s on %s with drops %v: %v", proto.Name(), g, drops, err)
@@ -67,7 +67,7 @@ func TestLivenessLostWhenFirstMessageDropped(t *testing.T) {
 	g := graph.Chain(4)
 	rootEdge := g.OutEdge(g.Root(), 0)
 	r, err := sim.Run(g, NewTreeBroadcast(nil, RulePow2), sim.Options{
-		DropFirst: map[graph.EdgeID]int{rootEdge.ID: 1},
+		Faults: &sim.Faults{DropFirst: map[graph.EdgeID]int{rootEdge.ID: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestLivenessLostOnAlphaDrop(t *testing.T) {
 	quiescent := 0
 	for e := 0; e < g.NumEdges(); e++ {
 		r, err := sim.Run(g, NewGeneralBroadcast(nil), sim.Options{
-			DropFirst: map[graph.EdgeID]int{graph.EdgeID(e): 1},
+			Faults: &sim.Faults{DropFirst: map[graph.EdgeID]int{graph.EdgeID(e): 1}},
 		})
 		if err != nil {
 			t.Fatal(err)

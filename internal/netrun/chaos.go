@@ -8,8 +8,8 @@ package netrun
 // Chaos is seeded exactly like the Bernoulli fault hash in package sim: each
 // decision is a pure function of (seed, logical channel, per-channel frame
 // index), so the SAME frames are disturbed on every run regardless of the
-// kernel's schedule. A logical channel is an edge in per-vertex mode and an
-// ordered shard pair in sharded mode.
+// kernel's schedule. A logical channel is an ordered worker pair, identified
+// as src<<32|dst.
 //
 // The invariant chaos must preserve: a disturbed run reaches the SAME verdict
 // and visited set as an undisturbed one. Chaos therefore never loses a
@@ -186,13 +186,13 @@ var errChaosStopped = errors.New("netrun: chaos channel closed at shutdown")
 // chaosSender owns one logical channel's sending side under chaos: the
 // current connection, the full frame log, and the cursor of frames the
 // current connection has carried. Exactly one goroutine sends on a channel
-// (the vertex loop or shard worker that owns the tail, after the pre-worker
-// injection), so the mutex only arbitrates against close() at shutdown.
+// (the worker that owns its tails, after the pre-worker injection), so the
+// mutex only arbitrates against close() at shutdown.
 type chaosSender struct {
 	chaos   *Chaos
-	channel uint64      // edge ID (per-vertex) or src<<32|dst (sharded)
+	channel uint64      // src<<32|dst of the worker pair
 	addr    string      // listener to (re)dial
-	hello   [4]byte     // identity handshake: in-port or source shard
+	hello   [4]byte     // identity handshake: the channel's index
 	stopped func() bool // run-level stop check; aborts backoff loops
 
 	mu      sync.Mutex

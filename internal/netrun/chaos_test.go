@@ -1,12 +1,14 @@
 package netrun
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/interval"
+	"repro/internal/protocol"
 	"repro/internal/sim"
 )
 
@@ -38,6 +40,35 @@ func TestParseChaos(t *testing.T) {
 	}
 }
 
+// FuzzParseChaos: ParseChaos never panics on user input, every accepted
+// spec is in range, and the spec rendered from its fields re-parses to the
+// same struct.
+func FuzzParseChaos(f *testing.F) {
+	for _, seed := range []string{
+		"", "disconnect=3, loss=25, delay=2, seed=9", "seed=5", "loss=100",
+		"disconnect", "loss=abc", "loss=101", "delay=-1", "jitter=3", ",,loss= 7 ,",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		c, err := ParseChaos(spec)
+		if err != nil || c == nil {
+			return
+		}
+		if c.DisconnectEvery < 0 || c.LossPct < 0 || c.LossPct > 100 || c.DelayMaxMS < 0 {
+			t.Fatalf("ParseChaos(%q) accepted out-of-range %+v", spec, *c)
+		}
+		canon := fmt.Sprintf("disconnect=%d,loss=%d,delay=%d,seed=%d", c.DisconnectEvery, c.LossPct, c.DelayMaxMS, c.Seed)
+		again, err := ParseChaos(canon)
+		if err != nil {
+			t.Fatalf("rendered spec %q (from %q) rejected: %v", canon, spec, err)
+		}
+		if *again != *c {
+			t.Fatalf("rendered spec %q re-parses to %+v, want %+v", canon, *again, *c)
+		}
+	})
+}
+
 func TestChaosHashDeterministic(t *testing.T) {
 	a := chaosHash(42, 7, 13, chaosSaltLoss)
 	b := chaosHash(42, 7, 13, chaosSaltLoss)
@@ -52,75 +83,89 @@ func TestChaosHashDeterministic(t *testing.T) {
 	}
 }
 
-// TestTCPChaosTreeBroadcast drives the per-vertex wiring through forced
-// disconnects, lost first writes, and latency jitter at once: the run must
-// reach the same verdict, visited set, and message count as an undisturbed
-// run — chaos is delay, never protocol-visible loss, and a replayed frame is
-// not new traffic.
+// wirings are the two owner maps of the TCP tier: the identity partition
+// (one worker per vertex) and a three-shard partition.
+var wirings = []struct {
+	name   string
+	shards int
+}{{"identity", 0}, {"shards=3", 3}}
+
+// chaosRun runs p on g under chaos in every wiring, one subtest each.
+func chaosRun(t *testing.T, g *graph.G, newProto func() protocol.Protocol, chaos Chaos, simOpts sim.Options, check func(*testing.T, *sim.Result)) {
+	t.Helper()
+	for _, w := range wirings {
+		t.Run(w.name, func(t *testing.T) {
+			c := chaos
+			eng := Engine(core.Codec{}, Options{Timeout: 30 * time.Second, Shards: w.shards, Chaos: &c})
+			r, err := eng.Run(g, newProto(), simOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, r)
+		})
+	}
+}
+
+// TestTCPChaosTreeBroadcast drives both wirings through forced disconnects,
+// lost first writes, and latency jitter at once: the run must reach the same
+// verdict, visited set, and message count as an undisturbed run — chaos is
+// delay, never protocol-visible loss, and a replayed frame is not new
+// traffic.
 func TestTCPChaosTreeBroadcast(t *testing.T) {
 	g := graph.Chain(6)
-	r, err := Run(g, core.NewTreeBroadcast([]byte("over-the-wire"), core.RulePow2), core.Codec{}, Options{
-		Timeout: 30 * time.Second,
-		Chaos:   &Chaos{DisconnectEvery: 2, LossPct: 25, DelayMaxMS: 1, Seed: 7},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Verdict != sim.Terminated {
-		t.Fatalf("verdict %s", r.Verdict)
-	}
-	if !r.AllVisited() {
-		t.Fatal("not all vertices visited")
-	}
-	if r.Metrics.Messages != g.NumEdges() {
-		t.Fatalf("%d messages, want %d (replayed frames must not re-meter)", r.Metrics.Messages, g.NumEdges())
-	}
+	chaosRun(t, g, func() protocol.Protocol { return core.NewTreeBroadcast([]byte("over-the-wire"), core.RulePow2) },
+		Chaos{DisconnectEvery: 2, LossPct: 25, DelayMaxMS: 1, Seed: 7}, sim.Options{},
+		func(t *testing.T, r *sim.Result) {
+			if r.Verdict != sim.Terminated {
+				t.Fatalf("verdict %s", r.Verdict)
+			}
+			if !r.AllVisited() {
+				t.Fatal("not all vertices visited")
+			}
+			if r.Metrics.Messages != g.NumEdges() {
+				t.Fatalf("%d messages, want %d (replayed frames must not re-meter)", r.Metrics.Messages, g.NumEdges())
+			}
+		})
 }
 
 // TestTCPChaosKillsEveryLiveConnection is the reconnect stress demanded by
 // the resilience contract: disconnect=1 tears every channel's live, in-use
-// connection down before every frame after the first, so every vertex pair
+// connection down before every frame after the first, so every worker pair
 // reconnects mid-run — and the verdict must still match the sequential
 // reference.
 func TestTCPChaosKillsEveryLiveConnection(t *testing.T) {
 	g := graph.Ring(5)
-	r, err := Run(g, core.NewGeneralBroadcast([]byte("m")), core.Codec{}, Options{
-		Timeout: 30 * time.Second,
-		Chaos:   &Chaos{DisconnectEvery: 1, Seed: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ref, err := sim.Run(g, core.NewGeneralBroadcast([]byte("m")), sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Verdict != ref.Verdict {
-		t.Fatalf("chaos verdict %s, sequential reference %s", r.Verdict, ref.Verdict)
-	}
-	if !r.AllVisited() {
-		t.Fatal("not all vertices visited")
-	}
-	out := r.Output.(interval.Union)
-	if !out.IsFull() {
-		t.Fatalf("terminal cover %s", out)
-	}
+	chaosRun(t, g, func() protocol.Protocol { return core.NewGeneralBroadcast([]byte("m")) },
+		Chaos{DisconnectEvery: 1, Seed: 3}, sim.Options{},
+		func(t *testing.T, r *sim.Result) {
+			if r.Verdict != ref.Verdict {
+				t.Fatalf("chaos verdict %s, sequential reference %s", r.Verdict, ref.Verdict)
+			}
+			if !r.AllVisited() {
+				t.Fatal("not all vertices visited")
+			}
+			out := r.Output.(interval.Union)
+			if !out.IsFull() {
+				t.Fatalf("terminal cover %s", out)
+			}
+		})
 }
 
 // TestTCPChaosTotalLoss sets loss=100 — every frame's first write attempt is
 // torn down — and the run must still terminate through pure resend.
 func TestTCPChaosTotalLoss(t *testing.T) {
 	g := graph.Chain(4)
-	r, err := Run(g, core.NewTreeBroadcast([]byte("x"), core.RulePow2), core.Codec{}, Options{
-		Timeout: 30 * time.Second,
-		Chaos:   &Chaos{LossPct: 100, Seed: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Verdict != sim.Terminated || !r.AllVisited() {
-		t.Fatalf("verdict %s allVisited %v", r.Verdict, r.AllVisited())
-	}
+	chaosRun(t, g, func() protocol.Protocol { return core.NewTreeBroadcast([]byte("x"), core.RulePow2) },
+		Chaos{LossPct: 100, Seed: 1}, sim.Options{},
+		func(t *testing.T, r *sim.Result) {
+			if r.Verdict != sim.Terminated || !r.AllVisited() {
+				t.Fatalf("verdict %s allVisited %v", r.Verdict, r.AllVisited())
+			}
+		})
 }
 
 // TestTCPChaosSharded drives the sharded muxed wiring through the same
@@ -128,12 +173,11 @@ func TestTCPChaosTotalLoss(t *testing.T) {
 // or duplication.
 func TestTCPChaosSharded(t *testing.T) {
 	g := graph.LayeredDigraph(3, 3, 4)
-	r, err := Run(g, core.NewTreeBroadcast([]byte("sharded-chaos"), core.RulePow2), core.Codec{}, Options{
+	r, err := Engine(core.Codec{}, Options{
 		Timeout: 30 * time.Second,
 		Shards:  3,
-		Seed:    42,
 		Chaos:   &Chaos{DisconnectEvery: 2, LossPct: 30, Seed: 11},
-	})
+	}).Run(g, core.NewTreeBroadcast([]byte("sharded-chaos"), core.RulePow2), sim.Options{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,23 +206,19 @@ func TestTCPChaosPreservesFaultPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Run(g, core.NewTreeBroadcast([]byte("f"), core.RulePow2), core.Codec{}, Options{
-		Timeout: 30 * time.Second,
-		Faults:  plan(),
-		Chaos:   &Chaos{DisconnectEvery: 1, LossPct: 50, Seed: 5},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Verdict != ref.Verdict {
-		t.Fatalf("chaos verdict %s, reference %s", r.Verdict, ref.Verdict)
-	}
-	if r.Dropped != ref.Dropped {
-		t.Fatalf("chaos dropped %d, reference %d", r.Dropped, ref.Dropped)
-	}
-	for v := range ref.Visited {
-		if r.Visited[v] != ref.Visited[v] {
-			t.Fatalf("visited[%d]: chaos %v, reference %v", v, r.Visited[v], ref.Visited[v])
-		}
-	}
+	chaosRun(t, g, func() protocol.Protocol { return core.NewTreeBroadcast([]byte("f"), core.RulePow2) },
+		Chaos{DisconnectEvery: 1, LossPct: 50, Seed: 5}, sim.Options{Faults: plan()},
+		func(t *testing.T, r *sim.Result) {
+			if r.Verdict != ref.Verdict {
+				t.Fatalf("chaos verdict %s, reference %s", r.Verdict, ref.Verdict)
+			}
+			if r.Dropped != ref.Dropped {
+				t.Fatalf("chaos dropped %d, reference %d", r.Dropped, ref.Dropped)
+			}
+			for v := range ref.Visited {
+				if r.Visited[v] != ref.Visited[v] {
+					t.Fatalf("visited[%d]: chaos %v, reference %v", v, r.Visited[v], ref.Visited[v])
+				}
+			}
+		})
 }

@@ -160,10 +160,10 @@ func TestTCPBitAccountingMatchesSim(t *testing.T) {
 	}
 }
 
-// shardedRun runs p on g in the sharded io-loop mode (Options.Shards >= 2).
+// shardedRun runs p on g over a partition of shards vertex groups.
 func shardedRun(t *testing.T, g *graph.G, p protocol.Protocol, shards int) *sim.Result {
 	t.Helper()
-	r, err := Run(g, p, core.Codec{}, Options{Timeout: 60 * time.Second, Shards: shards, Seed: 11})
+	r, err := Engine(core.Codec{}, Options{Timeout: 60 * time.Second, Shards: shards}).Run(g, p, sim.Options{Seed: 11})
 	if err != nil {
 		t.Fatalf("%s on %s over sharded TCP: %v", p.Name(), g, err)
 	}
@@ -171,7 +171,7 @@ func shardedRun(t *testing.T, g *graph.G, p protocol.Protocol, shards int) *sim.
 }
 
 // TestTCPShardedTreeBroadcast mirrors TestTCPTreeBroadcast through the
-// sharded io-loop mode: same verdict, same coverage, and exact message
+// sharded wiring: same verdict, same coverage, and exact message
 // conservation (one frame per edge for the tree wave).
 func TestTCPShardedTreeBroadcast(t *testing.T) {
 	g := graph.Chain(6)
@@ -231,12 +231,109 @@ func TestTCPShardedQuiescenceOnOrphan(t *testing.T) {
 	}
 }
 
+// TestTCPShardedWiringsMeterTreeLikeSim runs tree broadcast on a grounded
+// tree whose internal vertices have parallel edges into t, in the identity
+// wiring (parallel edges share one connection) and a three-shard wiring. On
+// a tree every edge carries a fixed message under every schedule, so the
+// traffic must equal sim.Run's exactly: the same message count per edge, and
+// per-edge bits equal to the codec encoding of the messages sim.Run sent.
+func TestTCPShardedWiringsMeterTreeLikeSim(t *testing.T) {
+	b := graph.NewBuilder(5).SetRoot(0).SetTerminal(4)
+	b.AddEdge(0, 1).AddEdge(1, 2).AddEdge(1, 3).AddEdge(1, 4).AddEdge(1, 4)
+	b.AddEdge(2, 4).AddEdge(2, 4).AddEdge(3, 4).AddEdge(3, 4).AddEdge(3, 4)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	newProto := func() protocol.Protocol { return core.NewTreeBroadcast([]byte("parallel"), core.RulePow2) }
+	codecBits := &codecBitsObserver{perEdge: make([]int64, g.NumEdges())}
+	ref, err := sim.Run(g, newProto(), sim.Options{Observer: codecBits})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if codecBits.err != nil {
+		t.Fatal(codecBits.err)
+	}
+	for _, shards := range []int{0, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			r, err := Engine(core.Codec{}, Options{Timeout: 30 * time.Second, Shards: shards}).Run(g, newProto(), sim.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Verdict != sim.Terminated || !r.AllVisited() {
+				t.Fatalf("verdict %s allVisited %v", r.Verdict, r.AllVisited())
+			}
+			if r.Metrics.Messages != ref.Metrics.Messages {
+				t.Fatalf("%d messages, sim %d", r.Metrics.Messages, ref.Metrics.Messages)
+			}
+			if r.Metrics.TotalBits != codecBits.total {
+				t.Fatalf("%d bits, sim's messages encode to %d", r.Metrics.TotalBits, codecBits.total)
+			}
+			for e := range ref.Metrics.PerEdgeMsgs {
+				if r.Metrics.PerEdgeMsgs[e] != ref.Metrics.PerEdgeMsgs[e] || r.Metrics.PerEdgeBits[e] != codecBits.perEdge[e] {
+					t.Fatalf("edge %d: %d msgs / %d bits, sim %d msgs / %d codec bits", e,
+						r.Metrics.PerEdgeMsgs[e], r.Metrics.PerEdgeBits[e], ref.Metrics.PerEdgeMsgs[e], codecBits.perEdge[e])
+				}
+			}
+		})
+	}
+}
+
+// codecBitsObserver sums the wire-codec size of every message a run sends,
+// per edge: the bits the TCP tier meters for the same traffic.
+type codecBitsObserver struct {
+	perEdge []int64
+	total   int64
+	err     error
+}
+
+func (o *codecBitsObserver) OnSend(e graph.EdgeID, msg protocol.Message) {
+	_, bits, err := core.Codec{}.Encode(msg)
+	if err != nil {
+		o.err = err
+	}
+	o.perEdge[e] += int64(bits)
+	o.total += int64(bits)
+}
+
+func (o *codecBitsObserver) OnDeliver(int, graph.EdgeID, protocol.Message) {}
+
+// TestTCPShardedWiringsParallelEdgesAndSelfLoop runs general broadcast on a
+// cyclic graph with parallel edges and a self-loop in both wirings. Under
+// the identity map the self-loop is an in-worker edge, so this drives the
+// in-worker path alongside the socket channels.
+func TestTCPShardedWiringsParallelEdgesAndSelfLoop(t *testing.T) {
+	b := graph.NewBuilder(4).SetRoot(0).SetTerminal(3)
+	b.AddEdge(0, 1).AddEdge(1, 1).AddEdge(1, 2).AddEdge(1, 2).AddEdge(2, 1).AddEdge(2, 2)
+	b.AddEdge(2, 3).AddEdge(1, 3)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{0, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			r, err := Engine(core.Codec{}, Options{Timeout: 30 * time.Second, Shards: shards}).
+				Run(g, core.NewGeneralBroadcast([]byte("loop")), sim.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Verdict != sim.Terminated || !r.AllVisited() {
+				t.Fatalf("verdict %s allVisited %v", r.Verdict, r.AllVisited())
+			}
+			out := r.Output.(interval.Union)
+			if !out.IsFull() {
+				t.Fatalf("terminal cover %s", out)
+			}
+		})
+	}
+}
+
 // TestTCPShardedLargeConformance drives the socket tier at a size the
-// per-vertex wiring cannot reach — >=10k vertices would need >=10k listeners
-// and |E| connections, past typical fd limits, which is why the reduced TCP
-// conformance matrix skips such graphs — and conformance-checks the sharded
-// io-loop mode against the sequential reference: same verdict, same visited
-// set, same terminal cover.
+// identity wiring cannot reach — >=10k vertices would need >=10k listeners
+// and up to |E| connections, past typical fd limits, which is why the
+// reduced TCP conformance matrix skips such graphs — and conformance-checks
+// the sharded wiring against the sequential reference: same verdict, same
+// visited set, same terminal cover.
 func TestTCPShardedLargeConformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping socket tier")
@@ -272,9 +369,9 @@ func TestTCPShardedLargeConformance(t *testing.T) {
 }
 
 // TestTCPShardedWildReplayByteIdentity: a schedule captured from the sharded
-// io-loop mode canonicalizes into a strict-mode trace whose sequential
-// replay re-records byte-identically — the same acceptance criterion the
-// per-vertex TCP and concurrent engines meet in internal/replay.
+// wiring canonicalizes into a strict-mode trace whose sequential replay
+// re-records byte-identically — the same acceptance criterion the
+// identity-wired TCP and concurrent engines meet in internal/replay.
 func TestTCPShardedWildReplayByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping socket tier")

@@ -59,7 +59,7 @@ func RunConcurrent(g *graph.G, p protocol.Protocol, opts Options) (*Result, erro
 		obs:       NewSerializedObserver(opts.Observer),
 		faults:    faults,
 		maxSteps:  int64(maxSteps),
-		boxes:     make([]*mailbox, nV),
+		boxes:     make([]*Mailbox[delivery], nV),
 		stopCh:    make(chan struct{}),
 		visitedMu: make([]sync.Mutex, nV),
 	}
@@ -73,7 +73,7 @@ func RunConcurrent(g *graph.G, p protocol.Protocol, opts Options) (*Result, erro
 		defer stop()
 	}
 	for v := range run.boxes {
-		run.boxes[v] = newMailbox()
+		run.boxes[v] = NewMailbox[delivery]()
 	}
 
 	// Inject sigma0.
@@ -92,8 +92,8 @@ func RunConcurrent(g *graph.G, p protocol.Protocol, opts Options) (*Result, erro
 			continue
 		}
 		run.obsSend(false)
-		run.inFlight.Add(1)
-		run.boxes[rootEdge.To].push(delivery{port: rootEdge.ToPort, msg: init})
+		run.inFlight.Inc()
+		run.boxes[rootEdge.To].Push(delivery{port: rootEdge.ToPort, msg: init})
 	}
 
 	var wg sync.WaitGroup
@@ -110,19 +110,19 @@ func RunConcurrent(g *graph.G, p protocol.Protocol, opts Options) (*Result, erro
 	watcherWG.Add(1)
 	go func() {
 		defer watcherWG.Done()
-		if run.inFlight.waitZero() {
+		if run.inFlight.WaitZero() {
 			run.finish(Quiescent, nil)
 		}
 	}()
 
 	<-run.stopCh
 	for _, mb := range run.boxes {
-		mb.close()
+		mb.Close()
 	}
 	wg.Wait()
 	// Unblock the watcher if the run ended with messages still queued
 	// (termination or error) and wait for it so no goroutine outlives Run.
-	run.inFlight.release()
+	run.inFlight.Release()
 	watcherWG.Wait()
 
 	res.Steps = int(run.steps.Load())
@@ -130,7 +130,7 @@ func RunConcurrent(g *graph.G, p protocol.Protocol, opts Options) (*Result, erro
 	res.Churn = run.faults.ChurnReport()
 	// The quiescence counter already tracks in-flight-plus-processing
 	// messages O(1) per event; its high-water mark is the peak.
-	res.Metrics.PeakInFlight = int(run.inFlight.peak)
+	res.Metrics.PeakInFlight = int(run.inFlight.Peak())
 	res.Metrics.finalize()
 	if run.err != nil {
 		return res, run.err
@@ -159,11 +159,11 @@ type concurrentRun struct {
 	maxSteps int64
 	steps    atomic.Int64
 
-	boxes []*mailbox
+	boxes []*Mailbox[delivery]
 
 	// inFlight counts queued plus in-processing deliveries; zero means
-	// quiescent. zeroMu/zeroCond wake the watcher.
-	inFlight  counter
+	// quiescent, and WaitZero wakes the watcher.
+	inFlight  InFlight
 	metricsMu sync.Mutex
 	visitedMu []sync.Mutex
 
@@ -232,14 +232,14 @@ func (r *concurrentRun) worker(v graph.VertexID) {
 	mb := r.boxes[v]
 	node := r.nodes[v]
 	for {
-		d, ok := mb.pop()
+		d, ok := mb.Pop()
 		if !ok {
 			return
 		}
 		step := r.steps.Add(1)
 		if step > r.maxSteps {
 			r.finish(0, fmt.Errorf("%w (graph %s)", ErrStepLimit, r.g))
-			r.inFlight.dec()
+			r.inFlight.Dec()
 			return
 		}
 		if r.obs != nil {
@@ -252,7 +252,7 @@ func (r *concurrentRun) worker(v graph.VertexID) {
 			// Crash-stopped vertex: consume without processing. Only this
 			// worker touches v's crash quota, so the check is race-free.
 			r.obsDeliver(true)
-			r.inFlight.dec()
+			r.inFlight.Dec()
 			continue
 		}
 		r.visitedMu[v].Lock()
@@ -262,13 +262,13 @@ func (r *concurrentRun) worker(v graph.VertexID) {
 		outs, err := node.Receive(d.msg, d.port)
 		if err != nil {
 			r.finish(0, fmt.Errorf("sim: vertex %d receive: %w", v, err))
-			r.inFlight.dec()
+			r.inFlight.Dec()
 			return
 		}
 		if outs != nil && len(outs) != r.g.OutDegree(v) {
 			r.finish(0, fmt.Errorf("sim: vertex %d returned %d outputs, out-degree is %d",
 				v, len(outs), r.g.OutDegree(v)))
-			r.inFlight.dec()
+			r.inFlight.Dec()
 			return
 		}
 		outIDs := r.g.OutEdgeIDs(v)
@@ -286,24 +286,29 @@ func (r *concurrentRun) worker(v graph.VertexID) {
 				continue
 			}
 			r.obsSend(false)
-			r.inFlight.inc()
-			r.boxes[oe.To].push(delivery{port: oe.ToPort, msg: out})
+			r.inFlight.Inc()
+			r.boxes[oe.To].Push(delivery{port: oe.ToPort, msg: out})
 		}
 		r.obsDeliver(false)
 		if v == r.g.Terminal() && r.term.Done() {
 			r.finish(Terminated, nil)
-			r.inFlight.dec()
+			r.inFlight.Dec()
 			return
 		}
 		// Decrement strictly after the resulting sends were counted, so the
 		// counter can only reach zero when the whole system is silent.
-		r.inFlight.dec()
+		r.inFlight.Dec()
 	}
 }
 
-// counter is an in-flight message counter with a wait-for-zero operation.
-// The zero value is ready to use; Add(1) must precede the first waitZero.
-type counter struct {
+// InFlight is an in-flight message counter with a wait-for-zero operation,
+// shared by the concurrent engine and the TCP tier (package netrun): a
+// message is counted from the moment it is sent until its processing
+// (including the counting of its own sends) ends, so zero means global
+// silence. The high-water mark is tracked in the same O(1) update and feeds
+// Metrics.PeakInFlight. The zero value is ready to use; Inc must precede the
+// first WaitZero.
+type InFlight struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	n        int64
@@ -311,14 +316,19 @@ type counter struct {
 	released bool
 }
 
-func (c *counter) lazyInit() {
+func (c *InFlight) lazyInit() {
 	if c.cond == nil {
 		c.cond = sync.NewCond(&c.mu)
 	}
 }
 
-// Add adjusts the counter by delta.
-func (c *counter) Add(delta int64) {
+// Inc counts one more message in flight.
+func (c *InFlight) Inc() { c.add(1) }
+
+// Dec counts one message finished.
+func (c *InFlight) Dec() { c.add(-1) }
+
+func (c *InFlight) add(delta int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.lazyInit()
@@ -331,12 +341,16 @@ func (c *counter) Add(delta int64) {
 	}
 }
 
-func (c *counter) inc() { c.Add(1) }
-func (c *counter) dec() { c.Add(-1) }
+// Peak returns the counter's high-water mark.
+func (c *InFlight) Peak() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.peak
+}
 
-// waitZero blocks until the counter reaches zero (returns true) or the
+// WaitZero blocks until the counter reaches zero (returns true) or the
 // counter is released (returns false).
-func (c *counter) waitZero() bool {
+func (c *InFlight) WaitZero() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.lazyInit()
@@ -346,8 +360,8 @@ func (c *counter) waitZero() bool {
 	return !c.released
 }
 
-// release wakes all waiters regardless of the count.
-func (c *counter) release() {
+// Release wakes all waiters regardless of the count.
+func (c *InFlight) Release() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.lazyInit()
@@ -355,48 +369,53 @@ func (c *counter) release() {
 	c.cond.Broadcast()
 }
 
-// mailbox is an unbounded FIFO queue usable from many producers and one
+// Mailbox is an unbounded FIFO queue usable from many producers and one
 // consumer. The asynchronous model has unbounded links, so a bounded channel
-// would deadlock; this is the standard mutex+cond unbounded queue.
-type mailbox struct {
+// would deadlock on cycles; this is the standard mutex+cond unbounded queue.
+type Mailbox[T any] struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	items  []delivery
+	items  []T
 	closed bool
 }
 
-func newMailbox() *mailbox {
-	mb := &mailbox{}
+// NewMailbox returns an empty, open mailbox.
+func NewMailbox[T any]() *Mailbox[T] {
+	mb := &Mailbox[T]{}
 	mb.cond = sync.NewCond(&mb.mu)
 	return mb
 }
 
-func (mb *mailbox) push(d delivery) {
+// Push appends x; a closed mailbox discards it.
+func (mb *Mailbox[T]) Push(x T) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	if mb.closed {
 		return
 	}
-	mb.items = append(mb.items, d)
+	mb.items = append(mb.items, x)
 	mb.cond.Signal()
 }
 
-// pop blocks until an item is available or the mailbox is closed.
-func (mb *mailbox) pop() (delivery, bool) {
+// Pop blocks until an item is available (returns it and true) or the
+// mailbox is closed and empty (returns false).
+func (mb *Mailbox[T]) Pop() (T, bool) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	for len(mb.items) == 0 && !mb.closed {
 		mb.cond.Wait()
 	}
 	if len(mb.items) == 0 {
-		return delivery{}, false
+		var zero T
+		return zero, false
 	}
-	d := mb.items[0]
+	x := mb.items[0]
 	mb.items = mb.items[1:]
-	return d, true
+	return x, true
 }
 
-func (mb *mailbox) close() {
+// Close wakes the consumer; later pushes are discarded.
+func (mb *Mailbox[T]) Close() {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	mb.closed = true

@@ -9,8 +9,7 @@ import (
 	"repro/internal/graph"
 )
 
-// Faults is a first-class, deterministic fault plan, generalizing the legacy
-// Options.DropFirst shorthand. The paper's model has reliable links; this
+// Faults is a first-class, deterministic fault plan. The paper's model has reliable links; this
 // adversary exists to check the safety half of the theorems under faults — a
 // lost message or a crashed vertex may cost liveness (the protocol hangs,
 // correctly refusing to terminate) but must never let the terminal declare
@@ -24,8 +23,7 @@ import (
 type Faults struct {
 	// DropFirst[e] = k discards the first k messages sent on edge e. Dropped
 	// messages are metered as traffic (Metrics.record, Observer.OnSend) but
-	// are never put in flight or delivered — exactly the semantics the
-	// sequential engine has always given Options.DropFirst.
+	// are never put in flight or delivered.
 	DropFirst map[graph.EdgeID]int
 	// LossRate, in [0, 1], drops each message surviving DropFirst with this
 	// probability, decided by a hash of (Seed, edge, per-edge send index) —
@@ -182,13 +180,12 @@ type compiledLossStep struct {
 	fired atomic.Bool
 }
 
-// NewFaultState compiles opts' fault plan (Options.Faults plus the legacy
-// Options.DropFirst shorthand, which is merged in) against g. It returns
-// (nil, nil) when no faults are configured and an error when the plan names
-// an edge or vertex g does not have, or carries an invalid rate or count.
+// NewFaultState compiles opts.Faults against g. It returns (nil, nil) when
+// no faults are configured and an error when the plan names an edge or
+// vertex g does not have, or carries an invalid rate or count.
 func NewFaultState(g *graph.G, opts *Options) (*FaultState, error) {
 	f := opts.Faults
-	if f.empty() && len(opts.DropFirst) == 0 {
+	if f.empty() {
 		return nil, nil
 	}
 	nE, nV := g.NumEdges(), g.NumVertices()
@@ -196,121 +193,110 @@ func NewFaultState(g *graph.G, opts *Options) (*FaultState, error) {
 		drops:   make([]int32, nE),
 		sendIdx: make([]uint32, nE),
 	}
-	addDrops := func(m map[graph.EdgeID]int) error {
-		for e, k := range m {
-			if int(e) < 0 || int(e) >= nE {
-				return fmt.Errorf("sim: fault plan drops on edge %d, graph has %d edges", e, nE)
+	for e, k := range f.DropFirst {
+		if int(e) < 0 || int(e) >= nE {
+			return nil, fmt.Errorf("sim: fault plan drops on edge %d, graph has %d edges", e, nE)
+		}
+		if k < 0 {
+			return nil, fmt.Errorf("sim: fault plan drop count %d on edge %d is negative", k, e)
+		}
+		fs.drops[e] = int32(k)
+	}
+	if f.LossRate < 0 || f.LossRate > 1 {
+		return nil, fmt.Errorf("sim: fault plan loss rate %v outside [0, 1]", f.LossRate)
+	}
+	fs.lossRate = f.LossRate
+	fs.lossSeed = f.Seed
+	if len(f.CrashAfter) > 0 {
+		fs.crash = make([]int32, nV)
+		for i := range fs.crash {
+			fs.crash[i] = -1
+		}
+		for v, k := range f.CrashAfter {
+			if int(v) < 0 || int(v) >= nV {
+				return nil, fmt.Errorf("sim: fault plan crashes vertex %d, graph has %d vertices", v, nV)
 			}
 			if k < 0 {
-				return fmt.Errorf("sim: fault plan drop count %d on edge %d is negative", k, e)
+				return nil, fmt.Errorf("sim: fault plan crash quota %d on vertex %d is negative", k, v)
 			}
-			fs.drops[e] += int32(k)
+			fs.crash[v] = int32(k)
 		}
-		return nil
 	}
-	if err := addDrops(opts.DropFirst); err != nil {
+	if len(f.RecoverAfter) > 0 {
+		fs.recover = make([]int32, nV)
+		fs.recoverAt = make([]int32, nV)
+		for i := range fs.recover {
+			fs.recover[i] = -1
+		}
+		for v, k := range f.RecoverAfter {
+			if int(v) < 0 || int(v) >= nV {
+				return nil, fmt.Errorf("sim: fault plan recovers vertex %d, graph has %d vertices", v, nV)
+			}
+			crash, ok := f.CrashAfter[v]
+			if !ok {
+				return nil, fmt.Errorf("sim: fault plan recovers vertex %d without crashing it (recover needs a crash entry)", v)
+			}
+			if k < crash {
+				return nil, fmt.Errorf("sim: fault plan recovers vertex %d at delivery %d, before its crash at %d", v, k, crash)
+			}
+			fs.recover[v] = int32(k - crash)
+			fs.recoverAt[v] = int32(k)
+		}
+	}
+	addWindow := func(m map[graph.EdgeID]int, what string) ([]int32, error) {
+		if len(m) == 0 {
+			return nil, nil
+		}
+		w := make([]int32, nE)
+		for i := range w {
+			w[i] = -1
+		}
+		for e, k := range m {
+			if int(e) < 0 || int(e) >= nE {
+				return nil, fmt.Errorf("sim: fault plan %ss edge %d, graph has %d edges", what, e, nE)
+			}
+			if k < 0 {
+				return nil, fmt.Errorf("sim: fault plan %s trigger %d on edge %d is negative", what, k, e)
+			}
+			w[e] = int32(k)
+		}
+		return w, nil
+	}
+	var err error
+	if fs.cut, err = addWindow(f.CutAfter, "cut"); err != nil {
 		return nil, err
 	}
-	if f != nil {
-		if err := addDrops(f.DropFirst); err != nil {
-			return nil, err
+	if fs.join, err = addWindow(f.JoinAfter, "join"); err != nil {
+		return nil, err
+	}
+	for e, j := range f.JoinAfter {
+		if c, ok := f.CutAfter[e]; ok && j >= c {
+			return nil, fmt.Errorf("sim: fault plan joins edge %d at send %d but cuts it at %d (the up-window is empty)", e, j, c)
 		}
-		if f.LossRate < 0 || f.LossRate > 1 {
-			return nil, fmt.Errorf("sim: fault plan loss rate %v outside [0, 1]", f.LossRate)
+	}
+	if len(f.LossSteps) > 0 {
+		fs.lossSteps = make([]compiledLossStep, len(f.LossSteps))
+		prev := -1
+		for i, s := range f.LossSteps {
+			if s.Rate < 0 || s.Rate > 1 {
+				return nil, fmt.Errorf("sim: loss step %d rate %v outside [0, 1]", i, s.Rate)
+			}
+			if s.AfterSend < 0 || s.AfterSend <= prev {
+				return nil, fmt.Errorf("sim: loss step triggers must be non-negative and strictly ascending (step %d at %d, previous %d)", i, s.AfterSend, prev)
+			}
+			prev = s.AfterSend
+			fs.lossSteps[i].after = uint32(s.AfterSend)
+			fs.lossSteps[i].rate = s.Rate
 		}
-		fs.lossRate = f.LossRate
-		fs.lossSeed = f.Seed
-		if len(f.CrashAfter) > 0 {
-			fs.crash = make([]int32, nV)
-			for i := range fs.crash {
-				fs.crash[i] = -1
-			}
-			for v, k := range f.CrashAfter {
-				if int(v) < 0 || int(v) >= nV {
-					return nil, fmt.Errorf("sim: fault plan crashes vertex %d, graph has %d vertices", v, nV)
-				}
-				if k < 0 {
-					return nil, fmt.Errorf("sim: fault plan crash quota %d on vertex %d is negative", k, v)
-				}
-				fs.crash[v] = int32(k)
-			}
-		}
-		if len(f.RecoverAfter) > 0 {
-			fs.recover = make([]int32, nV)
-			fs.recoverAt = make([]int32, nV)
-			for i := range fs.recover {
-				fs.recover[i] = -1
-			}
-			for v, k := range f.RecoverAfter {
-				if int(v) < 0 || int(v) >= nV {
-					return nil, fmt.Errorf("sim: fault plan recovers vertex %d, graph has %d vertices", v, nV)
-				}
-				crash, ok := f.CrashAfter[v]
-				if !ok {
-					return nil, fmt.Errorf("sim: fault plan recovers vertex %d without crashing it (recover needs a crash entry)", v)
-				}
-				if k < crash {
-					return nil, fmt.Errorf("sim: fault plan recovers vertex %d at delivery %d, before its crash at %d", v, k, crash)
-				}
-				fs.recover[v] = int32(k - crash)
-				fs.recoverAt[v] = int32(k)
-			}
-		}
-		addWindow := func(m map[graph.EdgeID]int, what string) ([]int32, error) {
-			if len(m) == 0 {
-				return nil, nil
-			}
-			w := make([]int32, nE)
-			for i := range w {
-				w[i] = -1
-			}
-			for e, k := range m {
-				if int(e) < 0 || int(e) >= nE {
-					return nil, fmt.Errorf("sim: fault plan %ss edge %d, graph has %d edges", what, e, nE)
-				}
-				if k < 0 {
-					return nil, fmt.Errorf("sim: fault plan %s trigger %d on edge %d is negative", what, k, e)
-				}
-				w[e] = int32(k)
-			}
-			return w, nil
-		}
-		var err error
-		if fs.cut, err = addWindow(f.CutAfter, "cut"); err != nil {
-			return nil, err
-		}
-		if fs.join, err = addWindow(f.JoinAfter, "join"); err != nil {
-			return nil, err
-		}
-		for e, j := range f.JoinAfter {
-			if c, ok := f.CutAfter[e]; ok && j >= c {
-				return nil, fmt.Errorf("sim: fault plan joins edge %d at send %d but cuts it at %d (the up-window is empty)", e, j, c)
-			}
-		}
-		if len(f.LossSteps) > 0 {
-			fs.lossSteps = make([]compiledLossStep, len(f.LossSteps))
-			prev := -1
-			for i, s := range f.LossSteps {
-				if s.Rate < 0 || s.Rate > 1 {
-					return nil, fmt.Errorf("sim: loss step %d rate %v outside [0, 1]", i, s.Rate)
-				}
-				if s.AfterSend < 0 || s.AfterSend <= prev {
-					return nil, fmt.Errorf("sim: loss step triggers must be non-negative and strictly ascending (step %d at %d, previous %d)", i, s.AfterSend, prev)
-				}
-				prev = s.AfterSend
-				fs.lossSteps[i].after = uint32(s.AfterSend)
-				fs.lossSteps[i].rate = s.Rate
-			}
-		}
-		if fs.crash != nil || fs.cut != nil || fs.join != nil || len(fs.lossSteps) > 0 {
-			fs.churnTracked = true
-			fs.crashFired = make([]bool, nV)
-			fs.joinFired = make([]bool, nE)
-			fs.cutFired = make([]bool, nE)
-			fs.crashAt = make([]int32, nV)
-			for v, k := range f.CrashAfter {
-				fs.crashAt[v] = int32(k)
-			}
+	}
+	if fs.crash != nil || fs.cut != nil || fs.join != nil || len(fs.lossSteps) > 0 {
+		fs.churnTracked = true
+		fs.crashFired = make([]bool, nV)
+		fs.joinFired = make([]bool, nE)
+		fs.cutFired = make([]bool, nE)
+		fs.crashAt = make([]int32, nV)
+		for v, k := range f.CrashAfter {
+			fs.crashAt[v] = int32(k)
 		}
 	}
 	return fs, nil

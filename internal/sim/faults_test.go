@@ -17,7 +17,7 @@ func TestFaultStateDropSemantics(t *testing.T) {
 	g := lineGraph(3)
 	e := g.OutEdgeIDs(g.Root())[0]
 
-	fs, err := NewFaultState(g, &Options{DropFirst: map[graph.EdgeID]int{e: 2}})
+	fs, err := NewFaultState(g, &Options{Faults: &Faults{DropFirst: map[graph.EdgeID]int{e: 2}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,8 +97,8 @@ func TestFaultStateValidation(t *testing.T) {
 		t.Fatalf("empty plan: %v, %v", fs, err)
 	}
 	bad := []Options{
-		{DropFirst: map[graph.EdgeID]int{graph.EdgeID(99): 1}},
-		{DropFirst: map[graph.EdgeID]int{0: -1}},
+		{Faults: &Faults{DropFirst: map[graph.EdgeID]int{graph.EdgeID(99): 1}}},
+		{Faults: &Faults{DropFirst: map[graph.EdgeID]int{0: -1}}},
 		{Faults: &Faults{LossRate: 1.5}},
 		{Faults: &Faults{LossRate: -0.1}},
 		{Faults: &Faults{CrashAfter: map[graph.VertexID]int{99: 0}}},

@@ -222,7 +222,7 @@ type Result struct {
 	// asynchronous engines leave it 0 — time is undefined for them).
 	Rounds int
 	// Dropped counts messages discarded by the run's fault plan
-	// (Options.DropFirst / Options.Faults): sends dropped at the link plus
+	// (Options.Faults): sends dropped at the link plus
 	// deliveries consumed unprocessed by crashed vertices. Always 0 on a
 	// fault-free run.
 	Dropped int
@@ -355,12 +355,6 @@ type Options struct {
 	// steal-on/steal-off schedule-equivalence tests assert it); the switch
 	// exists for those tests and for profiling.
 	NoWorkSteal bool
-	// DropFirst is the legacy fault-injection shorthand, honored by every
-	// engine (sequential, concurrent, synchronous, TCP, sharded):
-	// DropFirst[e] = k silently discards the first k messages sent on edge
-	// e (they are metered as sent, never delivered). It is merged into the
-	// full fault plan; new code should set Faults directly.
-	DropFirst map[graph.EdgeID]int
 	// Faults is the full deterministic fault plan — per-edge first-k drops,
 	// seeded Bernoulli loss, vertex crash-stops — applied by every engine;
 	// see the Faults type. The paper's model has reliable links; faults

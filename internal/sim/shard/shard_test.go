@@ -253,7 +253,7 @@ func TestShardDropFirstSafety(t *testing.T) {
 	// reach the rest of the line.
 	rootEdge := g.OutEdge(g.Root(), 0)
 	r, err := Engine(2).Run(g, core.NewGeneralBroadcast([]byte("m")), sim.Options{
-		DropFirst: map[graph.EdgeID]int{rootEdge.ID: 1},
+		Faults: &sim.Faults{DropFirst: map[graph.EdgeID]int{rootEdge.ID: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)

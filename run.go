@@ -36,13 +36,13 @@ const (
 	// arrives in round k+1) and additionally reports Report.Rounds, the time
 	// complexity the asynchronous model has no counterpart for.
 	EngineSynchronous
-	// EngineTCP runs every vertex as a goroutine with its own localhost TCP
-	// listener and every edge as a real TCP connection; messages travel as
+	// EngineTCP runs the network over localhost TCP: messages travel as
 	// actual wire-encoded bytes. Reported bits include the wire framing.
-	// With WithShards(n >= 2) the tier switches to its sharded io-loop mode:
-	// one worker and one listener per partition shard, cut-edge traffic
-	// muxed over one connection per shard pair — still real sockets, but the
-	// socket count follows the partition instead of the graph.
+	// Vertices are grouped into workers, each with one goroutine and one
+	// listener, and every ordered worker pair with an edge between them
+	// shares one connection. By default every vertex is its own worker;
+	// WithShards(n >= 2) groups them by the shard partition, so the socket
+	// count follows the partition instead of the graph.
 	EngineTCP
 	// EngineSharded partitions the network (seeded multi-way edge-cut), runs
 	// one sequential delivery loop per shard on the worker pool, and merges
@@ -187,8 +187,9 @@ type runConfig struct {
 func WithEngine(e Engine) Option { return func(c *runConfig) { c.engine = e } }
 
 // WithShards sets EngineSharded's shard count (default DefaultShards) and,
-// for EngineTCP, opts into the sharded io-loop mode when n >= 2 (the TCP
-// default remains goroutine-per-vertex). The other engines ignore it.
+// for EngineTCP, the partition that groups vertices into socket workers
+// when n >= 2 (the TCP default is one worker per vertex). The other engines
+// ignore it.
 // Different shard counts are different (all valid) schedules: verdicts and
 // every schedule-independent quantity agree, exact metrics may differ.
 func WithShards(n int) Option { return func(c *runConfig) { c.shards = n } }
