@@ -72,7 +72,7 @@ func TestBroadcastNotTerminatedError(t *testing.T) {
 
 func TestAssignLabelsUnique(t *testing.T) {
 	n := RandomNetwork(25, 30, 9)
-	labels, rep, err := AssignLabels(n, WithOrder(OrderRandom), WithSeed(3))
+	labels, rep, err := AssignLabels(n, WithScheduler("random"), WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,10 @@
 //
 // Engines: seq (deterministic, adversarial scheduler), concurrent
 // (goroutine per vertex), sync (global rounds), tcp (real sockets), shard
-// (partitioned sequential loops with a deterministic merge; -shards N picks
-// the shard count). Schedulers (seq and shard engines): every
+// (partitioned sequential loops with a deterministic merge). -shards N
+// groups vertices into N workers: the shard count of the shard engine
+// (default anonnet.DefaultShards) and the socket partition of the tcp
+// engine (default one worker per vertex). Schedulers (seq and shard engines): every
 // sim.SchedulerNames entry — fifo, lifo, random, rr-vertex, latency,
 // latency-pareto, starve-oldest, greedy.
 //
@@ -34,41 +36,7 @@ import (
 )
 
 func main() {
-	var (
-		topo   = flag.String("topo", "randnet", "topology: line|chain|ring|karytree|randtree|randdag|randnet|layered")
-		n      = flag.Int("n", 16, "internal vertex count (line/chain/ring/randtree/randdag/randnet)")
-		height = flag.Int("height", 3, "tree height (karytree)")
-		degree = flag.Int("d", 2, "tree degree (karytree)")
-		layers = flag.Int("layers", 4, "layer count (layered)")
-		width  = flag.Int("width", 3, "layer width (layered)")
-		extra  = flag.Int("extra", 16, "extra random edges (randdag/randnet)")
-		seed   = flag.Int64("seed", 1, "generator / scheduler seed")
-		msg    = flag.String("msg", "hello, anonymous world", "broadcast payload")
-		proto  = flag.String("proto", "auto", "protocol: auto|tree|tree-naive|dag|general")
-		engine = flag.String("engine", "seq", "engine: "+strings.Join(anonnet.EngineNames(), "|"))
-		shards = flag.Int("shards", anonnet.DefaultShards, "shard count (shard engine)")
-		sched  = flag.String("sched", "fifo", "adversarial scheduler (seq/shard engines): "+strings.Join(anonnet.SchedulerNames(), "|"))
-		dot    = flag.String("dot", "", "write the network in DOT format to this file")
-		file   = flag.String("file", "", "load the network from this file (anonnet v1 text format) instead of generating one")
-		save   = flag.String("save", "", "write the generated network to this file in the text format")
-		record = flag.String("record", "", "write the run's delivery schedule to this trace file (any engine; wild schedules are canonicalized)")
-		replay = flag.String("replay", "", "replay a recorded trace file (seq engine; overrides -topo/-file/-sched/-proto)")
-		graphF = flag.String("graph", "", "scenario registry spec \"family[:param=value,...]\" ("+strings.Join(anonnet.ScenarioFamilies(), "|")+"); overrides -topo")
-		faults = flag.String("faults", "", "fault/churn plan \"drop=EDGE:K,loss=PCT,crash=VERTEX:K,recover=VERTEX:K,cut=EDGE:K,join=EDGE:K,lossat=SEND:PCT,seed=N\" (terms optional; drop/crash/recover/cut/join/lossat repeatable)")
-		chaos  = flag.String("chaos", "", "socket chaos spec \"disconnect=N,loss=PCT,delay=MS,seed=S\" (tcp engine only; every disturbance heals via reconnect/backoff/resend)")
-		obsF   = flag.String("obs", "", "capture run telemetry and write it to this file (\"-\" = stdout); see docs/OBSERVABILITY.md")
-		obsEv  = flag.Int("obs-every", 0, "telemetry sampling stride in deliveries (0 = default)")
-		obsFmt = flag.String("obs-format", "json", "telemetry output format: json|table|prom")
-	)
-	flag.Parse()
-	if err := run(params{
-		topo: *topo, n: *n, height: *height, degree: *degree,
-		layers: *layers, width: *width, extra: *extra, seed: *seed,
-		msg: *msg, proto: *proto, engine: *engine, shards: *shards, sched: *sched,
-		dot: *dot, file: *file, save: *save, record: *record, replay: *replay,
-		graph: *graphF, faults: *faults, chaos: *chaos,
-		obs: *obsF, obsEvery: *obsEv, obsFormat: *obsFmt,
-	}); err != nil {
+	if err := run(parseFlags(os.Args[1:])); err != nil {
 		fmt.Fprintln(os.Stderr, "anoncast:", err)
 		os.Exit(1)
 	}
@@ -86,6 +54,39 @@ type params struct {
 	graph, faults, chaos             string
 	obs, obsFormat                   string
 	obsEvery                         int
+}
+
+// parseFlags reads the command line into params; -h and malformed flags
+// exit the process.
+func parseFlags(args []string) params {
+	var p params
+	fs := flag.NewFlagSet("anoncast", flag.ExitOnError)
+	fs.StringVar(&p.topo, "topo", "randnet", "topology: line|chain|ring|karytree|randtree|randdag|randnet|layered")
+	fs.IntVar(&p.n, "n", 16, "internal vertex count (line/chain/ring/randtree/randdag/randnet)")
+	fs.IntVar(&p.height, "height", 3, "tree height (karytree)")
+	fs.IntVar(&p.degree, "d", 2, "tree degree (karytree)")
+	fs.IntVar(&p.layers, "layers", 4, "layer count (layered)")
+	fs.IntVar(&p.width, "width", 3, "layer width (layered)")
+	fs.IntVar(&p.extra, "extra", 16, "extra random edges (randdag/randnet)")
+	fs.Int64Var(&p.seed, "seed", 1, "generator / scheduler seed")
+	fs.StringVar(&p.msg, "msg", "hello, anonymous world", "broadcast payload")
+	fs.StringVar(&p.proto, "proto", "auto", "protocol: "+strings.Join(anonnet.ProtocolNames(), "|"))
+	fs.StringVar(&p.engine, "engine", "seq", "engine: "+strings.Join(anonnet.EngineNames(), "|"))
+	fs.IntVar(&p.shards, "shards", 0, fmt.Sprintf("worker partition: 0 = engine default (%d shards for shard, one worker per vertex for tcp)", anonnet.DefaultShards))
+	fs.StringVar(&p.sched, "sched", "fifo", "adversarial scheduler (seq/shard engines): "+strings.Join(anonnet.SchedulerNames(), "|"))
+	fs.StringVar(&p.dot, "dot", "", "write the network in DOT format to this file")
+	fs.StringVar(&p.file, "file", "", "load the network from this file (anonnet v1 text format) instead of generating one")
+	fs.StringVar(&p.save, "save", "", "write the generated network to this file in the text format")
+	fs.StringVar(&p.record, "record", "", "write the run's delivery schedule to this trace file (any engine; wild schedules are canonicalized)")
+	fs.StringVar(&p.replay, "replay", "", "replay a recorded trace file (seq engine; overrides -topo/-file/-sched/-proto)")
+	fs.StringVar(&p.graph, "graph", "", "scenario registry spec \"family[:param=value,...]\" ("+strings.Join(anonnet.ScenarioFamilies(), "|")+"); overrides -topo")
+	fs.StringVar(&p.faults, "faults", "", "fault/churn plan \"drop=EDGE:K,loss=PCT,crash=VERTEX:K,recover=VERTEX:K,cut=EDGE:K,join=EDGE:K,lossat=SEND:PCT,seed=N\" (terms optional; drop/crash/recover/cut/join/lossat repeatable)")
+	fs.StringVar(&p.chaos, "chaos", "", "socket chaos spec \"disconnect=N,loss=PCT,delay=MS,seed=S\" (tcp engine only; every disturbance heals via reconnect/backoff/resend)")
+	fs.StringVar(&p.obs, "obs", "", "capture run telemetry and write it to this file (\"-\" = stdout); see docs/OBSERVABILITY.md")
+	fs.IntVar(&p.obsEvery, "obs-every", 0, "telemetry sampling stride in deliveries (0 = default)")
+	fs.StringVar(&p.obsFormat, "obs-format", "json", "telemetry output format: json|table|prom")
+	fs.Parse(args) // ExitOnError: a malformed flag exits
+	return p
 }
 
 func run(p params) error {

@@ -209,7 +209,7 @@ func TestDecodeRecordsRoundTripComplexMap(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := NewMapExtract([]byte("m"))
-	wired, err := sim.Run(g, wireProto{inner: p, t: t}, sim.Options{Order: sim.OrderRandom, Seed: 5})
+	wired, err := sim.Run(g, wireProto{inner: p, t: t}, sim.Options{Scheduler: sim.NewRandomScheduler(), Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

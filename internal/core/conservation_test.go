@@ -84,10 +84,12 @@ func (o *conservationObserver) OnDeliver(step int, e graph.EdgeID, msg protocol.
 
 func TestConservationAtEveryInstantPow2(t *testing.T) {
 	for _, g := range groundedTreeFamilies() {
-		for _, order := range []sim.Order{sim.OrderFIFO, sim.OrderLIFO, sim.OrderRandom} {
+		for _, newSched := range []func() sim.Scheduler{sim.NewFIFOScheduler, sim.NewLIFOScheduler, sim.NewRandomScheduler} {
+			sched := newSched()
+			order := sched.Name()
 			obs := newConservationObserver(g, t.Fatalf)
 			r, err := sim.Run(g, NewTreeBroadcast(nil, RulePow2), sim.Options{
-				Order: order, Seed: 99, Observer: obs,
+				Scheduler: sched, Seed: 99, Observer: obs,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -106,7 +108,7 @@ func TestConservationAtEveryInstantPow2(t *testing.T) {
 func TestConservationAtEveryInstantNaive(t *testing.T) {
 	g := graph.KaryGroundedTree(3, 3)
 	obs := newConservationObserver(g, t.Fatalf)
-	r, err := sim.Run(g, NewTreeBroadcast(nil, RuleNaive), sim.Options{Order: sim.OrderRandom, Seed: 5, Observer: obs})
+	r, err := sim.Run(g, NewTreeBroadcast(nil, RuleNaive), sim.Options{Scheduler: sim.NewRandomScheduler(), Seed: 5, Observer: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +164,7 @@ func TestConservationDAGWithParking(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		g := graph.RandomDAG(30, 25, seed)
 		obs := &dagConservationObserver{g: g, fail: t.Fatalf}
-		r, err := sim.Run(g, NewDAGBroadcast(nil), sim.Options{Order: sim.OrderRandom, Seed: seed, Observer: obs})
+		r, err := sim.Run(g, NewDAGBroadcast(nil), sim.Options{Scheduler: sim.NewRandomScheduler(), Seed: seed, Observer: obs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +184,7 @@ func TestConservationDAGWithParking(t *testing.T) {
 func TestIntervalMeasureConservation(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		g := graph.RandomDigraph(20, seed, graph.RandomDigraphOpts{ExtraEdges: 25, TerminalFrac: 0.25})
-		r, err := sim.Run(g, NewGeneralBroadcast(nil), sim.Options{Order: sim.OrderRandom, Seed: seed})
+		r, err := sim.Run(g, NewGeneralBroadcast(nil), sim.Options{Scheduler: sim.NewRandomScheduler(), Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -75,7 +75,7 @@ func TestDAGCommodityConservationAtCuts(t *testing.T) {
 	// unit that entered, for every DAG: nothing is created or destroyed.
 	for seed := int64(10); seed < 16; seed++ {
 		g := graph.RandomDAG(50, 60, seed)
-		r, err := sim.Run(g, NewDAGBroadcast(nil), sim.Options{Order: sim.OrderRandom, Seed: seed})
+		r, err := sim.Run(g, NewDAGBroadcast(nil), sim.Options{Scheduler: sim.NewRandomScheduler(), Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}

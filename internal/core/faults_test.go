@@ -42,7 +42,7 @@ func TestSafetyUnderMessageLoss(t *testing.T) {
 			drops[graph.EdgeID(rng.Intn(g.NumEdges()))] = rng.Intn(3) + 1
 		}
 		r, err := sim.Run(g, proto, sim.Options{
-			Order: sim.OrderRandom, Seed: seed, Faults: &sim.Faults{DropFirst: drops},
+			Scheduler: sim.NewRandomScheduler(), Seed: seed, Faults: &sim.Faults{DropFirst: drops},
 		})
 		if err != nil {
 			t.Logf("RUN ERROR: %s on %s with drops %v: %v", proto.Name(), g, drops, err)

@@ -72,7 +72,7 @@ func TestGeneralBroadcastTerminationIffCoReachable(t *testing.T) {
 			Orphans:      orphans,
 			TerminalFrac: rng.Float64() * 0.4,
 		})
-		r, err := sim.Run(g, p, sim.Options{Order: sim.OrderRandom, Seed: seed})
+		r, err := sim.Run(g, p, sim.Options{Scheduler: sim.NewRandomScheduler(), Seed: seed})
 		if err != nil {
 			return false
 		}
@@ -93,7 +93,7 @@ func TestGeneralNodeAlphasDisjoint(t *testing.T) {
 	// state-monotonicity.
 	for seed := int64(0); seed < 5; seed++ {
 		g := graph.RandomDigraph(30, seed, graph.RandomDigraphOpts{ExtraEdges: 40, TerminalFrac: 0.2})
-		r, err := sim.Run(g, NewGeneralBroadcast(nil), sim.Options{Order: sim.OrderRandom, Seed: seed})
+		r, err := sim.Run(g, NewGeneralBroadcast(nil), sim.Options{Scheduler: sim.NewRandomScheduler(), Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func TestGeneralEveryEdgeCarriesFirstMessageWithAlpha(t *testing.T) {
 	// at least one message.
 	for seed := int64(0); seed < 5; seed++ {
 		g := graph.RandomDigraph(25, seed, graph.RandomDigraphOpts{ExtraEdges: 25, TerminalFrac: 0.25})
-		r, err := sim.Run(g, NewGeneralBroadcast(nil), sim.Options{Order: sim.OrderLIFO})
+		r, err := sim.Run(g, NewGeneralBroadcast(nil), sim.Options{Scheduler: sim.NewLIFOScheduler()})
 		if err != nil {
 			t.Fatal(err)
 		}

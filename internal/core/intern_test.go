@@ -39,7 +39,7 @@ func TestInternerInjectiveAcrossProtocols(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			col := &msgCollector{}
 			r, err := sim.Run(tc.g, tc.p, sim.Options{
-				Order: sim.OrderRandom, Seed: 5,
+				Scheduler: sim.NewRandomScheduler(), Seed: 5,
 				TrackAlphabet: true, Observer: col,
 			})
 			if err != nil {

@@ -59,7 +59,7 @@ func TestLabelsPairwiseDisjoint(t *testing.T) {
 	p := NewLabelAssign(nil)
 	for seed := int64(0); seed < 8; seed++ {
 		g := graph.RandomDigraph(35, seed, graph.RandomDigraphOpts{ExtraEdges: 45, TerminalFrac: 0.2})
-		r, err := sim.Run(g, p, sim.Options{Order: sim.OrderRandom, Seed: seed * 31})
+		r, err := sim.Run(g, p, sim.Options{Scheduler: sim.NewRandomScheduler(), Seed: seed * 31})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestLabelAssignTerminationIffCoReachable(t *testing.T) {
 			Orphans:      orphans,
 			TerminalFrac: rng.Float64() * 0.4,
 		})
-		r, err := sim.Run(g, p, sim.Options{Order: sim.OrderRandom, Seed: seed})
+		r, err := sim.Run(g, p, sim.Options{Scheduler: sim.NewRandomScheduler(), Seed: seed})
 		if err != nil {
 			return false
 		}

@@ -84,7 +84,7 @@ func TestMapExtractRecoversTopology(t *testing.T) {
 		}
 		// Re-run on the deterministic engine to pair Output with Nodes from
 		// the same execution.
-		rr, err := sim.Run(g, p, sim.Options{Order: sim.OrderRandom, Seed: 7})
+		rr, err := sim.Run(g, p, sim.Options{Scheduler: sim.NewRandomScheduler(), Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func TestMapExtractOnParallelEdges(t *testing.T) {
 	// Parallel edges and multi-port wiring must be reconstructed exactly:
 	// anonymous networks distinguish ports, not neighbours.
 	g := parallelEdgeGraph(t)
-	r, err := sim.Run(g, NewMapExtract(nil), sim.Options{Order: sim.OrderLIFO})
+	r, err := sim.Run(g, NewMapExtract(nil), sim.Options{Scheduler: sim.NewLIFOScheduler()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestEndpointAndRecordKeys(t *testing.T) {
 func TestMapExtractIsomorphicWithoutIdentities(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		g := graph.RandomDigraph(15, seed, graph.RandomDigraphOpts{ExtraEdges: 18, TerminalFrac: 0.3})
-		r, err := sim.Run(g, NewMapExtract(nil), sim.Options{Order: sim.OrderRandom, Seed: seed})
+		r, err := sim.Run(g, NewMapExtract(nil), sim.Options{Scheduler: sim.NewRandomScheduler(), Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,8 +341,10 @@ func TestMapTerminalMatchesClosureOracle(t *testing.T) {
 	}
 	p := oracleMap{NewMapExtract([]byte("m"))}
 	for _, in := range inputs {
-		for _, order := range []sim.Order{sim.OrderFIFO, sim.OrderLIFO, sim.OrderRandom} {
-			r, err := sim.Run(in.g, p, sim.Options{Order: order, Seed: 9, Faults: &in.faults})
+		for _, newSched := range []func() sim.Scheduler{sim.NewFIFOScheduler, sim.NewLIFOScheduler, sim.NewRandomScheduler} {
+			sched := newSched()
+			order := sched.Name()
+			r, err := sim.Run(in.g, p, sim.Options{Scheduler: sched, Seed: 9, Faults: &in.faults})
 			if err != nil {
 				t.Fatalf("%s %s: %v", in.name, order, err)
 			}
@@ -448,7 +450,7 @@ func TestMapTerminalAnyRecordOrder(t *testing.T) {
 		graph.RandomDigraph(15, 2, graph.RandomDigraphOpts{ExtraEdges: 20, TerminalFrac: 0.2}),
 		parallelEdgeGraph(t),
 	} {
-		r, err := sim.Run(g, NewMapExtract(nil), sim.Options{Order: sim.OrderRandom, Seed: 1})
+		r, err := sim.Run(g, NewMapExtract(nil), sim.Options{Scheduler: sim.NewRandomScheduler(), Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

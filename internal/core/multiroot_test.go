@@ -111,7 +111,7 @@ func TestWideRootGeneralAndLabels(t *testing.T) {
 
 func TestWideRootMapping(t *testing.T) {
 	g := wideRootDigraph(t, 3)
-	r, err := sim.Run(g, NewMapExtract(nil), sim.Options{Order: sim.OrderRandom, Seed: 11})
+	r, err := sim.Run(g, NewMapExtract(nil), sim.Options{Scheduler: sim.NewRandomScheduler(), Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,13 +19,13 @@ import (
 func runAllSchedules(t *testing.T, g *graph.G, p protocol.Protocol, opts sim.Options) *sim.Result {
 	t.Helper()
 	var first *sim.Result
-	for _, ord := range []sim.Order{sim.OrderFIFO, sim.OrderLIFO, sim.OrderRandom} {
+	for _, newSched := range []func() sim.Scheduler{sim.NewFIFOScheduler, sim.NewLIFOScheduler, sim.NewRandomScheduler} {
 		o := opts
-		o.Order = ord
+		o.Scheduler = newSched()
 		o.Seed = 1234
 		r, err := sim.Run(g, p, o)
 		if err != nil {
-			t.Fatalf("%s on %s order %s: %v", p.Name(), g, ord, err)
+			t.Fatalf("%s on %s order %s: %v", p.Name(), g, o.Scheduler.Name(), err)
 		}
 		if first == nil {
 			first = r

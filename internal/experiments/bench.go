@@ -317,7 +317,7 @@ func RunBench(quick bool, server ServerBenchFunc) (*BenchReport, error) {
 func benchBroadcast(vertices, repeats int) (*BroadcastBench, error) {
 	g := graph.RandomGroundedTree(vertices, 0.2, 1)
 	proto := core.NewTreeBroadcast(nil, core.RulePow2)
-	opts := sim.Options{Order: sim.OrderRandom, Seed: 7, TrackAlphabet: true}
+	opts := sim.Options{Scheduler: sim.NewRandomScheduler(), Seed: 7, TrackAlphabet: true}
 
 	run := func() (*sim.Result, error) {
 		r, err := sim.Run(g, proto, opts)
@@ -377,7 +377,7 @@ func CaptureObs(quick bool, sampleEvery int) (*obs.Report, error) {
 	g := graph.RandomGroundedTree(vertices, 0.2, 1)
 	proto := core.NewTreeBroadcast(nil, core.RulePow2)
 	rec := obs.NewRecorder(sampleEvery)
-	r, err := sim.Run(g, proto, sim.Options{Order: sim.OrderRandom, Seed: benchSeed, TrackAlphabet: true, Obs: rec})
+	r, err := sim.Run(g, proto, sim.Options{Scheduler: sim.NewRandomScheduler(), Seed: benchSeed, TrackAlphabet: true, Obs: rec})
 	if err != nil {
 		return nil, err
 	}
@@ -432,7 +432,7 @@ func benchShardOn(g *graph.G, proto protocol.Protocol, repeats int) (*ShardBench
 	timeRuns := func(shards int) (wall time.Duration, warm *sim.Result, err error) {
 		eng := shard.Engine(shards)
 		run := func() (*sim.Result, error) {
-			r, err := eng.Run(g, proto, sim.Options{Order: sim.OrderRandom, Seed: benchSeed, TrackAlphabet: true})
+			r, err := eng.Run(g, proto, sim.Options{Scheduler: sim.NewRandomScheduler(), Seed: benchSeed, TrackAlphabet: true})
 			if err != nil {
 				return nil, err
 			}
@@ -564,7 +564,7 @@ func BenchScenario(spec, faultSpec string, repeats int) (*ScenarioBench, error) 
 // warm-up run, then repeats timed runs, mirroring benchBroadcast's protocol.
 func timeScenario(family, spec, faultSpec string, g *graph.G, repeats int) (*ScenarioBench, error) {
 	proto := core.NewGeneralBroadcast(nil)
-	opts := sim.Options{Order: sim.OrderRandom, Seed: 7}
+	opts := sim.Options{Scheduler: sim.NewRandomScheduler(), Seed: 7}
 	var canonical string
 	if faultSpec != "" {
 		faults, plan, err := scenario.CompileSpec(faultSpec, g)
@@ -639,7 +639,7 @@ func benchChurnBroadcast(quick bool, repeats int) (*ChurnBench, error) {
 		return nil, err
 	}
 	proto := core.NewGeneralBroadcast(nil)
-	opts := sim.Options{Order: sim.OrderRandom, Seed: 7, Faults: faults}
+	opts := sim.Options{Scheduler: sim.NewRandomScheduler(), Seed: 7, Faults: faults}
 	run := func() (*sim.Result, error) {
 		r, err := sim.Run(g, proto, opts)
 		if err != nil {

@@ -286,7 +286,7 @@ func E5GeneralBroadcast(sizes []int) (*Table, error) {
 	var xs, ys []float64
 	for _, n := range sizes {
 		g := graph.RandomDigraph(n, int64(n), graph.RandomDigraphOpts{ExtraEdges: 2 * n, TerminalFrac: 0.15})
-		r, err := sim.Run(g, core.NewGeneralBroadcast(nil), seqOpts(sim.Options{Order: sim.OrderRandom, Seed: int64(n)}))
+		r, err := sim.Run(g, core.NewGeneralBroadcast(nil), seqOpts(sim.Options{Scheduler: sim.NewRandomScheduler(), Seed: int64(n)}))
 		if err != nil {
 			return nil, err
 		}
@@ -524,7 +524,7 @@ func E10Mapping(sizes []int) (*Table, error) {
 	}
 	for _, n := range sizes {
 		g := graph.RandomDigraph(n, int64(n*13), graph.RandomDigraphOpts{ExtraEdges: 2 * n, TerminalFrac: 0.2})
-		r, err := sim.Run(g, core.NewMapExtract(nil), seqOpts(sim.Options{Order: sim.OrderRandom, Seed: int64(n)}))
+		r, err := sim.Run(g, core.NewMapExtract(nil), seqOpts(sim.Options{Scheduler: sim.NewRandomScheduler(), Seed: int64(n)}))
 		if err != nil {
 			return nil, err
 		}

@@ -89,10 +89,9 @@ func (k Key) Digest() string {
 var servableEngines = []string{"seq", "sync", "shard"}
 
 // KeyOf validates req and derives its cache key, resolving the network on
-// the way (the resolved network is returned so callers can reuse it). Every
-// rejection is a typed *Error carrying the HTTP status and error code the
-// API maps it to.
-func KeyOf(req *anonnet.Request, limits Limits) (Key, *anonnet.Network, *Error) {
+// the way. Every rejection is a typed *Error carrying the HTTP status and
+// error code the API maps it to.
+func KeyOf(req *anonnet.Request, limits Limits) (Key, *Error) {
 	k := Key{
 		Op:        req.Op,
 		Message:   req.Message,
@@ -113,10 +112,10 @@ func KeyOf(req *anonnet.Request, limits Limits) (Key, *anonnet.Network, *Error) 
 		k.Op = "broadcast"
 	}
 	if !slices.Contains(anonnet.Ops(), k.Op) {
-		return Key{}, nil, Errf(CodeBadOp, "unknown op %q (have %s)", req.Op, strings.Join(anonnet.Ops(), "|"))
+		return Key{}, Errf(CodeBadOp, "unknown op %q (have %s)", req.Op, strings.Join(anonnet.Ops(), "|"))
 	}
 	if _, err := anonnet.ProtocolByName(req.Protocol); err != nil {
-		return Key{}, nil, Errf(CodeUnknownProtocol, "%v", err)
+		return Key{}, Errf(CodeUnknownProtocol, "%v", err)
 	}
 	if k.Protocol == "" {
 		k.Protocol = "auto"
@@ -125,10 +124,10 @@ func KeyOf(req *anonnet.Request, limits Limits) (Key, *anonnet.Network, *Error) 
 		k.Engine = "seq"
 	}
 	if _, err := anonnet.EngineByName(k.Engine); err != nil {
-		return Key{}, nil, Errf(CodeUnknownEngine, "%v", err)
+		return Key{}, Errf(CodeUnknownEngine, "%v", err)
 	}
 	if !slices.Contains(servableEngines, k.Engine) {
-		return Key{}, nil, Errf(CodeEngineNotServable,
+		return Key{}, Errf(CodeEngineNotServable,
 			"engine %q is nondeterministic and not servable (have %s)", k.Engine, strings.Join(servableEngines, "|"))
 	}
 	// Socket chaos only exists on the tcp engine, which is refused above; a
@@ -137,14 +136,14 @@ func KeyOf(req *anonnet.Request, limits Limits) (Key, *anonnet.Network, *Error) 
 	// representation: no admitted request ever carries one. Fault plans are
 	// the servable alternative — they perturb the protocol deterministically.
 	if req.Chaos != "" {
-		return Key{}, nil, Errf(CodeChaosNotServable,
+		return Key{}, Errf(CodeChaosNotServable,
 			"socket chaos %q requires the tcp engine, which is not servable; use the faults field for deterministic churn", req.Chaos)
 	}
 	if k.Scheduler == "" {
 		k.Scheduler = "fifo"
 	}
 	if !slices.Contains(anonnet.SchedulerNames(), k.Scheduler) {
-		return Key{}, nil, Errf(CodeUnknownScheduler,
+		return Key{}, Errf(CodeUnknownScheduler,
 			"unknown scheduler %q (have %s)", req.Scheduler, strings.Join(anonnet.SchedulerNames(), "|"))
 	}
 	if k.Engine == "shard" {
@@ -152,7 +151,7 @@ func KeyOf(req *anonnet.Request, limits Limits) (Key, *anonnet.Network, *Error) 
 			k.Shards = anonnet.DefaultShards
 		}
 		if k.Shards < 0 {
-			return Key{}, nil, Errf(CodeBadRequest, "negative shard count %d", req.Shards)
+			return Key{}, Errf(CodeBadRequest, "negative shard count %d", req.Shards)
 		}
 	} else {
 		k.Shards = 0 // the other engines ignore the field
@@ -166,7 +165,7 @@ func KeyOf(req *anonnet.Request, limits Limits) (Key, *anonnet.Network, *Error) 
 
 	net, apiErr := resolveNetwork(req, limits)
 	if apiErr != nil {
-		return Key{}, nil, apiErr
+		return Key{}, apiErr
 	}
 	k.GraphFP = net.Fingerprint()
 	h := fnv.New64a()
@@ -176,14 +175,14 @@ func KeyOf(req *anonnet.Request, limits Limits) (Key, *anonnet.Network, *Error) 
 	if req.Faults != "" {
 		plan, err := scenario.ParseFaults(req.Faults)
 		if err != nil {
-			return Key{}, nil, Errf(CodeBadFaults, "%v", err)
+			return Key{}, Errf(CodeBadFaults, "%v", err)
 		}
 		if err := net.CheckFaults(req.Faults); err != nil {
-			return Key{}, nil, Errf(CodeBadFaults, "%v", err)
+			return Key{}, Errf(CodeBadFaults, "%v", err)
 		}
 		k.Faults = plan.Canonical()
 	}
-	return k, net, nil
+	return k, nil
 }
 
 // resolveNetwork builds the request's network and enforces the size limit.

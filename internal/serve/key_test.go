@@ -25,7 +25,7 @@ func baseRequest() anonnet.Request {
 
 func mustKey(t *testing.T, req anonnet.Request) Key {
 	t.Helper()
-	k, _, err := KeyOf(&req, Limits{})
+	k, err := KeyOf(&req, Limits{})
 	if err != nil {
 		t.Fatalf("KeyOf(%+v): %v", req, err)
 	}
@@ -85,7 +85,7 @@ func TestKeyCompleteness(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				req := baseRequest()
 				rej.mut(&req)
-				_, _, err := KeyOf(&req, Limits{})
+				_, err := KeyOf(&req, Limits{})
 				if err == nil {
 					t.Fatalf("KeyOf admitted a request with %s set — the field is neither keyed nor rejected", name)
 				}
@@ -235,7 +235,7 @@ func TestKeyRejections(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			req := baseRequest()
 			tc.mut(&req)
-			_, _, err := KeyOf(&req, Limits{})
+			_, err := KeyOf(&req, Limits{})
 			if err == nil {
 				t.Fatalf("KeyOf accepted %+v", req)
 			}
@@ -246,7 +246,7 @@ func TestKeyRejections(t *testing.T) {
 	}
 	// The vertex bound comes from Limits, not the request.
 	req := baseRequest()
-	_, _, err := KeyOf(&req, Limits{MaxVertices: 4})
+	_, err := KeyOf(&req, Limits{MaxVertices: 4})
 	if err == nil || err.Code != CodeNetworkTooLarge {
 		t.Fatalf("oversized network: err = %v, want %s", err, CodeNetworkTooLarge)
 	}

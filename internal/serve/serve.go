@@ -171,7 +171,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	key, _, apiErr := KeyOf(&req, Limits{MaxVertices: s.cfg.MaxVertices})
+	key, apiErr := KeyOf(&req, Limits{MaxVertices: s.cfg.MaxVertices})
 	if apiErr != nil {
 		writeErr(w, apiErr)
 		return

@@ -47,8 +47,12 @@ func runSeedReference(g *graph.G, p protocol.Protocol, opts Options) (*Result, e
 		}
 	}
 
+	order := "fifo"
+	if opts.Scheduler != nil {
+		order = opts.Scheduler.Name()
+	}
 	var rng *rand.Rand
-	if opts.Order == OrderRandom {
+	if order == "random" {
 		rng = rand.New(rand.NewSource(opts.Seed))
 	}
 	maxSteps := opts.MaxSteps
@@ -76,10 +80,10 @@ func runSeedReference(g *graph.G, p protocol.Protocol, opts Options) (*Result, e
 		res.Steps++
 
 		var idx int
-		switch opts.Order {
-		case OrderLIFO:
+		switch order {
+		case "lifo":
 			idx = len(pending) - 1
-		case OrderRandom:
+		case "random":
 			idx = rng.Intn(len(pending))
 		default:
 			idx = 0
@@ -144,7 +148,7 @@ func BenchmarkPendingEdge100k(b *testing.B) {
 	b.Logf("graph: |V|=%d |E|=%d", g.NumVertices(), g.NumEdges())
 	b.Run("seed-fifo", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			r, err := runSeedReference(g, floodProto{need: need}, Options{Order: OrderFIFO})
+			r, err := runSeedReference(g, floodProto{need: need}, Options{Scheduler: NewFIFOScheduler()})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -155,7 +159,7 @@ func BenchmarkPendingEdge100k(b *testing.B) {
 	})
 	b.Run("indexed-fifo", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			r, err := Run(g, floodProto{need: need}, Options{Order: OrderFIFO})
+			r, err := Run(g, floodProto{need: need}, Options{Scheduler: NewFIFOScheduler()})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -166,7 +170,7 @@ func BenchmarkPendingEdge100k(b *testing.B) {
 	})
 	b.Run("seed-lifo", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			r, err := runSeedReference(g, floodProto{need: need}, Options{Order: OrderLIFO})
+			r, err := runSeedReference(g, floodProto{need: need}, Options{Scheduler: NewLIFOScheduler()})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -177,7 +181,7 @@ func BenchmarkPendingEdge100k(b *testing.B) {
 	})
 	b.Run("indexed-lifo", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			r, err := Run(g, floodProto{need: need}, Options{Order: OrderLIFO})
+			r, err := Run(g, floodProto{need: need}, Options{Scheduler: NewLIFOScheduler()})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -188,14 +192,14 @@ func BenchmarkPendingEdge100k(b *testing.B) {
 	})
 	b.Run("seed-random", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := runSeedReference(g, floodProto{need: need}, Options{Order: OrderRandom, Seed: 7}); err != nil {
+			if _, err := runSeedReference(g, floodProto{need: need}, Options{Scheduler: NewRandomScheduler(), Seed: 7}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("indexed-random", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := Run(g, floodProto{need: need}, Options{Order: OrderRandom, Seed: 7}); err != nil {
+			if _, err := Run(g, floodProto{need: need}, Options{Scheduler: NewRandomScheduler(), Seed: 7}); err != nil {
 				b.Fatal(err)
 			}
 		}

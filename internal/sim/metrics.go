@@ -274,52 +274,15 @@ func (r *Result) AllVisited() bool {
 	return true
 }
 
-// Order selects one of the built-in adversarial delivery orders of the
-// event-driven engine. It predates the Scheduler interface and remains the
-// zero-value default; new code should set Options.Scheduler (or use
-// NewScheduler) directly, which also unlocks the adversaries that have no
-// Order constant.
-type Order int
-
-// Delivery orders. All preserve per-edge FIFO.
-const (
-	// OrderFIFO delivers messages in global send order.
-	OrderFIFO Order = iota
-	// OrderLIFO prefers the most recently activated edge.
-	OrderLIFO
-	// OrderRandom picks a uniformly random pending edge (seeded).
-	OrderRandom
-)
-
-// String returns the order name.
-func (o Order) String() string {
-	switch o {
-	case OrderFIFO:
-		return "fifo"
-	case OrderLIFO:
-		return "lifo"
-	case OrderRandom:
-		return "random"
-	default:
-		return "unknown"
-	}
-}
-
 // Options configures a run. The zero value is a sensible default: FIFO
 // order, a generous step limit, no alphabet tracking.
 type Options struct {
 	// Scheduler is the adversarial delivery order of the sequential engine
-	// (see the Scheduler interface). When nil, the legacy Order field picks
-	// one of the built-in adversaries. The other engines ignore it: the
+	// (see the Scheduler interface); nil selects the fifo adversary, global
+	// send order. The other engines ignore it: the
 	// concurrent and TCP engines draw their schedule from the Go scheduler
 	// and the network, the synchronous engine is itself one fixed schedule.
 	Scheduler Scheduler
-	// Order is the legacy adversary selector, used only when Scheduler is
-	// nil; the zero value still selects the fifo adversary. Note the
-	// indexed fifo delivers in true global send order, whereas the seed
-	// engine drained the oldest pending edge fully — same adversary
-	// family, different exact trace.
-	Order Order
 	// Seed drives the seeded schedulers (random, latency, ...).
 	Seed int64
 	// MaxSteps aborts runaway executions; 0 means the default limit.

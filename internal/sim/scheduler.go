@@ -91,24 +91,6 @@ var schedulerFactories = map[string]func() Scheduler{
 	"greedy":         func() Scheduler { return NewGreedyScheduler() },
 }
 
-// schedulerForOrder maps the legacy Order enum onto the scheduler of the
-// same adversary family. The exact delivery traces differ from the seed
-// engine — fifo is now true global send order where the seed drained the
-// oldest edge fully, and random consumes the RNG differently — so
-// schedule-dependent metrics on cyclic graphs can shift; verdicts and every
-// other schedule-independent quantity are unaffected (the conformance suite
-// asserts this).
-func schedulerForOrder(o Order) Scheduler {
-	switch o {
-	case OrderLIFO:
-		return NewLIFOScheduler()
-	case OrderRandom:
-		return NewRandomScheduler()
-	default:
-		return NewFIFOScheduler()
-	}
-}
-
 // --- forced-choice batch capabilities ---------------------------------------
 
 // BatchCaps describes how a delivery loop may batch *forced* choices for a

@@ -189,17 +189,20 @@ func TestNewSchedulerUnknown(t *testing.T) {
 	}
 }
 
-// TestLegacyOrderStillWorks pins the Order-based compatibility path.
-func TestLegacyOrderStillWorks(t *testing.T) {
-	g := graph.Chain(5)
-	for _, ord := range []Order{OrderFIFO, OrderLIFO, OrderRandom} {
-		r, err := Run(g, floodProto{need: g.InDegree(g.Terminal())}, Options{Order: ord, Seed: 11})
-		if err != nil {
-			t.Fatalf("order %s: %v", ord, err)
-		}
-		if r.Verdict != Terminated {
-			t.Fatalf("order %s: verdict %s", ord, r.Verdict)
-		}
+// TestNilSchedulerIsFIFO pins the zero-value default: a run without a
+// scheduler delivers exactly the fifo adversary's schedule.
+func TestNilSchedulerIsFIFO(t *testing.T) {
+	g := graph.RandomDigraph(12, 11, graph.RandomDigraphOpts{ExtraEdges: 10})
+	var def, fifo scheduleLog
+	p := echoProto{ttl: 7, need: 2}
+	if _, err := Run(g, p, Options{Observer: &def}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(g, p, Options{Scheduler: NewFIFOScheduler(), Observer: &fifo}); err != nil {
+		t.Fatal(err)
+	}
+	if len(def.edges) == 0 || !def.equal(&fifo) {
+		t.Fatalf("nil scheduler delivered %v, fifo %v", def.edges, fifo.edges)
 	}
 }
 

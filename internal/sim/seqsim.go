@@ -12,7 +12,7 @@ import (
 // Run executes p on g under the event-driven engine and returns the result.
 //
 // Asynchrony model: every sent message becomes an in-flight event on its
-// edge; an adversary (Options.Scheduler, or the legacy Options.Order)
+// edge; an adversary (Options.Scheduler, fifo when nil)
 // repeatedly picks a pending edge and delivers the oldest message on it
 // (links are FIFO). The run ends when the terminal's stopping predicate
 // holds (Terminated) or no events remain (Quiescent).
@@ -49,7 +49,7 @@ func Run(g *graph.G, p protocol.Protocol, opts Options) (*Result, error) {
 
 	sched := opts.Scheduler
 	if sched == nil {
-		sched = schedulerForOrder(opts.Order)
+		sched = NewFIFOScheduler()
 	}
 
 	// Telemetry: one track (this engine is the one-shard schedule), hooked

@@ -205,7 +205,7 @@ func run(g *graph.G, p protocol.Protocol, opts sim.Options, shards int,
 
 	// The scheduler option names the adversary family; every shard gets its
 	// own instance so the per-shard loops can run concurrently.
-	schedName := sim.Order(opts.Order).String()
+	schedName := "fifo"
 	if opts.Scheduler != nil {
 		schedName = opts.Scheduler.Name()
 	}

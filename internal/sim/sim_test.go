@@ -124,8 +124,10 @@ func TestQuiescenceWhenTerminalUnsatisfied(t *testing.T) {
 
 func TestDeliveryOrders(t *testing.T) {
 	g := graph.Chain(6)
-	for _, ord := range []Order{OrderFIFO, OrderLIFO, OrderRandom} {
-		r, err := Run(g, floodProto{need: 6}, Options{Order: ord, Seed: 42})
+	for _, newSched := range []func() Scheduler{NewFIFOScheduler, NewLIFOScheduler, NewRandomScheduler} {
+		sched := newSched()
+		ord := sched.Name()
+		r, err := Run(g, floodProto{need: 6}, Options{Scheduler: sched, Seed: 42})
 		if err != nil {
 			t.Fatalf("order %s: %v", ord, err)
 		}
@@ -195,7 +197,7 @@ func TestVisitedTracking(t *testing.T) {
 	// Terminal requires only 1 message: on Chain(3) with FIFO order the run
 	// stops before deep vertices are reached.
 	g := graph.Chain(3)
-	r, err := Run(g, floodProto{need: 1}, Options{Order: OrderFIFO})
+	r, err := Run(g, floodProto{need: 1}, Options{Scheduler: NewFIFOScheduler()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package anonnet
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -26,7 +27,7 @@ type Engine int
 const (
 	// EngineSequential is the deterministic event-driven simulator with an
 	// adversarial delivery order (default). It honors the scheduler options
-	// (WithScheduler / WithOrder / WithSeed), as does EngineSharded — one
+	// (WithScheduler / WithSeed), as does EngineSharded — one
 	// scheduler instance per shard; the other engines ignore them.
 	EngineSequential Engine = iota
 	// EngineConcurrent runs one goroutine per vertex; interleaving comes
@@ -58,60 +59,34 @@ const (
 // reproducible across machines; tune it per host with WithShards.
 const DefaultShards = 4
 
+// engineNames holds each engine's CLI name, indexed by Engine;
+// engineAliases the long spellings EngineByName accepts as well.
+var (
+	engineNames   = [...]string{"seq", "concurrent", "sync", "tcp", "shard"}
+	engineAliases = map[string]Engine{"sequential": EngineSequential, "synchronous": EngineSynchronous, "sharded": EngineSharded}
+)
+
 // String returns the engine's CLI name.
 func (e Engine) String() string {
-	switch e {
-	case EngineSequential:
-		return "seq"
-	case EngineConcurrent:
-		return "concurrent"
-	case EngineSynchronous:
-		return "sync"
-	case EngineTCP:
-		return "tcp"
-	case EngineSharded:
-		return "shard"
-	default:
-		return fmt.Sprintf("engine(%d)", int(e))
+	if e >= 0 && int(e) < len(engineNames) {
+		return engineNames[e]
 	}
+	return fmt.Sprintf("engine(%d)", int(e))
 }
 
 // EngineByName parses a CLI engine name (seq|concurrent|sync|tcp|shard).
 func EngineByName(name string) (Engine, error) {
-	switch name {
-	case "seq", "sequential":
-		return EngineSequential, nil
-	case "concurrent":
-		return EngineConcurrent, nil
-	case "sync", "synchronous":
-		return EngineSynchronous, nil
-	case "tcp":
-		return EngineTCP, nil
-	case "shard", "sharded":
-		return EngineSharded, nil
-	default:
-		return 0, fmt.Errorf("anonnet: unknown engine %q (have seq|concurrent|sync|tcp|shard)", name)
+	if i := slices.Index(engineNames[:], name); i >= 0 {
+		return Engine(i), nil
 	}
+	if e, ok := engineAliases[name]; ok {
+		return e, nil
+	}
+	return 0, fmt.Errorf("anonnet: unknown engine %q (have %s)", name, strings.Join(engineNames[:], "|"))
 }
 
 // EngineNames lists the selectable engines in CLI spelling.
-func EngineNames() []string { return []string{"seq", "concurrent", "sync", "tcp", "shard"} }
-
-// Order selects one of the three classic adversarial delivery orders of the
-// sequential engine. WithScheduler supersedes it and exposes the full
-// adversary catalog; Order remains for compatibility and as the zero-value
-// default.
-type Order int
-
-// Delivery orders (sequential engine only). All preserve per-edge FIFO.
-const (
-	// OrderFIFO delivers in global send order.
-	OrderFIFO Order = iota
-	// OrderLIFO prefers the most recently activated edge.
-	OrderLIFO
-	// OrderRandom picks a uniformly random pending edge (seeded).
-	OrderRandom
-)
+func EngineNames() []string { return slices.Clone(engineNames[:]) }
 
 // SchedulerNames lists every adversarial scheduler of the sequential engine,
 // sorted; each name is accepted by WithScheduler and by the -sched flags of
@@ -135,56 +110,51 @@ const (
 	ProtoGeneral
 )
 
+// protocolNames holds each protocol's CLI name, indexed by ProtocolKind.
+var protocolNames = [...]string{"auto", "tree", "tree-naive", "dag", "general"}
+
+// String returns the protocol's CLI name.
+func (k ProtocolKind) String() string {
+	if k >= 0 && int(k) < len(protocolNames) {
+		return protocolNames[k]
+	}
+	return fmt.Sprintf("protocol(%d)", int(k))
+}
+
 // ProtocolNames lists the selectable protocols in CLI spelling; each name is
 // accepted by ProtocolByName, the -proto flags of cmd/anoncast, and the
 // "protocol" field of the run-server request (internal/serve).
-func ProtocolNames() []string { return []string{"auto", "tree", "tree-naive", "dag", "general"} }
+func ProtocolNames() []string { return slices.Clone(protocolNames[:]) }
 
 // ProtocolByName parses a CLI protocol name (auto|tree|tree-naive|dag|general).
 // The empty string selects the automatic choice.
 func ProtocolByName(name string) (ProtocolKind, error) {
-	switch name {
-	case "", "auto":
+	if name == "" {
 		return ProtoAuto, nil
-	case "tree":
-		return ProtoTreePow2, nil
-	case "tree-naive":
-		return ProtoTreeNaive, nil
-	case "dag":
-		return ProtoDAG, nil
-	case "general":
-		return ProtoGeneral, nil
-	default:
-		return 0, fmt.Errorf("anonnet: unknown protocol %q (have %s)", name, strings.Join(ProtocolNames(), "|"))
 	}
+	if i := slices.Index(protocolNames[:], name); i >= 0 {
+		return ProtocolKind(i), nil
+	}
+	return 0, fmt.Errorf("anonnet: unknown protocol %q (have %s)", name, strings.Join(protocolNames[:], "|"))
 }
 
-// Option configures a protocol run.
+// Option configures a protocol run. Every option sets a Request field,
+// except WithRecordTrace, WithReplayTrace and WithScheduleFuzz: they carry
+// in-process concerns the wire format cannot.
 type Option func(*runConfig)
 
+// runConfig is the one configuration of a run: the Request plus the four
+// in-process fields of the record, replay and fuzz options.
 type runConfig struct {
-	engine   Engine
-	shards   int
-	order    Order
-	sched    string
-	seed     int64
-	maxSteps int
-	kind     ProtocolKind
-	alphabet bool
+	Request
 	record   **TraceData
 	replayTr *TraceData
 	fuzzN    int
 	fuzzDst  **FuzzReport
-	scenario string
-	faults   string
-	chaos    string
-	noBatch  bool
-	obsOn    bool
-	obsEvery int
 }
 
 // WithEngine selects the execution engine.
-func WithEngine(e Engine) Option { return func(c *runConfig) { c.engine = e } }
+func WithEngine(e Engine) Option { return func(c *runConfig) { c.Engine = e.String() } }
 
 // WithShards sets EngineSharded's shard count (default DefaultShards) and,
 // for EngineTCP, the partition that groups vertices into socket workers
@@ -192,27 +162,23 @@ func WithEngine(e Engine) Option { return func(c *runConfig) { c.engine = e } }
 // ignore it.
 // Different shard counts are different (all valid) schedules: verdicts and
 // every schedule-independent quantity agree, exact metrics may differ.
-func WithShards(n int) Option { return func(c *runConfig) { c.shards = n } }
-
-// WithOrder selects one of the classic adversarial delivery orders
-// (sequential engine). WithScheduler gives access to the full catalog.
-func WithOrder(o Order) Option { return func(c *runConfig) { c.order = o } }
+func WithShards(n int) Option { return func(c *runConfig) { c.Shards = n } }
 
 // WithScheduler selects the sequential engine's adversarial scheduler by
-// name; SchedulerNames lists the valid names. It overrides WithOrder.
-func WithScheduler(name string) Option { return func(c *runConfig) { c.sched = name } }
+// name (default fifo); SchedulerNames lists the valid names.
+func WithScheduler(name string) Option { return func(c *runConfig) { c.Scheduler = name } }
 
 // WithSeed seeds the randomized schedulers (random, latency, ...).
-func WithSeed(seed int64) Option { return func(c *runConfig) { c.seed = seed } }
+func WithSeed(seed int64) Option { return func(c *runConfig) { c.Seed = seed } }
 
 // WithMaxSteps bounds the number of delivery steps (0 = default).
-func WithMaxSteps(n int) Option { return func(c *runConfig) { c.maxSteps = n } }
+func WithMaxSteps(n int) Option { return func(c *runConfig) { c.MaxSteps = n } }
 
 // WithProtocol forces a specific broadcast protocol.
-func WithProtocol(k ProtocolKind) Option { return func(c *runConfig) { c.kind = k } }
+func WithProtocol(k ProtocolKind) Option { return func(c *runConfig) { c.Protocol = k.String() } }
 
 // WithAlphabetTracking enables Report.AlphabetSize.
-func WithAlphabetTracking() Option { return func(c *runConfig) { c.alphabet = true } }
+func WithAlphabetTracking() Option { return func(c *runConfig) { c.Alphabet = true } }
 
 // WithRecordTrace pins the run's schedule: after a successful run, *dst
 // holds a self-contained trace — graph, protocol, scheduler, seed and the
@@ -250,7 +216,7 @@ func WithReplayTrace(t *TraceData) Option { return func(c *runConfig) { c.replay
 // when this option is set — a non-nil Network alongside it is an error.
 // A fault spec may ride along after '@' ("torus:w=4@loss=10,seed=3"),
 // equivalent to WithFaults.
-func WithScenario(spec string) Option { return func(c *runConfig) { c.scenario = spec } }
+func WithScenario(spec string) Option { return func(c *runConfig) { c.Scenario = spec } }
 
 // WithObservability enables run telemetry: Report.Timeline carries a
 // deterministic logical-clock timeline (sampled every sampleEvery deliveries;
@@ -262,7 +228,7 @@ func WithScenario(spec string) Option { return func(c *runConfig) { c.scenario =
 // nondeterministic schedule. When this option is absent the engines' telemetry
 // hooks are no-ops and the steady-state delivery path allocates nothing.
 func WithObservability(sampleEvery int) Option {
-	return func(c *runConfig) { c.obsOn = true; c.obsEvery = sampleEvery }
+	return func(c *runConfig) { c.Timeline, c.TimelineEvery = true, sampleEvery }
 }
 
 // WithNoBatchDrain disables forced-choice batch draining in the sequential
@@ -270,7 +236,7 @@ func WithObservability(sampleEvery int) Option {
 // identical with and without batching (internal/sim/batch_test.go proves the
 // equivalence); the switch exists for those tests, for profiling the
 // optimization in isolation, and as a request field of the run server.
-func WithNoBatchDrain() Option { return func(c *runConfig) { c.noBatch = true } }
+func WithNoBatchDrain() Option { return func(c *runConfig) { c.NoBatchDrain = true } }
 
 // WithFaults injects a deterministic fault plan, compiled against the run's
 // network: "drop=EDGE:K,loss=PCT,crash=VERTEX:K,seed=N" (terms optional and
@@ -279,7 +245,7 @@ func WithNoBatchDrain() Option { return func(c *runConfig) { c.noBatch = true } 
 // processing them. Report.Dropped counts the plan's effect. The fate of the
 // k-th message on an edge is fixed by the plan alone, so fault runs compose
 // with trace record/replay and the schedule fuzzer.
-func WithFaults(spec string) Option { return func(c *runConfig) { c.faults = spec } }
+func WithFaults(spec string) Option { return func(c *runConfig) { c.Faults = spec } }
 
 // WithChaos arms the TCP engine's deterministic socket-chaos mode:
 // "disconnect=N,loss=PCT,delay=MS,seed=S" (see internal/netrun.ParseChaos)
@@ -289,7 +255,7 @@ func WithFaults(spec string) Option { return func(c *runConfig) { c.faults = spe
 // resend of unacknowledged frames, so verdicts and visited sets match the
 // chaos-free run. Only EngineTCP accepts it; every other engine rejects the
 // option (there is no socket to disturb).
-func WithChaos(spec string) Option { return func(c *runConfig) { c.chaos = spec } }
+func WithChaos(spec string) Option { return func(c *runConfig) { c.Chaos = spec } }
 
 // ScenarioFamilies lists the scenario registry's family names, sorted.
 func ScenarioFamilies() []string { return scenario.Names() }
@@ -312,18 +278,24 @@ func splitScenarioSpec(spec string) (graphSpec, faultSpec string) {
 	return graphSpec, faultSpec
 }
 
-// resolveNetwork applies WithScenario: it builds the scenario network, or
-// passes the explicit one through, rejecting ambiguous calls that give both.
-func (c runConfig) resolveNetwork(n *Network) (*Network, error) {
-	graphSpec, _ := splitScenarioSpec(c.scenario)
-	if graphSpec == "" {
-		if n == nil {
-			return nil, fmt.Errorf("anonnet: nil network (pass one, or select a generated family via WithScenario)")
+// resolveNetwork picks the run's network: the explicit one, the request's
+// embedded network text, or the scenario network, rejecting ambiguous
+// calls that give a scenario alongside one of the others.
+func (c *runConfig) resolveNetwork(n *Network) (*Network, error) {
+	if c.Network != "" {
+		var err error
+		if n, err = ParseNetwork(strings.NewReader(c.Network)); err != nil {
+			return nil, err
 		}
-		return n, nil
 	}
-	if n != nil {
-		return nil, fmt.Errorf("anonnet: WithScenario(%q) conflicts with an explicitly passed network", c.scenario)
+	graphSpec, _ := splitScenarioSpec(c.Scenario)
+	switch {
+	case graphSpec == "" && n == nil:
+		return nil, fmt.Errorf("anonnet: nil network (pass one, or select a generated family via WithScenario)")
+	case graphSpec == "":
+		return n, nil
+	case n != nil:
+		return nil, fmt.Errorf("anonnet: WithScenario(%q) conflicts with an explicitly passed network", c.Scenario)
 	}
 	return ScenarioNetwork(graphSpec)
 }
@@ -332,12 +304,12 @@ func (c runConfig) resolveNetwork(n *Network) (*Network, error) {
 // '@'-suffix of WithScenario) against the resolved graph. The second return
 // is the plan's canonical spec — the form recorded traces carry in their
 // header — or "" when no plan is configured.
-func (c runConfig) faultOptions(g *graph.G) (*sim.Faults, string, error) {
-	_, fromScenario := splitScenarioSpec(c.scenario)
-	spec := c.faults
+func (c *runConfig) faultOptions(g *graph.G) (*sim.Faults, string, error) {
+	_, fromScenario := splitScenarioSpec(c.Scenario)
+	spec := c.Faults
 	if fromScenario != "" {
 		if spec != "" {
-			return nil, "", fmt.Errorf("anonnet: fault plans given both via WithFaults(%q) and WithScenario(%q)", c.faults, c.scenario)
+			return nil, "", fmt.Errorf("anonnet: fault plans given both via WithFaults(%q) and WithScenario(%q)", c.Faults, c.Scenario)
 		}
 		spec = fromScenario
 	}
@@ -473,23 +445,11 @@ type Report struct {
 	Timeline *Timeline
 }
 
-// ChurnEvent is one fired dynamic-network event of a run's fault plan.
-type ChurnEvent struct {
-	// Kind is "crash", "recover", "cut", "join" or "loss".
-	Kind string
-	// Vertex is the affected vertex for crash/recover events, else -1.
-	Vertex int
-	// Edge is the affected edge for cut/join events, else -1.
-	Edge int
-	// At is the plan trigger index: a per-vertex delivery count for vertex
-	// events, a per-edge send index for edge events and loss steps.
-	At int
-	// Clock is the global delivery clock when the event became observable.
-	Clock int64
-	// Restabilize is the event's deliveries-to-quiescence: how many
-	// deliveries the run still performed after the change.
-	Restabilize int64
-}
+// ChurnEvent is one fired dynamic-network event of a run's fault plan: its
+// kind ("crash", "recover", "cut", "join" or "loss"), the affected vertex or
+// edge (-1 when not applicable), the plan trigger index, the global delivery
+// clock when it became observable, and its deliveries-to-quiescence.
+type ChurnEvent = obs.ChurnRow
 
 // Timeline is the telemetry of one observed run (WithObservability). It has
 // two strictly separated planes: the deterministic timeline — logical-clock
@@ -515,24 +475,15 @@ func (t *Timeline) Table() string { return t.report.Table() }
 // Prometheus renders the telemetry in the Prometheus text exposition format.
 func (t *Timeline) Prometheus() string { return t.report.Prometheus() }
 
-func buildConfig(opts []Option) runConfig {
-	var c runConfig
-	for _, o := range opts {
-		o(&c)
-	}
-	return c
-}
-
-func (c runConfig) simOptions() (sim.Options, error) {
+func (c *runConfig) simOptions() (sim.Options, error) {
 	opts := sim.Options{
-		Order:         sim.Order(c.order),
-		Seed:          c.seed,
-		MaxSteps:      c.maxSteps,
-		TrackAlphabet: c.alphabet,
-		NoBatchDrain:  c.noBatch,
+		Seed:          c.Seed,
+		MaxSteps:      c.MaxSteps,
+		TrackAlphabet: c.Alphabet,
+		NoBatchDrain:  c.NoBatchDrain,
 	}
-	if c.sched != "" {
-		sched, err := sim.NewScheduler(c.sched)
+	if c.Scheduler != "" {
+		sched, err := sim.NewScheduler(c.Scheduler)
 		if err != nil {
 			return opts, err
 		}
@@ -544,36 +495,86 @@ func (c runConfig) simOptions() (sim.Options, error) {
 // engineImpl resolves the selected engine to its implementation. Every tier
 // — the three in-memory engines and TCP — is reached through the same
 // sim.Engine interface.
-func (c runConfig) engineImpl() (sim.Engine, error) {
-	if c.chaos != "" && c.engine != EngineTCP {
-		return nil, fmt.Errorf("anonnet: WithChaos(%q) requires the tcp engine, have %s (no socket to disturb)", c.chaos, c.engine)
-	}
-	switch c.engine {
-	case EngineSequential:
-		return sim.Sequential(), nil
-	case EngineConcurrent:
-		return sim.Concurrent(), nil
-	case EngineSynchronous:
-		return sim.Synchronous(), nil
-	case EngineTCP:
-		chaos, err := netrun.ParseChaos(c.chaos)
-		if err != nil {
-			return nil, err
+func (c *runConfig) engineImpl() (Engine, sim.Engine, error) {
+	kind := EngineSequential
+	if c.Engine != "" {
+		var err error
+		if kind, err = EngineByName(c.Engine); err != nil {
+			return 0, nil, err
 		}
-		return netrun.Engine(core.Codec{}, netrun.Options{Shards: c.shards, Chaos: chaos}), nil
-	case EngineSharded:
-		n := c.shards
+	}
+	if c.Chaos != "" && kind != EngineTCP {
+		return 0, nil, fmt.Errorf("anonnet: WithChaos(%q) requires the tcp engine, have %s (no socket to disturb)", c.Chaos, kind)
+	}
+	switch kind {
+	case EngineSequential:
+		return kind, sim.Sequential(), nil
+	case EngineConcurrent:
+		return kind, sim.Concurrent(), nil
+	case EngineSynchronous:
+		return kind, sim.Synchronous(), nil
+	case EngineTCP:
+		chaos, err := netrun.ParseChaos(c.Chaos)
+		if err != nil {
+			return 0, nil, err
+		}
+		return kind, netrun.Engine(core.Codec{}, netrun.Options{Shards: c.Shards, Chaos: chaos}), nil
+	default: // EngineSharded
+		n := c.Shards
 		if n == 0 {
 			n = DefaultShards
 		}
-		return shard.Engine(n), nil
-	default:
-		return nil, fmt.Errorf("anonnet: unknown engine %d", c.engine)
+		return kind, shard.Engine(n), nil
 	}
 }
 
-func (c runConfig) execute(g *graph.G, newProto func() protocol.Protocol) (*sim.Result, *obs.Recorder, error) {
-	eng, err := c.engineImpl()
+// protocolFactory returns the constructor of the op's protocol; every run
+// of the campaign (the run itself, a wild capture's replay, fuzz mutants)
+// gets a fresh instance.
+func (c *runConfig) protocolFactory(n *Network) (func() protocol.Protocol, error) {
+	switch c.Op {
+	case "", "broadcast":
+		kind, err := ProtocolByName(c.Protocol)
+		if err != nil {
+			return nil, err
+		}
+		if kind == ProtoAuto {
+			switch n.Class() {
+			case ClassGroundedTree:
+				kind = ProtoTreePow2
+			case ClassDAG:
+				kind = ProtoDAG
+			default:
+				kind = ProtoGeneral
+			}
+		}
+		m := []byte(c.Message)
+		return func() protocol.Protocol {
+			switch kind {
+			case ProtoTreePow2:
+				return core.NewTreeBroadcast(m, core.RulePow2)
+			case ProtoTreeNaive:
+				return core.NewTreeBroadcast(m, core.RuleNaive)
+			case ProtoDAG:
+				return core.NewDAGBroadcast(m)
+			default:
+				return core.NewGeneralBroadcast(m)
+			}
+		}, nil
+	case "labels":
+		return func() protocol.Protocol { return core.NewLabelAssign(nil) }, nil
+	case "topology":
+		return func() protocol.Protocol { return core.NewMapExtract(nil) }, nil
+	default:
+		return nil, fmt.Errorf("anonnet: unknown op %q (have %s)", c.Op, strings.Join(Ops(), "|"))
+	}
+}
+
+// execute runs p on g under the configured engine, recording, replaying or
+// fuzzing the schedule as configured; newProto builds the further instances
+// a wild capture or a fuzz campaign needs.
+func (c *runConfig) execute(g *graph.G, p protocol.Protocol, newProto func() protocol.Protocol) (*sim.Result, *obs.Recorder, error) {
+	kind, eng, err := c.engineImpl()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -587,8 +588,8 @@ func (c runConfig) execute(g *graph.G, newProto func() protocol.Protocol) (*sim.
 		return nil, nil, err
 	}
 	var rec *obs.Recorder
-	if c.obsOn {
-		rec = obs.NewRecorder(c.obsEvery)
+	if c.Timeline {
+		rec = obs.NewRecorder(c.TimelineEvery)
 		opts.Obs = rec
 	}
 	// Both recording and fuzzing need the run's schedule pinned to a trace.
@@ -598,8 +599,8 @@ func (c runConfig) execute(g *graph.G, newProto func() protocol.Protocol) (*sim.
 
 	switch {
 	case c.replayTr != nil:
-		if c.engine != EngineSequential {
-			return nil, nil, fmt.Errorf("anonnet: WithReplayTrace requires the sequential engine, have %s", c.engine)
+		if kind != EngineSequential {
+			return nil, nil, fmt.Errorf("anonnet: WithReplayTrace requires the sequential engine, have %s", kind)
 		}
 		src := c.replayTr.tr
 		var trRec *replay.Recorder
@@ -607,7 +608,7 @@ func (c runConfig) execute(g *graph.G, newProto func() protocol.Protocol) (*sim.
 			trRec = replay.NewRecorder()
 			opts.Observer = trRec
 		}
-		r, err = replay.Run(g, newProto(), src, opts)
+		r, err = replay.Run(g, p, src, opts)
 		if trRec != nil && err == nil {
 			recorded = trRec.Trace(g, src.Protocol, src.Scheduler, src.Seed)
 			recorded.Truncated = src.Truncated
@@ -618,7 +619,7 @@ func (c runConfig) execute(g *graph.G, newProto func() protocol.Protocol) (*sim.
 				recorded.Faults = faultSpec
 			}
 		}
-	case wantTrace && (c.engine == EngineConcurrent || c.engine == EngineTCP || c.engine == EngineSharded):
+	case wantTrace && (kind == EngineConcurrent || kind == EngineTCP || kind == EngineSharded):
 		// Wild-capture engines: their schedule is not a sequential
 		// scheduler's output (nondeterministic for concurrent/tcp; a
 		// deterministic parallel composition for shard), so it is captured
@@ -631,17 +632,16 @@ func (c runConfig) execute(g *graph.G, newProto func() protocol.Protocol) (*sim.
 			trRec = replay.NewRecorder()
 			opts.Observer = trRec
 		}
-		r, err = eng.Run(g, newProto(), opts)
+		r, err = eng.Run(g, p, opts)
 		if trRec != nil && err == nil {
 			schedName := "sync"
-			if c.engine == EngineSequential {
+			if kind == EngineSequential {
+				schedName = "fifo"
 				if opts.Scheduler != nil {
 					schedName = opts.Scheduler.Name()
-				} else {
-					schedName = sim.Order(c.order).String()
 				}
 			}
-			recorded = trRec.Trace(g, newProto().Name(), schedName, c.seed)
+			recorded = trRec.Trace(g, p.Name(), schedName, c.Seed)
 			recorded.Faults = faultSpec
 		}
 	}
@@ -664,10 +664,10 @@ func (c runConfig) execute(g *graph.G, newProto func() protocol.Protocol) (*sim.
 // fuzzSchedule runs the WithScheduleFuzz campaign over the recorded trace.
 // The run's own result serves as the invariance reference, so the seed
 // schedule is not re-executed a second time.
-func (c runConfig) fuzzSchedule(g *graph.G, newProto func() protocol.Protocol, tr *replay.Trace, ref *sim.Result) (*FuzzReport, error) {
+func (c *runConfig) fuzzSchedule(g *graph.G, newProto func() protocol.Protocol, tr *replay.Trace, ref *sim.Result) (*FuzzReport, error) {
 	rep, err := fuzz.CampaignOn(g, newProto, []*replay.Trace{tr}, fuzz.Options{
 		Mutations: c.fuzzN,
-		Seed:      c.seed,
+		Seed:      c.Seed,
 		Reference: ref,
 	})
 	if err != nil {
@@ -687,24 +687,19 @@ func (c runConfig) fuzzSchedule(g *graph.G, newProto func() protocol.Protocol, t
 	return out, nil
 }
 
-func report(p protocol.Protocol, r *sim.Result, rec *obs.Recorder) *Report {
+func report(proto string, r *sim.Result, rec *obs.Recorder) *Report {
 	var churn []ChurnEvent
 	if r.Churn != nil {
-		churn = make([]ChurnEvent, 0, len(r.Churn.Events))
-		rows := make([]obs.ChurnRow, 0, len(r.Churn.Events))
+		churn = make([]ChurnEvent, len(r.Churn.Events))
 		for i, ev := range r.Churn.Events {
-			churn = append(churn, ChurnEvent{
+			churn[i] = ChurnEvent{
 				Kind: ev.Kind, Vertex: ev.Vertex, Edge: ev.Edge, At: ev.At,
 				Clock: ev.Clock, Restabilize: r.Churn.Restabilize(i),
-			})
-			rows = append(rows, obs.ChurnRow{
-				Kind: ev.Kind, Vertex: ev.Vertex, Edge: ev.Edge, At: ev.At,
-				Clock: ev.Clock, Restabilize: r.Churn.Restabilize(i),
-			})
+			}
 		}
 		// The churn rows enter the telemetry before the timeline is built, so
 		// the deterministic plane carries them (schema v2).
-		rec.RecordChurn(rows)
+		rec.RecordChurn(churn)
 	}
 	var tl *Timeline
 	if rec != nil {
@@ -713,7 +708,7 @@ func report(p protocol.Protocol, r *sim.Result, rec *obs.Recorder) *Report {
 	return &Report{
 		Timeline:       tl,
 		Churn:          churn,
-		Protocol:       p.Name(),
+		Protocol:       proto,
 		Terminated:     r.Verdict == sim.Terminated,
 		AllReceived:    r.AllVisited(),
 		Messages:       r.Metrics.Messages,
@@ -729,57 +724,16 @@ func report(p protocol.Protocol, r *sim.Result, rec *obs.Recorder) *Report {
 	}
 }
 
-func selectProtocol(n *Network, kind ProtocolKind, m []byte) (protocol.Protocol, error) {
-	switch kind {
-	case ProtoTreePow2:
-		return core.NewTreeBroadcast(m, core.RulePow2), nil
-	case ProtoTreeNaive:
-		return core.NewTreeBroadcast(m, core.RuleNaive), nil
-	case ProtoDAG:
-		return core.NewDAGBroadcast(m), nil
-	case ProtoGeneral:
-		return core.NewGeneralBroadcast(m), nil
-	case ProtoAuto:
-		switch n.Class() {
-		case ClassGroundedTree:
-			return core.NewTreeBroadcast(m, core.RulePow2), nil
-		case ClassDAG:
-			return core.NewDAGBroadcast(m), nil
-		default:
-			return core.NewGeneralBroadcast(m), nil
-		}
-	default:
-		return nil, fmt.Errorf("anonnet: unknown protocol kind %d", kind)
-	}
-}
-
 // Broadcast delivers m from the root to every vertex of n. It returns a
 // report of the run; if not every vertex can reach the terminal the protocol
 // (correctly) never terminates and ErrNotTerminated is returned alongside
 // the report of the quiesced run.
 func Broadcast(n *Network, m []byte, opts ...Option) (*Report, error) {
-	c := buildConfig(opts)
-	n, err := c.resolveNetwork(n)
-	if err != nil {
+	res, err := run(n, Request{Message: string(m)}, opts)
+	if res == nil {
 		return nil, err
 	}
-	p, err := selectProtocol(n, c.kind, m)
-	if err != nil {
-		return nil, err
-	}
-	newProto := func() protocol.Protocol {
-		fresh, _ := selectProtocol(n, c.kind, m) // selection already validated
-		return fresh
-	}
-	r, rec, err := c.execute(n.graphHandle(), newProto)
-	if err != nil {
-		return nil, err
-	}
-	rep := report(p, r, rec)
-	if !rep.Terminated {
-		return rep, ErrNotTerminated
-	}
-	return rep, nil
+	return res.Report, err
 }
 
 // Label is a vertex identity assigned by AssignLabels: a half-open
@@ -806,20 +760,16 @@ func (l Label) Equal(o Label) bool { return l.union.Equal(o.union) }
 // every internal vertex (the root and terminal are the distinguished pair
 // and receive none).
 func AssignLabels(n *Network, opts ...Option) (map[VertexID]Label, *Report, error) {
-	c := buildConfig(opts)
-	n, err := c.resolveNetwork(n)
-	if err != nil {
+	res, err := run(n, Request{Op: "labels"}, opts)
+	if res == nil {
 		return nil, nil, err
 	}
-	p := core.NewLabelAssign(nil)
-	r, rec, err := c.execute(n.graphHandle(), func() protocol.Protocol { return core.NewLabelAssign(nil) })
-	if err != nil {
-		return nil, nil, err
-	}
-	rep := report(p, r, rec)
-	if !rep.Terminated {
-		return nil, rep, ErrNotTerminated
-	}
+	return res.Labels, res.Report, err
+}
+
+// labelsOf collects the label of every labeled vertex of a terminated
+// label-assignment run.
+func labelsOf(r *sim.Result) map[VertexID]Label {
 	labels := make(map[VertexID]Label)
 	for v, node := range r.Nodes {
 		ln, ok := node.(core.Labeled)
@@ -838,7 +788,7 @@ func AssignLabels(n *Network, opts ...Option) (map[VertexID]Label, *Report, erro
 			union: u,
 		}
 	}
-	return labels, rep, nil
+	return labels
 }
 
 // TopologyEdge is one edge of an extracted topology, with both port numbers.
@@ -872,23 +822,18 @@ func (t *Topology) IsomorphicTo(n *Network) (bool, error) {
 // ExtractTopology runs the mapping protocol and returns the reconstructed
 // topology.
 func ExtractTopology(n *Network, opts ...Option) (*Topology, *Report, error) {
-	c := buildConfig(opts)
-	n, err := c.resolveNetwork(n)
-	if err != nil {
+	res, err := run(n, Request{Op: "topology"}, opts)
+	if res == nil {
 		return nil, nil, err
 	}
-	p := core.NewMapExtract(nil)
-	r, rec, err := c.execute(n.graphHandle(), func() protocol.Protocol { return core.NewMapExtract(nil) })
-	if err != nil {
-		return nil, nil, err
-	}
-	rep := report(p, r, rec)
-	if !rep.Terminated {
-		return nil, rep, ErrNotTerminated
-	}
+	return res.Topology, res.Report, err
+}
+
+// topologyOf converts the terminal output of a terminated mapping run.
+func topologyOf(r *sim.Result) (*Topology, error) {
 	topo, ok := r.Output.(*core.Topology)
 	if !ok {
-		return nil, rep, fmt.Errorf("anonnet: unexpected mapping output %T", r.Output)
+		return nil, fmt.Errorf("anonnet: unexpected mapping output %T", r.Output)
 	}
 	out := &Topology{inner: topo}
 	for _, v := range topo.Vertices {
@@ -903,16 +848,19 @@ func ExtractTopology(n *Network, opts ...Option) (*Topology, *Report, error) {
 			FromOutDegree: e.FromOutDeg,
 		})
 	}
-	return out, rep, nil
+	return out, nil
 }
 
 // Request is the declarative form of one run — the full purity tuple as
-// plain data. It is the entry point the run server (internal/serve,
-// cmd/anonserved) and the CLIs share: every field is serializable, and on
-// the deterministic engines (seq, sync, shard) the outcome is a pure
-// function of the request, which is what makes server-side verdict caching
-// sound. Zero values select the defaults of the corresponding options
-// (sequential engine, automatic protocol, fifo scheduler).
+// plain data, and the facade's one configuration type: every option except
+// WithRecordTrace, WithReplayTrace and WithScheduleFuzz sets one of its
+// fields, and those three carry the only in-process concerns (a trace sink,
+// a trace to replay, a fuzz budget and report sink) a run adds to it. It is
+// the entry point the run server (internal/serve, cmd/anonserved) and the
+// CLIs share: every field is serializable, and on the deterministic engines
+// (seq, sync, shard) the outcome is a pure function of the request, which
+// is what makes server-side verdict caching sound. Zero values select the
+// defaults (sequential engine, automatic protocol, fifo scheduler).
 type Request struct {
 	// Op selects the protocol family: "broadcast" (default), "labels"
 	// (Section 5 label assignment), or "topology" (map extraction).
@@ -937,7 +885,8 @@ type Request struct {
 	Scheduler string `json:"scheduler,omitempty"`
 	// Seed seeds the randomized schedulers.
 	Seed int64 `json:"seed,omitempty"`
-	// Shards is the shard engine's shard count (0 = DefaultShards).
+	// Shards is the shard engine's shard count (0 = DefaultShards) and the
+	// tcp engine's worker partition (0 or 1 = one worker per vertex).
 	Shards int `json:"shards,omitempty"`
 	// MaxSteps bounds the number of delivery steps (0 = default limit).
 	MaxSteps int `json:"max_steps,omitempty"`
@@ -969,96 +918,46 @@ type RunResult struct {
 	Topology *Topology
 }
 
-// options lowers the request to the functional-option form and resolves its
-// network. The returned network is nil when the request names a scenario
-// (the run entry points resolve it), and extra options are appended verbatim
-// — that is how the CLIs ride record/replay/telemetry-format concerns on top
-// of the shared request surface.
-func (req Request) options(extra []Option) (*Network, []Option, error) {
-	kind, err := ProtocolByName(req.Protocol)
-	if err != nil {
-		return nil, nil, err
-	}
-	engName := req.Engine
-	if engName == "" {
-		engName = "seq"
-	}
-	eng, err := EngineByName(engName)
-	if err != nil {
-		return nil, nil, err
-	}
-	opts := []Option{WithEngine(eng), WithProtocol(kind), WithSeed(req.Seed)}
-	if req.Scheduler != "" {
-		opts = append(opts, WithScheduler(req.Scheduler))
-	}
-	if req.Shards != 0 {
-		opts = append(opts, WithShards(req.Shards))
-	}
-	if req.MaxSteps != 0 {
-		opts = append(opts, WithMaxSteps(req.MaxSteps))
-	}
-	if req.Faults != "" {
-		opts = append(opts, WithFaults(req.Faults))
-	}
-	if req.Chaos != "" {
-		opts = append(opts, WithChaos(req.Chaos))
-	}
-	if req.Scenario != "" {
-		opts = append(opts, WithScenario(req.Scenario))
-	}
-	if req.Alphabet {
-		opts = append(opts, WithAlphabetTracking())
-	}
-	if req.NoBatchDrain {
-		opts = append(opts, WithNoBatchDrain())
-	}
-	if req.Timeline {
-		opts = append(opts, WithObservability(req.TimelineEvery))
-	}
-	var net *Network
-	if req.Network != "" {
-		net, err = ParseNetwork(strings.NewReader(req.Network))
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return net, append(opts, extra...), nil
-}
-
 // Do executes a declarative Request: the request-struct counterpart of
 // Broadcast / AssignLabels / ExtractTopology, shared by the run server and
-// the CLIs. Extra options are appended after the request-derived ones, so
-// in-process callers can add concerns the wire format does not carry
-// (trace recording, replay, schedule fuzzing). Like Broadcast, Do returns
-// the report alongside ErrNotTerminated when the run correctly went
+// the CLIs. Extra options apply on top of the request's fields, so they
+// override them and add the in-process concerns the wire format does not
+// carry (trace recording, replay, schedule fuzzing). Like Broadcast, Do
+// returns the report alongside ErrNotTerminated when the run correctly went
 // quiescent — servable, cacheable outcomes, not failures.
-func Do(req Request, extra ...Option) (*RunResult, error) {
-	net, opts, err := req.options(extra)
+func Do(req Request, extra ...Option) (*RunResult, error) { return run(nil, req, extra) }
+
+// run is the facade's one execution path: it applies opts on top of req,
+// resolves the network, builds the op's protocol, executes and reports.
+func run(n *Network, req Request, opts []Option) (*RunResult, error) {
+	c := runConfig{Request: req}
+	for _, o := range opts {
+		o(&c)
+	}
+	n, err := c.resolveNetwork(n)
 	if err != nil {
 		return nil, err
 	}
-	switch req.Op {
-	case "", "broadcast":
-		rep, err := Broadcast(net, []byte(req.Message), opts...)
-		if rep == nil {
-			return nil, err
-		}
-		return &RunResult{Report: rep}, err
-	case "labels":
-		labels, rep, err := AssignLabels(net, opts...)
-		if rep == nil {
-			return nil, err
-		}
-		return &RunResult{Report: rep, Labels: labels}, err
-	case "topology":
-		topo, rep, err := ExtractTopology(net, opts...)
-		if rep == nil {
-			return nil, err
-		}
-		return &RunResult{Report: rep, Topology: topo}, err
-	default:
-		return nil, fmt.Errorf("anonnet: unknown op %q (have broadcast|labels|topology)", req.Op)
+	newProto, err := c.protocolFactory(n)
+	if err != nil {
+		return nil, err
 	}
+	p := newProto()
+	r, rec, err := c.execute(n.graphHandle(), p, newProto)
+	if err != nil {
+		return nil, err
+	}
+	res := &RunResult{Report: report(p.Name(), r, rec)}
+	if !res.Report.Terminated {
+		return res, ErrNotTerminated
+	}
+	switch c.Op {
+	case "labels":
+		res.Labels = labelsOf(r)
+	case "topology":
+		res.Topology, err = topologyOf(r)
+	}
+	return res, err
 }
 
 // Ops lists the valid Request.Op values.
