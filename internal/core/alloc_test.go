@@ -17,25 +17,27 @@ import (
 
 // TestIntervalProtocolAllocsPerDelivery bounds the heap allocations of the
 // interval-union protocols on a hub-heavy graph, whole run included: setup,
-// every Receive, every message key. The protocol state grows by deltas
-// computed from the incoming message, the state and the terminal grow in
-// place, and metering appends keys into a reused buffer, so a delivery costs
-// a handful of allocations; rebuilding the accumulated unions on every
-// receipt costs hundreds. The bound is the measured 3.6 plus headroom; a
-// fresh outs slice per receipt, a heap numerator per end point or one
-// allocation per partition part costs about 4.5.
+// every Receive, every message key. The nodes come from one batch, a
+// receipt computes its intermediates in the node's scratch and copies the
+// deltas it sends into one slice, the state and the terminal grow in place,
+// and metering appends keys into a reused buffer and stores new ones in an
+// arena, so a delivery costs about two allocations, most of them the boxed
+// messages. The bound is the measured 1.95 plus headroom. Without the
+// scratch each node starts with, generalcast costs 2.3; with a string per
+// new key as well, 2.7; with a new slice per intermediate union as well,
+// 3.6.
 func TestIntervalProtocolAllocsPerDelivery(t *testing.T) {
-	checkIntervalProtocolAllocs(t, "scalefree", map[string]int{"n": 200, "m": 3}, 4)
+	checkIntervalProtocolAllocs(t, "scalefree", map[string]int{"n": 200, "m": 3}, 2.2)
 }
 
 // TestIntervalProtocolAllocsOnTorus is the same bound on a cyclic graph. The
 // scalefree graph is a DAG, so its beta stays empty; on the torus every
 // vertex sits on cycles, most receipts grow beta, and copying beta on each
 // growth instead of absorbing the delta in place costs about 4.7 allocations
-// per delivery. The bound is the measured 1.8 plus headroom; a fresh outs
-// slice per receipt costs about 2.3.
+// per delivery. The bound is the measured 1.61 plus headroom; a new slice
+// per intermediate union costs 1.73 to 1.80.
 func TestIntervalProtocolAllocsOnTorus(t *testing.T) {
-	checkIntervalProtocolAllocs(t, "torus", map[string]int{"w": 8, "h": 8}, 2)
+	checkIntervalProtocolAllocs(t, "torus", map[string]int{"w": 8, "h": 8}, 1.7)
 }
 
 func checkIntervalProtocolAllocs(t *testing.T, family string, params map[string]int, maxPerDelivery float64) {
@@ -147,11 +149,13 @@ func TestTreeBroadcastUsesNoChunks(t *testing.T) {
 // terminal updates its closure once per new record, so a delivery costs the
 // forwarded messages and the records learned; rebuilding the closure on
 // every delivery, as a stopping check over all records, costs thousands.
+// The bound is the measured 5.07 plus headroom; building the labeling
+// state's unions and nodes one allocation at a time costs about 5.6.
 func TestMapProtocolAllocsPerDelivery(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race mode: instrumentation allocates on its own")
 	}
-	const maxPerDelivery = 16
+	const maxPerDelivery = 5.4
 	g := graph.RandomDAG(100, 200, 7)
 	sched, err := sim.NewScheduler("random")
 	if err != nil {
@@ -172,7 +176,7 @@ func TestMapProtocolAllocsPerDelivery(t *testing.T) {
 	per := allocs / float64(deliveries)
 	t.Logf("%.0f allocations over %d deliveries: %.2f per delivery", allocs, deliveries, per)
 	if per > maxPerDelivery {
-		t.Fatalf("%.2f allocations per delivery, want <= %d", per, maxPerDelivery)
+		t.Fatalf("%.2f allocations per delivery, want <= %g", per, maxPerDelivery)
 	}
 }
 
@@ -307,7 +311,7 @@ func TestNodeStateDoesNotAlias(t *testing.T) {
 		}
 		return key
 	}
-	labelKey := func(n *labelNode) string { return n.label.Key() + "#" + gcKey(&n.gcState) }
+	labelKey := func(n *labelNode) string { return n.parts[0].Key() + "#" + gcKey(&n.gcState) }
 	gcOf := func(m protocol.Message) gcMsg { return m.(gcMsg) }
 	identity := func(m gcMsg) protocol.Message { return m }
 	cases := []nodeCase{

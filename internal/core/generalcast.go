@@ -30,8 +30,9 @@ type GeneralBroadcast struct {
 }
 
 var (
-	_ protocol.Protocol    = (*GeneralBroadcast)(nil)
-	_ protocol.KeyAppender = gcMsg{}
+	_ protocol.Protocol     = (*GeneralBroadcast)(nil)
+	_ protocol.BatchBuilder = (*GeneralBroadcast)(nil)
+	_ protocol.KeyAppender  = gcMsg{}
 )
 
 // NewGeneralBroadcast returns the general-graph broadcast protocol carrying
@@ -41,7 +42,7 @@ func NewGeneralBroadcast(m []byte) *GeneralBroadcast {
 }
 
 // NewGeneralBroadcastLiteral returns the protocol with the paper's literal
-// canonical-partition rule (see interval.CanonicalPartitionLiteral). It is
+// canonical-partition rule (see interval.Union.PartitionInto). It is
 // the E12 ablation subject: on graphs where a single-interval commodity
 // meets a branching vertex it terminates without delivering the broadcast
 // everywhere, demonstrating that the repaired partition rule of
@@ -58,12 +59,75 @@ func (p *GeneralBroadcast) InitialMessage() protocol.Message {
 	return gcMsg{payload: p.payload, alpha: interval.FullUnion()}
 }
 
-// NewNode implements protocol.Protocol.
+// NewNode implements protocol.Protocol as a batch of one, so there is one
+// node layout.
 func (p *GeneralBroadcast) NewNode(inDeg, outDeg int, role protocol.Role) protocol.Node {
-	if role == protocol.RoleTerminal {
-		return &gcTerminal{}
+	var nodes [1]protocol.Node
+	p.NewNodes(nodes[:], func(int) (int, int, protocol.Role) { return inDeg, outDeg, role })
+	return nodes[0]
+}
+
+// NewNodes implements protocol.BatchBuilder: one slab of nodes and one
+// gcBatch of backings for their state.
+func (p *GeneralBroadcast) NewNodes(nodes []protocol.Node, vertex func(v int) (inDeg, outDeg int, role protocol.Role)) {
+	slab, b := newGCBatch[gcNode](nodes, vertex, 0, 1)
+	for v := range nodes {
+		_, outDeg, role := vertex(v)
+		if role == protocol.RoleTerminal {
+			nodes[v] = &gcTerminal{}
+			continue
+		}
+		slab[v] = gcNode{outDeg: outDeg, literal: p.literal, gcState: b.state(p.payload, carve(&b.unions, outDeg))}
+		nodes[v] = &slab[v]
 	}
-	return &gcNode{outDeg: outDeg, literal: p.literal, gcState: newGCState(p.payload, outDeg)}
+}
+
+// gcBatch holds the backings a batch of interval-protocol nodes shares.
+// Each node carves capped windows out of them, so an append through one
+// node's window copies instead of reaching its neighbour's, and nodes that
+// run on separate goroutines never write the same element.
+type gcBatch struct {
+	unions  []interval.Union
+	msgs    []protocol.Message
+	scratch []interval.Interval
+}
+
+// scratchPerNode is the step scratch a node starts with. A step on
+// single-interval messages fits, and a node that needs more grows its own.
+const scratchPerNode = 4
+
+// newGCBatch allocates a slab of one N per vertex and the batch's backings:
+// d+extraUnions unions, msgsPerEdge·d messages and scratchPerNode
+// intervals for every non-terminal vertex of out-degree d.
+func newGCBatch[N any](nodes []protocol.Node, vertex func(v int) (int, int, protocol.Role), extraUnions, msgsPerEdge int) ([]N, gcBatch) {
+	var unions, msgs, internal int
+	for v := range nodes {
+		if _, outDeg, role := vertex(v); role != protocol.RoleTerminal {
+			unions += outDeg + extraUnions
+			msgs += msgsPerEdge * outDeg
+			internal++
+		}
+	}
+	return make([]N, len(nodes)), gcBatch{
+		unions:  make([]interval.Union, unions),
+		msgs:    make([]protocol.Message, msgs),
+		scratch: make([]interval.Interval, scratchPerNode*internal),
+	}
+}
+
+// state returns the initial gcState of a node with the given alphas, its
+// outs and scratch carved out of the batch.
+func (b *gcBatch) state(payload Payload, alphas []interval.Union) gcState {
+	return gcState{payload: payload, alphas: alphas,
+		outs: carve(&b.msgs, len(alphas)), scratch: carve(&b.scratch, scratchPerNode)[:0]}
+}
+
+// carve returns the first n elements of *s as a window capped at n and
+// advances *s past them.
+func carve[T any](s *[]T, n int) []T {
+	w := (*s)[:n:n]
+	*s = (*s)[n:]
+	return w
 }
 
 // gcMsg is sigma = (alpha', beta') plus the broadcast payload.
@@ -103,7 +167,8 @@ func (m gcMsg) AppendKey(dst []byte) []byte {
 // The first growth of each copies (Union) and marks the result owned; every
 // later growth is in place (Union.Absorb). State that was handed out is
 // therefore never written, and nothing the state owns is ever sent: step
-// sends only deltas, and Absorb never adopts its argument's storage.
+// sends only deltas, copied out of its scratch, and Absorb never adopts its
+// argument's storage.
 type gcState struct {
 	payload Payload
 	alphas  []interval.Union // alpha_j, 1-indexed in the paper, 0-indexed here
@@ -120,19 +185,14 @@ type gcState struct {
 	// returned slice lapses at its next Receive (protocol.Node), so every
 	// receipt reuses it.
 	outs []protocol.Message
-}
-
-func newGCState(payload Payload, outDeg int) gcState {
-	return gcState{payload: payload, alphas: make([]interval.Union, outDeg)}
+	// scratch holds step's intermediate unions. It is the node's own: the
+	// concurrent and TCP engines run nodes on separate goroutines.
+	scratch []interval.Interval
 }
 
 // sends returns the outs buffer, one nil entry per out-edge.
 func (s *gcState) sends() []protocol.Message {
-	if s.outs == nil {
-		s.outs = make([]protocol.Message, len(s.alphas))
-	} else {
-		clear(s.outs)
-	}
+	clear(s.outs)
 	return s.outs
 }
 
@@ -161,29 +221,37 @@ func grow(u *interval.Union, owned *bool, delta interval.Union) {
 //	betaDelta  = (bIn ∪ overlap) \ beta
 //
 // Each delta is the same point set as (state ∪ x) \ state, and a canonical
-// union is unique for its point set, so the messages are identical.
+// union is unique for its point set, so the messages are identical. The
+// intermediates live in the node's scratch; the deltas that are sent are
+// copied into one exactly sized slice, so a receipt that sends costs one
+// allocation for its unions.
 func (s *gcState) step(aIn, bIn, label interval.Union) []protocol.Message {
 	last := len(s.alphas) - 1
 	if !s.hasFrozen {
 		s.hasFrozen = true
-		s.frozen = label
-		for _, a := range s.alphas[:last] {
-			s.frozen = s.frozen.Union(a)
-		}
+		s.freeze(label)
 	}
 	var alphaDelta, betaDelta interval.Union
-	cycle := bIn
+	buf, cycle := s.scratch[:0], bIn
 	if !aIn.IsEmpty() {
-		overlap := aIn.Intersect(s.frozen).Union(aIn.Intersect(s.alphas[last]))
-		alphaDelta = aIn.Subtract(s.frozen).Subtract(s.alphas[last])
+		var inFrozen, inLast, overlap, fresh interval.Union
+		buf, inFrozen = interval.AppendIntersect(buf, aIn, s.frozen)
+		buf, inLast = interval.AppendIntersect(buf, aIn, s.alphas[last])
+		buf, overlap = interval.AppendUnion(buf, inFrozen, inLast)
+		buf, fresh = interval.AppendSubtract(buf, aIn, s.frozen)
+		buf, alphaDelta = interval.AppendSubtract(buf, fresh, s.alphas[last])
 		if !overlap.IsEmpty() {
-			cycle = bIn.Union(overlap)
+			buf, cycle = interval.AppendUnion(buf, bIn, overlap)
 		}
 	}
-	betaDelta = cycle.Subtract(s.beta)
+	buf, betaDelta = interval.AppendSubtract(buf, cycle, s.beta)
+	s.scratch = buf
 	if alphaDelta.IsEmpty() && betaDelta.IsEmpty() {
 		return nil
 	}
+	sent := make([]interval.Interval, 0, alphaDelta.NumIntervals()+betaDelta.NumIntervals())
+	sent, alphaDelta = interval.AppendCopy(sent, alphaDelta)
+	_, betaDelta = interval.AppendCopy(sent, betaDelta)
 	outs := s.sends()
 	if !alphaDelta.IsEmpty() {
 		grow(&s.alphas[last], &s.ownLast, alphaDelta)
@@ -200,6 +268,23 @@ func (s *gcState) step(aIn, bIn, label interval.Union) []protocol.Message {
 	}
 	outs[last] = gcMsg{payload: s.payload, alpha: alphaDelta, beta: betaDelta}
 	return outs
+}
+
+// freeze builds frozen = label ∪ alpha_1 ∪ ... ∪ alpha_{d-1} in scratch and
+// keeps a copy of its own, one allocation. Under CanonicalPartition the
+// frozen alphas and the label are adjacent pieces of one interval, so the
+// copy is a single interval.
+func (s *gcState) freeze(label interval.Union) {
+	if len(s.alphas) == 1 {
+		s.frozen = label // nothing to join; like a part, it is never written
+		return
+	}
+	buf, acc := s.scratch[:0], label
+	for _, a := range s.alphas[:len(s.alphas)-1] {
+		buf, acc = interval.AppendUnion(buf, acc, a)
+	}
+	_, s.frozen = interval.AppendCopy(make([]interval.Interval, 0, acc.NumIntervals()), acc)
+	s.scratch = buf
 }
 
 // firstSends returns the messages of a first receipt: every out-edge j
@@ -254,13 +339,7 @@ func (n *gcNode) Receive(msg protocol.Message, _ int) ([]protocol.Message, error
 	// beta' wholesale.
 	n.virgin = false
 	if !aIn.IsEmpty() {
-		var parts []interval.Union
-		if n.literal {
-			parts = aIn.CanonicalPartitionLiteral(n.outDeg)
-		} else {
-			parts = aIn.CanonicalPartition(n.outDeg)
-		}
-		copy(n.alphas, parts)
+		aIn.PartitionInto(n.alphas, n.literal)
 	}
 	n.beta = bIn
 	return n.firstSends(), nil

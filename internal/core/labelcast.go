@@ -21,7 +21,10 @@ type LabelAssign struct {
 	payload Payload
 }
 
-var _ protocol.Protocol = (*LabelAssign)(nil)
+var (
+	_ protocol.Protocol     = (*LabelAssign)(nil)
+	_ protocol.BatchBuilder = (*LabelAssign)(nil)
+)
 
 // NewLabelAssign returns the label-assignment protocol. The payload may be
 // empty: label assignment is useful on its own.
@@ -37,22 +40,46 @@ func (p *LabelAssign) InitialMessage() protocol.Message {
 	return gcMsg{payload: p.payload, alpha: interval.FullUnion()}
 }
 
-// NewNode implements protocol.Protocol.
+// NewNode implements protocol.Protocol as a batch of one, so there is one
+// node layout.
 func (p *LabelAssign) NewNode(inDeg, outDeg int, role protocol.Role) protocol.Node {
-	if role == protocol.RoleTerminal {
-		return &gcTerminal{}
+	var nodes [1]protocol.Node
+	p.NewNodes(nodes[:], func(int) (int, int, protocol.Role) { return inDeg, outDeg, role })
+	return nodes[0]
+}
+
+// NewNodes implements protocol.BatchBuilder: one slab of nodes and one
+// gcBatch of backings for their state.
+func (p *LabelAssign) NewNodes(nodes []protocol.Node, vertex func(v int) (inDeg, outDeg int, role protocol.Role)) {
+	slab, b := newGCBatch[labelNode](nodes, vertex, 1, 1)
+	for v := range nodes {
+		_, outDeg, role := vertex(v)
+		if role == protocol.RoleTerminal {
+			nodes[v] = &gcTerminal{}
+			continue
+		}
+		slab[v] = b.labelNode(p.payload, outDeg)
+		nodes[v] = &slab[v]
 	}
-	return &labelNode{outDeg: outDeg, gcState: newGCState(p.payload, outDeg)}
+}
+
+// labelNode returns a label node of out-degree outDeg whose d+1 parts, outs
+// and scratch are carved out of the batch.
+func (b *gcBatch) labelNode(payload Payload, outDeg int) labelNode {
+	parts := carve(&b.unions, outDeg+1)
+	return labelNode{outDeg: outDeg, parts: parts, gcState: b.state(payload, parts[1:])}
 }
 
 // labelNode is an internal vertex's state ((alpha_j)_{j=0..d}, beta), where
-// alpha_0 (the field `label`) is the vertex's own share.
+// alpha_0 is the vertex's own share, its label.
 type labelNode struct {
 	outDeg  int
 	virgin  bool
 	inited  bool
 	labeled bool
-	label   interval.Union // alpha_0
+	// parts is alpha_0..alpha_d: the label, then the alphas gcState holds
+	// as parts[1:], so the first receipt partitions straight into them.
+	parts []interval.Union
 	gcState
 }
 
@@ -75,13 +102,15 @@ func (n *labelNode) Receive(msg protocol.Message, _ int) ([]protocol.Message, er
 			// Partition into d+1 parts: part 0 is the label (always a single
 			// interval by the canonical-partition ordering), parts 1..d go to
 			// the out-edges.
-			parts := aIn.CanonicalPartition(n.outDeg + 1)
-			n.label = parts[0]
+			aIn.PartitionInto(n.parts, false)
 			n.labeled = true
-			copy(n.alphas, parts[1:])
 			// beta'' = beta' ∪ alpha_0: the label is withheld from the flow,
-			// so it must reach the terminal as cycle-style information.
-			betaNew = bIn.Union(n.label)
+			// so it must reach the terminal as cycle-style information. With
+			// beta' empty, beta adopts the label as it would adopt beta'.
+			betaNew = n.parts[0]
+			if !bIn.IsEmpty() {
+				betaNew = bIn.Union(n.parts[0])
+			}
 		} else {
 			betaNew = bIn
 		}
@@ -101,12 +130,12 @@ func (n *labelNode) Receive(msg protocol.Message, _ int) ([]protocol.Message, er
 	// prefix; alpha_0 never changes. Content coinciding with the label is
 	// already in beta (added at labeling time), so its overlap is a no-op
 	// kept for fidelity to "f is exactly as defined previously".
-	return n.step(aIn, bIn, n.label), nil
+	return n.step(aIn, bIn, n.parts[0]), nil
 }
 
 // Label returns the vertex's assigned label and whether one was assigned.
 // The label is a single non-empty sub-interval of [0, 1).
-func (n *labelNode) Label() (interval.Union, bool) { return n.label, n.labeled }
+func (n *labelNode) Label() (interval.Union, bool) { return n.parts[0], n.labeled }
 
 // Labeled is implemented by nodes that carry a vertex label; the public API
 // and the tests use it to extract labels after a run.

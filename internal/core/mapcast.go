@@ -37,7 +37,10 @@ type MapExtract struct {
 	payload Payload
 }
 
-var _ protocol.Protocol = (*MapExtract)(nil)
+var (
+	_ protocol.Protocol     = (*MapExtract)(nil)
+	_ protocol.BatchBuilder = (*MapExtract)(nil)
+)
 
 // NewMapExtract returns the topology-extraction protocol.
 func NewMapExtract(m []byte) *MapExtract {
@@ -58,15 +61,32 @@ func (p *MapExtract) InitialMessage() protocol.Message {
 	}
 }
 
-// NewNode implements protocol.Protocol.
+// NewNode implements protocol.Protocol as a batch of one, so there is one
+// node layout.
 func (p *MapExtract) NewNode(inDeg, outDeg int, role protocol.Role) protocol.Node {
-	if role == protocol.RoleTerminal {
-		return newMapTerminal()
-	}
-	return &mapNode{
-		inner:  labelNode{outDeg: outDeg, gcState: newGCState(p.payload, outDeg)},
-		outDeg: outDeg,
-		seen:   map[recordID]struct{}{},
+	var nodes [1]protocol.Node
+	p.NewNodes(nodes[:], func(int) (int, int, protocol.Role) { return inDeg, outDeg, role })
+	return nodes[0]
+}
+
+// NewNodes implements protocol.BatchBuilder: one slab of nodes and one
+// gcBatch of backings for their state, whose messages serve the outs of
+// both the labeling state and the node.
+func (p *MapExtract) NewNodes(nodes []protocol.Node, vertex func(v int) (inDeg, outDeg int, role protocol.Role)) {
+	slab, b := newGCBatch[mapNode](nodes, vertex, 1, 2)
+	for v := range nodes {
+		_, outDeg, role := vertex(v)
+		if role == protocol.RoleTerminal {
+			nodes[v] = newMapTerminal()
+			continue
+		}
+		slab[v] = mapNode{
+			inner:  b.labelNode(p.payload, outDeg),
+			outDeg: outDeg,
+			seen:   map[recordID]struct{}{},
+			outs:   carve(&b.msgs, outDeg),
+		}
+		nodes[v] = &slab[v]
 	}
 }
 
@@ -319,9 +339,6 @@ func (n *mapNode) Receive(msg protocol.Message, inPort int) ([]protocol.Message,
 	}
 	// Forward on every out-edge on which anything changed: the labeling
 	// deltas and/or the fresh records.
-	if n.outs == nil {
-		n.outs = make([]protocol.Message, n.outDeg)
-	}
 	outs := n.outs
 	for j := 0; j < n.outDeg; j++ {
 		outs[j] = nil

@@ -257,14 +257,16 @@ func closureOracle(records map[string]EdgeRecord) (*Topology, bool) {
 }
 
 // oracleMap runs MapExtract with a terminal that checks, after every
-// delivery, that the incremental predicate agrees with closureOracle.
-type oracleMap struct{ *MapExtract }
+// delivery, that the incremental predicate agrees with closureOracle. It
+// embeds the Protocol interface, not *MapExtract, so that MapExtract's
+// NewNodes is not promoted past this NewNode.
+type oracleMap struct{ protocol.Protocol }
 
 func (p oracleMap) NewNode(inDeg, outDeg int, role protocol.Role) protocol.Node {
 	if role == protocol.RoleTerminal {
 		return &oracleTerminal{mapTerminal: newMapTerminal(), records: map[string]EdgeRecord{}}
 	}
-	return p.MapExtract.NewNode(inDeg, outDeg, role)
+	return p.Protocol.NewNode(inDeg, outDeg, role)
 }
 
 type oracleTerminal struct {

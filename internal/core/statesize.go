@@ -65,7 +65,7 @@ func (t *gcTerminal) StateBits() int {
 
 // StateBits implements protocol.StateSized: ((alpha_j)_{j=0..d}, beta).
 func (n *labelNode) StateBits() int {
-	return unionsBits(n.alphas...) + n.label.EncodedBits() + n.beta.EncodedBits() + 1
+	return unionsBits(n.parts...) + n.beta.EncodedBits() + 1
 }
 
 // StateBits implements protocol.StateSized: the labeling state plus the

@@ -78,33 +78,26 @@ func DecodeInterval(r *bitio.Reader) (Interval, error) {
 	return Interval{Lo: lo, Hi: hi}, nil
 }
 
-// Split partitions [Lo, Hi) into k >= 1 disjoint intervals using the paper's
-// power-of-2 rule (proof of Theorem 4.3): with N the smallest power of 2 with
-// N >= k and delta = (Hi-Lo)/N, it yields k-1 intervals of size delta and one
-// final interval [Lo+(k-1)delta, Hi). Each new end point costs only O(log k)
-// additional bits relative to the end points of the input interval, which is
-// what bounds label and symbol lengths by O(|V| log dout).
-func (iv Interval) Split(k int) []Interval {
-	if k < 1 {
-		panic("interval: Split requires k >= 1")
-	}
-	if iv.IsEmpty() {
-		panic("interval: Split of an empty interval")
-	}
+// appendSplit partitions [Lo, Hi) into k >= 1 disjoint intervals using the
+// paper's power-of-2 rule (proof of Theorem 4.3) and appends them to dst:
+// with N the smallest power of 2 with N >= k and delta = (Hi-Lo)/N, it
+// yields k-1 intervals of size delta and one final interval
+// [Lo+(k-1)delta, Hi). Each new end point costs only O(log k) additional bits
+// relative to the end points of the input interval, which is what bounds
+// label and symbol lengths by O(|V| log dout).
+func (iv Interval) appendSplit(dst []Interval, k int) []Interval {
 	if k == 1 {
-		return []Interval{iv}
+		return append(dst, iv)
 	}
 	logN := uint(bits.Len(uint(k - 1))) // ceil(log2 k)
 	delta := iv.Hi.Sub(iv.Lo).Shr(logN)
-	out := make([]Interval, k)
 	lo := iv.Lo
 	for i := 0; i < k-1; i++ {
 		hi := lo.Add(delta)
-		out[i] = Interval{Lo: lo, Hi: hi}
+		dst = append(dst, Interval{Lo: lo, Hi: hi})
 		lo = hi
 	}
-	out[k-1] = Interval{Lo: lo, Hi: iv.Hi}
-	return out
+	return append(dst, Interval{Lo: lo, Hi: iv.Hi})
 }
 
 // Union is a finite union of disjoint, non-adjacent, non-empty intervals in
@@ -112,8 +105,10 @@ func (iv Interval) Split(k int) []Interval {
 //
 // Unions are value types: operations return new unions and never mutate
 // their receivers or arguments, and Union, Intersect and Subtract return
-// storage of their own. The one exception is Absorb, which grows an
-// accumulator in place. Its ownership rule: a union adopted from elsewhere
+// storage of their own. AppendUnion, AppendIntersect, AppendSubtract and
+// AppendCopy are the same operations writing into a caller's buffer, which
+// is how a caller that computes intermediates reuses one scratch slice. The
+// one exception is Absorb, which grows an accumulator in place. Its ownership rule: a union adopted from elsewhere
 // (a received message, or a part handed to a sent one) is shared and never
 // absorbed into; its first growth goes through Union, which yields storage
 // of its own, and from then on the accumulator is owned and grows by Absorb.
@@ -203,18 +198,30 @@ func (u Union) AddInterval(iv Interval) Union {
 	return Union{ivs: out}
 }
 
-// Union returns u ∪ o. It walks the smaller operand and gallops through the
-// larger one, copying the runs that cannot touch the small side wholesale:
-// one allocation, O(k log n) comparisons for a k-interval union against an
-// n-interval one, and O(n+k) for operands of similar size.
+// Union returns u ∪ o in storage of its own (see AppendUnion).
 func (u Union) Union(o Union) Union {
+	if len(u.ivs)+len(o.ivs) == 0 {
+		return Union{}
+	}
+	out, _ := AppendUnion(make([]Interval, 0, len(u.ivs)+len(o.ivs)), u, o)
+	return Union{ivs: out}
+}
+
+// AppendUnion appends the intervals of u ∪ o to dst and returns the
+// extended slice and the result, a capped window of that slice. It walks the
+// smaller operand and gallops through the larger one, copying the runs that
+// cannot touch the small side wholesale: O(k log n) comparisons for a
+// k-interval union against an n-interval one, and O(n+k) for operands of
+// similar size.
+//
+// Like append, AppendUnion writes only past len(dst): operands stored in
+// dst's first len(dst) elements, such as earlier results of the Append
+// functions, stay intact. No operand may live in dst's spare capacity.
+func AppendUnion(dst []Interval, u, o Union) ([]Interval, Union) {
 	if len(u.ivs) < len(o.ivs) {
 		u, o = o, u
 	}
-	if len(u.ivs) == 0 {
-		return Union{}
-	}
-	out := make([]Interval, 0, len(u.ivs)+len(o.ivs))
+	base, out := len(dst), dst
 	i := 0
 	for _, b := range o.ivs {
 		// Copy the intervals of u that end before b starts, not touching it.
@@ -223,7 +230,7 @@ func (u Union) Union(o Union) Union {
 		i = k
 		lo, hi := b.Lo, b.Hi
 		// The previous merged interval may reach b through a long u interval.
-		if n := len(out); n > 0 && out[n-1].Hi.Cmp(lo) >= 0 {
+		if n := len(out); n > base && out[n-1].Hi.Cmp(lo) >= 0 {
 			lo, hi = out[n-1].Lo, maxD(hi, out[n-1].Hi)
 			out = out[:n-1]
 		}
@@ -232,7 +239,24 @@ func (u Union) Union(o Union) Union {
 		}
 		out = append(out, Interval{Lo: lo, Hi: hi})
 	}
-	return Union{ivs: append(out, u.ivs[i:]...)}
+	out = append(out, u.ivs[i:]...)
+	return out, window(out, base)
+}
+
+// AppendCopy appends the intervals of u to dst and returns the extended
+// slice and the copy, a capped window of that slice.
+func AppendCopy(dst []Interval, u Union) ([]Interval, Union) {
+	out := append(dst, u.ivs...)
+	return out, window(out, len(dst))
+}
+
+// window returns out[base:] as a union capped at its length, so an append to
+// it copies instead of overwriting what follows in out's backing array.
+func window(out []Interval, base int) Union {
+	if len(out) == base {
+		return Union{}
+	}
+	return Union{ivs: out[base:len(out):len(out)]}
 }
 
 // Absorb sets u to u ∪ o in place: for each interval of o it finds the
@@ -261,13 +285,20 @@ func (u *Union) Absorb(o Union) {
 	}
 }
 
-// Intersect returns u ∩ o. It walks the smaller operand and gallops past the
-// intervals of the larger one that end before the current small interval.
+// Intersect returns u ∩ o in storage of its own (see AppendIntersect).
 func (u Union) Intersect(o Union) Union {
+	out, _ := AppendIntersect(nil, u, o)
+	return Union{ivs: out}
+}
+
+// AppendIntersect appends the intervals of u ∩ o to dst, under AppendUnion's
+// rules. It walks the smaller operand and gallops past the intervals of the
+// larger one that end before the current small interval.
+func AppendIntersect(dst []Interval, u, o Union) ([]Interval, Union) {
 	if len(u.ivs) < len(o.ivs) {
 		u, o = o, u
 	}
-	var out []Interval
+	out := dst
 	i := 0
 	for _, b := range o.ivs {
 		i = seek(u.ivs, i, b.Lo, true)
@@ -279,15 +310,21 @@ func (u Union) Intersect(o Union) Union {
 			}
 		}
 	}
+	return out, window(out, len(dst))
+}
+
+// Subtract returns u \ o in storage of its own (see AppendSubtract).
+func (u Union) Subtract(o Union) Union {
+	out, _ := AppendSubtract(nil, u, o)
 	return Union{ivs: out}
 }
 
-// Subtract returns u \ o. Runs of u that no interval of o reaches are copied
-// wholesale, and intervals of o that end before the current interval of u
-// are galloped past, so a small operand on either side costs O(k log n)
-// comparisons.
-func (u Union) Subtract(o Union) Union {
-	var out []Interval
+// AppendSubtract appends the intervals of u \ o to dst, under AppendUnion's
+// rules. Runs of u that no interval of o reaches are copied wholesale, and
+// intervals of o that end before the current interval of u are galloped
+// past, so a small operand on either side costs O(k log n) comparisons.
+func AppendSubtract(dst []Interval, u, o Union) ([]Interval, Union) {
+	out := dst
 	i, j := 0, 0
 	for i < len(u.ivs) {
 		if j == len(o.ivs) {
@@ -315,7 +352,7 @@ func (u Union) Subtract(o Union) Union {
 		}
 		i++
 	}
-	return Union{ivs: out}
+	return out, window(out, len(dst))
 }
 
 // seek returns the first index k >= i whose interval does not end before x,
@@ -471,10 +508,28 @@ func (u Union) MaxEndpointPrec() uint {
 // out-edge would never be visited, contradicting Theorem 4.2. We therefore
 // split I_1 into d pieces in that case. Every vertex still splits at most one
 // interval, into at most d parts, preserving the Theorem 4.3 length bound.
-//
-// The split parts share one backing array (see splitInto); the rest is a
-// copy. Like any union adopted from elsewhere, a part is never absorbed into.
 func (u Union) CanonicalPartition(d int) []Union {
+	out := make([]Union, max(d, 0))
+	u.PartitionInto(out, false)
+	return out
+}
+
+// PartitionInto writes the partition of u into d = len(parts) >= 1 parts:
+// CanonicalPartition's when literal is false, and when it is true the paper's
+// Section 4 rule taken literally: I_1 is always split into d-1 parts and the
+// last part gets the remaining intervals, which is EMPTY when u is a single
+// interval. The literal rule exists only for the E12 ablation, which
+// demonstrates that it lets the terminal declare termination while vertices
+// behind the starved out-edge never received the broadcast, violating
+// Theorem 4.2 as stated.
+//
+// Apart from parts[0] = u when d == 1, the parts are capped windows of one
+// new slice holding the pieces of I_1 followed by a copy of the rest, so a
+// partition costs one allocation and an append to one part copies instead
+// of overwriting the next. Like any union adopted from elsewhere, a part is
+// never absorbed into.
+func (u Union) PartitionInto(parts []Union, literal bool) {
+	d := len(parts)
 	if d < 1 {
 		panic("interval: CanonicalPartition requires d >= 1")
 	}
@@ -482,48 +537,19 @@ func (u Union) CanonicalPartition(d int) []Union {
 		panic("interval: CanonicalPartition of an empty union")
 	}
 	if d == 1 {
-		return []Union{u}
+		parts[0] = u
+		return
 	}
-	out := make([]Union, d)
-	if len(u.ivs) == 1 {
-		splitInto(out, u.ivs[0])
-		return out
+	k := d - 1 // pieces of I_1
+	if len(u.ivs) == 1 && !literal {
+		k = d
 	}
-	splitInto(out[:d-1], u.ivs[0])
-	out[d-1] = Union{ivs: append([]Interval(nil), u.ivs[1:]...)}
-	return out
-}
-
-// splitInto splits iv into len(parts) pieces and makes piece i the
-// one-interval union parts[i]. The parts are capped windows of Split's one
-// slice, so the split costs one allocation however many parts it makes, and
-// an append to one part copies instead of overwriting the next.
-func splitInto(parts []Union, iv Interval) {
-	pieces := iv.Split(len(parts))
-	for i := range parts {
-		parts[i] = Union{ivs: pieces[i : i+1 : i+1]}
+	rest := u.ivs[1:]
+	buf := u.ivs[0].appendSplit(make([]Interval, 0, k+len(rest)), k)
+	for i := range k {
+		parts[i] = Union{ivs: buf[i : i+1 : i+1]}
 	}
-}
-
-// CanonicalPartitionLiteral is the paper's Section 4 rule taken literally:
-// I_1 is always split into d-1 parts and the last part gets the remaining
-// intervals — which is EMPTY when u is a single interval. It exists only for
-// the E12 ablation, which demonstrates that the literal rule lets the
-// terminal declare termination while vertices behind the starved out-edge
-// never received the broadcast, violating Theorem 4.2 as stated. Production
-// protocols use CanonicalPartition.
-func (u Union) CanonicalPartitionLiteral(d int) []Union {
-	if d < 1 {
-		panic("interval: CanonicalPartitionLiteral requires d >= 1")
+	if k < d {
+		_, parts[d-1] = AppendCopy(buf, Union{ivs: rest})
 	}
-	if u.IsEmpty() {
-		panic("interval: CanonicalPartitionLiteral of an empty union")
-	}
-	if d == 1 {
-		return []Union{u}
-	}
-	out := make([]Union, d)
-	splitInto(out[:d-1], u.ivs[0])
-	out[d-1] = Union{ivs: append([]Interval(nil), u.ivs[1:]...)}
-	return out
 }

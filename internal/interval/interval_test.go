@@ -53,7 +53,7 @@ func TestIntervalBasics(t *testing.T) {
 
 func TestSplitPartitions(t *testing.T) {
 	for k := 1; k <= 9; k++ {
-		parts := Full().Split(k)
+		parts := Full().appendSplit(nil, k)
 		if len(parts) != k {
 			t.Fatalf("Split(%d) returned %d parts", k, len(parts))
 		}
@@ -77,8 +77,8 @@ func TestSplitPartitions(t *testing.T) {
 
 func TestSplitEndpointGrowth(t *testing.T) {
 	// Theorem 4.3: each split adds only O(log k) bits to end points.
-	in := iv(1, 2, 3, 2) // [1/4, 3/4), endpoints have 2 fraction bits
-	parts := in.Split(5) // N = 8, delta = (1/2)/8 = 2^-4
+	in := iv(1, 2, 3, 2)            // [1/4, 3/4), endpoints have 2 fraction bits
+	parts := in.appendSplit(nil, 5) // N = 8, delta = (1/2)/8 = 2^-4
 	for _, p := range parts {
 		if p.Lo.Prec() > 5 || p.Hi.Prec() > 5 {
 			t.Fatalf("Split(5) endpoint precision too large: %s", p)
@@ -101,7 +101,7 @@ func TestAddIntervalMerging(t *testing.T) {
 }
 
 func TestUnionIsFull(t *testing.T) {
-	parts := Full().Split(7)
+	parts := Full().appendSplit(nil, 7)
 	u := EmptyUnion()
 	order := []int{3, 0, 6, 1, 5, 2, 4}
 	for _, i := range order {

@@ -1,6 +1,9 @@
 package protocol
 
-import "reflect"
+import (
+	"reflect"
+	"unsafe"
+)
 
 // Symbol is a dense interned identifier for one element of the transmitted
 // alphabet Sigma_G: two messages receive the same Symbol iff their canonical
@@ -22,7 +25,9 @@ type Symbol uint32
 //     warm-up an Intern call costs zero heap and one map probe (two when
 //     the message's type differs from the previous call's).
 //   - the canonical key map (map[string]Symbol) is consulted on a memo miss;
-//     only a first-ever sighting of a key allocates (the key string itself).
+//     only a first-ever sighting of a key stores it. A KeyAppender key is
+//     copied into a chunked byte arena, so N first-seen keys cost about
+//     N·len/arenaChunk allocations rather than N.
 //
 // Only comparable message types reach the memo, so a protocol should keep
 // its message types comparable (no slice, map or func fields). A message
@@ -51,7 +56,16 @@ type Interner struct {
 	// scratch receives KeyAppender keys; it is reused across calls, and a
 	// key is copied out of it only when it is seen for the first time.
 	scratch []byte
+	// arena is the current chunk that first-seen KeyAppender keys are
+	// copied into. The stored keys alias it; bytes below its length are
+	// never written again.
+	arena []byte
 }
+
+// arenaChunk is the size of one key arena chunk. A key longer than a
+// quarter chunk gets a string of its own, so a chunk wastes at most a
+// quarter of itself when the next key does not fit.
+const arenaChunk = 4096
 
 // memoCap bounds the value memo. Protocols that allocate a fresh pointer per
 // message (e.g. big.Rat-backed symbols) would otherwise grow the memo with
@@ -85,7 +99,7 @@ func (in *Interner) Intern(m Message) Symbol {
 		in.scratch = ka.AppendKey(in.scratch[:0])
 		// A map index by string(bytes) does not allocate.
 		if s, ok = in.byKey[string(in.scratch)]; !ok {
-			s = in.add(string(in.scratch))
+			s = in.add(in.save(in.scratch))
 		}
 	} else {
 		k := m.Key()
@@ -105,6 +119,21 @@ func (in *Interner) add(k string) Symbol {
 	in.keys = append(in.keys, k)
 	in.byKey[k] = s
 	return s
+}
+
+// save returns a string holding the bytes of b, which the caller goes on
+// reusing: a copy in the arena, or a string of its own for a long key.
+func (in *Interner) save(b []byte) string {
+	if len(b) > arenaChunk/4 {
+		return string(b)
+	}
+	if cap(in.arena)-len(in.arena) < len(b) {
+		in.arena = make([]byte, 0, arenaChunk)
+	}
+	start := len(in.arena)
+	in.arena = append(in.arena, b...)
+	// The saved bytes are never written again, so the string may alias them.
+	return unsafe.String(unsafe.SliceData(in.arena[start:]), len(b))
 }
 
 // typeHashable reports whether values of dynamic type t are comparable.

@@ -170,3 +170,40 @@ func FuzzInternRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// TestInternerKeyArena interns N distinct KeyAppender keys. Their bytes go
+// into the interner's chunked arena, so the table allocates about
+// N·len/arenaChunk chunks plus its map's and key slice's growth, not one
+// string per key; and every key stays intact as later keys fill the arena
+// behind it. A string per key would cost N allocations.
+func TestInternerKeyArena(t *testing.T) {
+	const n, keyLen = 8192, 16
+	// The messages are boxed once here, so that interning them does not.
+	keys := make([]Message, n)
+	for i := range keys {
+		keys[i] = appendMsg{[]byte(fmt.Sprintf("%0*d", keyLen, i))}
+	}
+	// A key longer than a quarter chunk gets a string of its own.
+	long := Message(appendMsg{make([]byte, arenaChunk/4+1)})
+	var in *Interner
+	allocs := testing.AllocsPerRun(3, func() {
+		in = NewInterner()
+		for _, k := range keys {
+			in.Intern(k)
+		}
+		in.Intern(long)
+	})
+	chunks := n * keyLen / arenaChunk
+	t.Logf("%d keys of %d bytes: %.0f allocations, %d of them arena chunks", n, keyLen, allocs, chunks)
+	if allocs > n/32 {
+		t.Fatalf("interning %d distinct keys allocates %.0f times, want <= %d", n, allocs, n/32)
+	}
+	for i, k := range keys {
+		if got, want := in.KeyOf(Symbol(i)), string(k.(appendMsg).b); got != want {
+			t.Fatalf("key %d reads %q, want %q", i, got, want)
+		}
+	}
+	if in.KeyOf(Symbol(n)) != string(long.(appendMsg).b) {
+		t.Fatal("the long key does not round-trip")
+	}
+}

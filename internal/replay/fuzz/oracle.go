@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/interval"
 	"repro/internal/sim"
 )
 
@@ -38,15 +39,15 @@ func (o Outcome) String() string {
 }
 
 // Compute derives the schedule-independent footprint of a run plus a list
-// of invariant violations (non-single-interval labels, label collisions,
-// unreconstructable topologies). It has no testing dependency, so the
+// of invariant violations (non-single-interval labels, labels that share a
+// point, unreconstructable topologies). It has no testing dependency, so the
 // replay shrinker and the schedule fuzzer use it as their oracle predicate
 // exactly as the test matrix does.
 func Compute(g *graph.G, r *sim.Result) (Outcome, []string) {
 	o := Outcome{Verdict: r.Verdict, AllVisited: r.AllVisited()}
 	var problems []string
 	var labeled []int
-	seen := make(map[string]int)
+	var labels []vertexLabel
 	for v, node := range r.Nodes {
 		ln, ok := node.(core.Labeled)
 		if !ok {
@@ -61,12 +62,10 @@ func Compute(g *graph.G, r *sim.Result) (Outcome, []string) {
 			if u.NumIntervals() != 1 {
 				problems = append(problems, fmt.Sprintf("vertex %d label %s is not a single interval", v, u))
 			}
-			if prev, dup := seen[u.Key()]; dup {
-				problems = append(problems, fmt.Sprintf("label collision: vertices %d and %d both own %s", prev, v, u))
-			}
-			seen[u.Key()] = v
+			labels = append(labels, vertexLabel{v, u})
 		}
 	}
+	problems = append(problems, overlaps(labels)...)
 	sort.Ints(labeled)
 	o.Labeled = fmt.Sprint(labeled)
 	if topo, ok := r.Output.(*core.Topology); ok && r.Verdict == sim.Terminated {
@@ -78,4 +77,31 @@ func Compute(g *graph.G, r *sim.Result) (Outcome, []string) {
 		}
 	}
 	return o, problems
+}
+
+// vertexLabel is the label u of vertex v.
+type vertexLabel struct {
+	v int
+	u interval.Union
+}
+
+// overlaps reports every pair of labels that share a point. Theorem 5.1's
+// labels are pairwise disjoint, which is stronger than pairwise distinct,
+// and the mapping protocol names a vertex by its label. Each label is
+// checked against the union of the earlier ones, so disjoint labels cost
+// one pass.
+func overlaps(labels []vertexLabel) []string {
+	var problems []string
+	var seen interval.Union
+	for i, l := range labels {
+		if !seen.Intersect(l.u).IsEmpty() {
+			for _, p := range labels[:i] {
+				if !p.u.Intersect(l.u).IsEmpty() {
+					problems = append(problems, fmt.Sprintf("labels overlap: vertex %d owns %s, vertex %d owns %s", p.v, p.u, l.v, l.u))
+				}
+			}
+		}
+		seen.Absorb(l.u)
+	}
+	return problems
 }

@@ -12,6 +12,8 @@ package scenario
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -40,6 +42,9 @@ type Family struct {
 	Params []Param
 
 	build func(p map[string]int, seed int64) (*graph.G, error)
+	// sizeParams names the parameters whose product is the number of
+	// internal vertices build makes.
+	sizeParams []string
 }
 
 // families is the registry. Generators draw randomness exclusively from a
@@ -53,7 +58,8 @@ var families = []Family{
 			{Name: "n", Default: 24, Min: 2},
 			{Name: "m", Default: 2, Min: 1},
 		},
-		build: buildScaleFree,
+		build:      buildScaleFree,
+		sizeParams: []string{"n"},
 	},
 	{
 		Name: "smallworld",
@@ -63,7 +69,8 @@ var families = []Family{
 			{Name: "k", Default: 2, Min: 1},
 			{Name: "p", Default: 20, Min: 0},
 		},
-		build: buildSmallWorld,
+		build:      buildSmallWorld,
+		sizeParams: []string{"n"},
 	},
 	{
 		Name: "torus",
@@ -72,7 +79,8 @@ var families = []Family{
 			{Name: "w", Default: 4, Min: 2},
 			{Name: "h", Default: 3, Min: 2},
 		},
-		build: buildTorus,
+		build:      buildTorus,
+		sizeParams: []string{"w", "h"},
 	},
 	{
 		Name: "regular",
@@ -81,7 +89,8 @@ var families = []Family{
 			{Name: "n", Default: 24, Min: 2},
 			{Name: "d", Default: 3, Min: 1},
 		},
-		build: buildRegular,
+		build:      buildRegular,
+		sizeParams: []string{"n"},
 	},
 	{
 		Name: "layereddag",
@@ -91,7 +100,8 @@ var families = []Family{
 			{Name: "width", Default: 4, Min: 1},
 			{Name: "fanout", Default: 2, Min: 1},
 		},
-		build: buildLayeredDAG,
+		build:      buildLayeredDAG,
+		sizeParams: []string{"layers", "width"},
 	},
 }
 
@@ -126,12 +136,68 @@ func lookup(name string) (Family, error) {
 
 // Build generates the named family with the given parameters and seed.
 // Missing parameters take their defaults; unknown parameters and values
-// below a parameter's minimum are errors. The result is a pure function of
+// below a parameter's minimum are errors, and so is a graph of more than
+// maxVertices vertices. The result is a pure function of
 // (family, params, seed).
 func Build(family string, params map[string]int, seed int64) (*graph.G, error) {
-	f, err := lookup(family)
+	f, full, err := resolve(family, params)
 	if err != nil {
 		return nil, err
+	}
+	if vertices(f, full) > maxVertices {
+		return nil, fmt.Errorf("scenario: %s has more than %d vertices", family, maxVertices)
+	}
+	g, err := f.build(full, seed)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: %s: %w", family, err)
+	}
+	return g, nil
+}
+
+// maxVertices bounds the graphs Build makes. No larger graph fits in
+// memory, and the builder's slices would fail to allocate one whose count
+// nears math.MaxInt.
+const maxVertices = math.MaxInt32
+
+// Vertices returns the number of vertices Parse(spec) builds — the family's
+// internal vertices plus the root and the terminal — without building the
+// graph. The count is exact, saturated at math.MaxInt when it does not fit
+// in an int. It returns Parse's error for a spec whose syntax, family or
+// parameters Parse rejects before building; a family may still reject a
+// spec Vertices accepts (smallworld needs k < n, for one).
+func Vertices(spec string) (int, error) {
+	family, params, _, err := parseSpec(spec)
+	if err != nil {
+		return 0, err
+	}
+	f, full, err := resolve(family, params)
+	if err != nil {
+		return 0, err
+	}
+	return vertices(f, full), nil
+}
+
+// vertices is the family's vertex count for full parameters, saturated at
+// math.MaxInt. Parameters are at least their minimum, which is positive for
+// every size parameter.
+func vertices(f Family, full map[string]int) int {
+	n := uint64(1)
+	for _, name := range f.sizeParams {
+		hi, lo := bits.Mul64(n, uint64(full[name]))
+		if hi != 0 || lo > math.MaxInt-2 {
+			return math.MaxInt
+		}
+		n = lo
+	}
+	return int(n) + 2
+}
+
+// resolve looks family up and returns its full parameters: params over the
+// defaults, each checked against its family.
+func resolve(family string, params map[string]int) (Family, map[string]int, error) {
+	f, err := lookup(family)
+	if err != nil {
+		return Family{}, nil, err
 	}
 	full := make(map[string]int, len(f.Params))
 	for _, p := range f.Params {
@@ -140,18 +206,14 @@ func Build(family string, params map[string]int, seed int64) (*graph.G, error) {
 	for k, v := range params {
 		p, ok := findParam(f.Params, k)
 		if !ok {
-			return nil, fmt.Errorf("scenario: family %q has no parameter %q (have %s)", family, k, paramNames(f.Params))
+			return Family{}, nil, fmt.Errorf("scenario: family %q has no parameter %q (have %s)", family, k, paramNames(f.Params))
 		}
 		if v < p.Min {
-			return nil, fmt.Errorf("scenario: %s:%s=%d below minimum %d", family, k, v, p.Min)
+			return Family{}, nil, fmt.Errorf("scenario: %s:%s=%d below minimum %d", family, k, v, p.Min)
 		}
 		full[k] = v
 	}
-	g, err := f.build(full, seed)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %s: %w", family, err)
-	}
-	return g, nil
+	return f, full, nil
 }
 
 func findParam(ps []Param, name string) (Param, bool) {
@@ -178,20 +240,30 @@ func paramNames(ps []Param) string {
 // e.g. "torus:w=5,h=4" or "scalefree:n=30,m=2,seed=7". The reserved key
 // "seed" sets the generator seed (default 1).
 func Parse(spec string) (*graph.G, error) {
-	family, kvs, err := splitSpec(spec)
+	family, params, seed, err := parseSpec(spec)
 	if err != nil {
 		return nil, err
 	}
-	params := make(map[string]int)
-	seed := int64(1)
+	return Build(family, params, seed)
+}
+
+// parseSpec splits a Parse spec into its family, its parameters and its
+// seed.
+func parseSpec(spec string) (family string, params map[string]int, seed int64, err error) {
+	family, kvs, err := splitSpec(spec)
+	if err != nil {
+		return "", nil, 0, err
+	}
+	params = make(map[string]int)
+	seed = 1
 	for _, kv := range kvs {
 		k, vs, ok := strings.Cut(kv, "=")
 		if !ok {
-			return nil, fmt.Errorf("scenario: bad parameter %q in %q (want key=value)", kv, spec)
+			return "", nil, 0, fmt.Errorf("scenario: bad parameter %q in %q (want key=value)", kv, spec)
 		}
 		v, err := strconv.ParseInt(vs, 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("scenario: bad value %q for %s in %q", vs, k, spec)
+			return "", nil, 0, fmt.Errorf("scenario: bad value %q for %s in %q", vs, k, spec)
 		}
 		if k == "seed" {
 			seed = v
@@ -199,7 +271,7 @@ func Parse(spec string) (*graph.G, error) {
 		}
 		params[k] = int(v)
 	}
-	return Build(family, params, seed)
+	return family, params, seed, nil
 }
 
 // splitSpec separates "family:k=v,k=v" into the family name and the raw

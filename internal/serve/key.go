@@ -185,7 +185,8 @@ func KeyOf(req *anonnet.Request, limits Limits) (Key, *Error) {
 	return k, nil
 }
 
-// resolveNetwork builds the request's network and enforces the size limit.
+// resolveNetwork builds the request's network and enforces the size limit,
+// on a scenario before building it: its vertex count follows from the spec.
 // The '@'-fault suffix of WithScenario is refused on the wire: fault plans
 // are first-class in the API and travel in the Faults field only.
 func resolveNetwork(req *anonnet.Request, limits Limits) (*anonnet.Network, *Error) {
@@ -196,26 +197,37 @@ func resolveNetwork(req *anonnet.Request, limits Limits) (*anonnet.Network, *Err
 		if strings.Contains(req.Scenario, "@") {
 			return nil, Errf(CodeBadScenario, "scenario spec %q carries an '@' fault suffix; put the fault plan in the faults field", req.Scenario)
 		}
+		n, err := scenario.Vertices(req.Scenario)
+		if err != nil {
+			return nil, Errf(CodeBadScenario, "%v", err)
+		}
+		if apiErr := checkSize(n, limits); apiErr != nil {
+			return nil, apiErr
+		}
 		net, err := anonnet.ScenarioNetwork(req.Scenario)
 		if err != nil {
 			return nil, Errf(CodeBadScenario, "%v", err)
 		}
-		return checkSize(net, limits)
+		return net, nil
 	case req.Network != "":
 		net, err := anonnet.ParseNetwork(strings.NewReader(req.Network))
 		if err != nil {
 			return nil, Errf(CodeBadNetwork, "%v", err)
 		}
-		return checkSize(net, limits)
+		if apiErr := checkSize(net.NumVertices(), limits); apiErr != nil {
+			return nil, apiErr
+		}
+		return net, nil
 	default:
 		return nil, Errf(CodeBadRequest, "one of scenario or network is required")
 	}
 }
 
-func checkSize(net *anonnet.Network, limits Limits) (*anonnet.Network, *Error) {
-	if limits.MaxVertices > 0 && net.NumVertices() > limits.MaxVertices {
-		return nil, Errf(CodeNetworkTooLarge,
-			"network has %d vertices, the server admits at most %d", net.NumVertices(), limits.MaxVertices)
+// checkSize refuses a network of n vertices when it exceeds the limit. A
+// scenario's count saturates at math.MaxInt, which no limit admits.
+func checkSize(n int, limits Limits) *Error {
+	if limits.MaxVertices > 0 && n > limits.MaxVertices {
+		return Errf(CodeNetworkTooLarge, "network has %d vertices, the server admits at most %d", n, limits.MaxVertices)
 	}
-	return net, nil
+	return nil
 }

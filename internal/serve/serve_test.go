@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -358,6 +359,33 @@ func TestMetricsRender(t *testing.T) {
 	} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("metrics missing %q:\n%s", want, data)
+		}
+	}
+}
+
+// TestOversizedScenarioRejectedBeforeBuild posts a scenario whose graph
+// would take hundreds of megabytes to a server that admits 32 vertices. The
+// server must answer network_too_large from the spec's vertex count, without
+// building the 490,002-vertex torus, so the request allocates little.
+func TestOversizedScenarioRejectedBeforeBuild(t *testing.T) {
+	srv := NewServer(Config{Workers: 1, MaxVertices: 32})
+	defer srv.Close()
+	h := srv.Handler()
+	for _, spec := range []string{"torus:w=700,h=700", "torus:w=4294967296,h=4294967296", "scalefree:n=9223372036854775807"} {
+		body := fmt.Sprintf(`{"scenario":%q}`, spec)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", strings.NewReader(body)))
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d, want %d (%s)", spec, rec.Code, http.StatusRequestEntityTooLarge, rec.Body)
+		}
+		if e := decodeError(t, rec.Body.Bytes()); e.Code != CodeNetworkTooLarge {
+			t.Fatalf("%s: code %s, want %s", spec, e.Code, CodeNetworkTooLarge)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Fatalf("%s: refusing the request allocated %d bytes, want under 1 MB", spec, got)
 		}
 	}
 }
