@@ -25,16 +25,16 @@ func batchVertex(v int) (int, int, protocol.Role) {
 // batchProtocols are the interval protocols with their message wrapping.
 func batchProtocols() []struct {
 	p    protocol.Protocol
-	wrap func(gcMsg) protocol.Message
+	wrap func(*gcMsg) protocol.Message
 } {
 	return []struct {
 		p    protocol.Protocol
-		wrap func(gcMsg) protocol.Message
+		wrap func(*gcMsg) protocol.Message
 	}{
-		{NewGeneralBroadcast([]byte("m")), func(m gcMsg) protocol.Message { return m }},
-		{NewLabelAssign(nil), func(m gcMsg) protocol.Message { return m }},
-		{NewMapExtract(nil), func(m gcMsg) protocol.Message {
-			return mapMsg{gc: m, sender: Endpoint{Kind: EndpointRoot}, senderDeg: 1}
+		{NewGeneralBroadcast([]byte("m")), func(m *gcMsg) protocol.Message { return m }},
+		{NewLabelAssign(nil), func(m *gcMsg) protocol.Message { return m }},
+		{NewMapExtract(nil), func(m *gcMsg) protocol.Message {
+			return mapMsg{gc: *m, sender: Endpoint{Kind: EndpointRoot}, senderDeg: 1}
 		}},
 	}
 }
@@ -54,7 +54,7 @@ func TestBatchNodesMatchNewNode(t *testing.T) {
 		rng := rand.New(rand.NewSource(23))
 		for i := 0; i < 2000; i++ {
 			v := rng.Intn(len(batchVertices))
-			m := gcMsg{alpha: randUnion(rng, 3, 10, 0), beta: randUnion(rng, 3, 10, 0)}
+			m := &gcMsg{alpha: randUnion(rng, 3, 10, 0), beta: randUnion(rng, 3, 10, 0)}
 			if i < len(batchVertices) || rng.Intn(4) == 0 {
 				m.alpha = interval.FullUnion()
 			}
@@ -98,7 +98,7 @@ func nodeWindows(n protocol.Node) ([]interval.Union, [][]protocol.Message, []int
 // The nodes after it must still hold only zero values: a window that is
 // not capped would let the append overwrite its neighbour's.
 func TestBatchWindowsAreCapped(t *testing.T) {
-	full, msg := interval.FullUnion(), protocol.Message(gcMsg{alpha: interval.FullUnion()})
+	full, msg := interval.FullUnion(), protocol.Message(&gcMsg{alpha: interval.FullUnion()})
 	for _, c := range batchProtocols() {
 		batch := make([]protocol.Node, len(batchVertices))
 		c.p.(protocol.BatchBuilder).NewNodes(batch, batchVertex)
@@ -140,6 +140,42 @@ func TestBatchWindowsAreCapped(t *testing.T) {
 						t.Fatalf("%s: filling vertex %d's scratch reached vertex %d's", c.p.Name(), v, u)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestBatchSentMessagesStayPut feeds the nodes of one batch interleaved
+// receipts and keeps every message they send. The messages live in the
+// batch's first-receipt backing and in each node's chunks, which later
+// receipts of the same and neighbouring nodes go on filling, so every kept
+// message must still have the key it was sent with at the end.
+func TestBatchSentMessagesStayPut(t *testing.T) {
+	for _, c := range batchProtocols() {
+		batch := make([]protocol.Node, len(batchVertices))
+		c.p.(protocol.BatchBuilder).NewNodes(batch, batchVertex)
+		rng := rand.New(rand.NewSource(29))
+		var sent []protocol.Message
+		var keys []string
+		for i := 0; i < 2000; i++ {
+			v := rng.Intn(len(batchVertices))
+			m := &gcMsg{alpha: randUnion(rng, 3, 10, 0), beta: randUnion(rng, 3, 10, 0)}
+			if i < len(batchVertices) || rng.Intn(4) == 0 {
+				m.alpha = interval.FullUnion()
+			}
+			outs, err := batch[v].Receive(c.wrap(m), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, o := range outs {
+				if o != nil {
+					sent, keys = append(sent, o), append(keys, o.Key())
+				}
+			}
+		}
+		for i, o := range sent {
+			if o.Key() != keys[i] {
+				t.Fatalf("%s: sent message %d changed after it was sent", c.p.Name(), i)
 			}
 		}
 	}

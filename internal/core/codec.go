@@ -41,7 +41,7 @@ func framingBits(m protocol.Message) int {
 		n += bitio.Delta0Len(uint64(len(t.payload)))
 	case dagMsg:
 		n += bitio.Delta0Len(uint64(len(t.payload)))
-	case gcMsg:
+	case *gcMsg:
 		n += bitio.Delta0Len(uint64(len(t.payload)))
 	case mapMsg:
 		n += bitio.Delta0Len(uint64(len(t.gc.payload)))
@@ -76,12 +76,12 @@ func EncodeMessage(w *bitio.Writer, m protocol.Message) error {
 		w.WriteBits(tagDAG, tagBits)
 		encPayload(w, t.payload)
 		t.x.Encode(w)
-	case gcMsg:
+	case *gcMsg:
 		w.WriteBits(tagGC, tagBits)
 		encGCBody(w, t)
 	case mapMsg:
 		w.WriteBits(tagMap, tagBits)
-		encGCBody(w, t.gc)
+		encGCBody(w, &t.gc)
 		encEndpoint(w, t.sender)
 		w.WriteGamma0(uint64(t.senderDeg))
 		w.WriteGamma0(uint64(t.outPort))
@@ -141,7 +141,11 @@ func DecodeMessage(r *bitio.Reader) (protocol.Message, error) {
 		}
 		return dagMsg{payload: payload, x: x}, nil
 	case tagGC:
-		return decGCBody(r)
+		m, err := decGCBody(r)
+		if err != nil {
+			return nil, err
+		}
+		return &m, nil
 	case tagMap:
 		gc, err := decGCBody(r)
 		if err != nil {
@@ -229,7 +233,7 @@ func decBigInt(r *bitio.Reader) (*big.Int, error) {
 	return v, nil
 }
 
-func encGCBody(w *bitio.Writer, m gcMsg) {
+func encGCBody(w *bitio.Writer, m *gcMsg) {
 	encPayload(w, m.payload)
 	m.alpha.Encode(w)
 	m.beta.Encode(w)

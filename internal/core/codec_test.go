@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/bitio"
@@ -110,6 +111,55 @@ func TestWireRoundTripAllProtocols(t *testing.T) {
 	}
 }
 
+// TestCodecAgreesWithNodes decodes every kind of message each core protocol
+// sends, the initial message and an internal vertex's first sends, and
+// checks that the decoded message has the sent message's dynamic type and
+// that the protocol's internal and terminal nodes accept it. A codec that
+// decoded a different form than the nodes take would otherwise fail only
+// inside the TCP tier.
+func TestCodecAgreesWithNodes(t *testing.T) {
+	for _, p := range []protocol.Protocol{
+		NewTreeBroadcast([]byte("m"), RulePow2),
+		NewTreeBroadcast([]byte("m"), RuleNaive),
+		NewDAGBroadcast([]byte("m")),
+		NewGeneralBroadcast([]byte("m")),
+		NewLabelAssign([]byte("m")),
+		NewMapExtract([]byte("m")),
+	} {
+		msgs := []protocol.Message{p.InitialMessage()}
+		outs, err := p.NewNode(1, 2, protocol.RoleInternal).Receive(p.InitialMessage(), 0)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name(), err)
+		}
+		for _, m := range outs {
+			if m != nil {
+				msgs = append(msgs, m)
+			}
+		}
+		for _, m := range msgs {
+			var w bitio.Writer
+			if err := EncodeMessage(&w, m); err != nil {
+				t.Fatalf("%s: encode %T: %v", p.Name(), m, err)
+			}
+			decoded, err := DecodeMessage(bitio.NewReader(w.Bytes(), w.Len()))
+			if err != nil {
+				t.Fatalf("%s: decode %T: %v", p.Name(), m, err)
+			}
+			if got, want := reflect.TypeOf(decoded), reflect.TypeOf(m); got != want {
+				t.Fatalf("%s: %v decodes as %v", p.Name(), want, got)
+			}
+			for _, n := range []protocol.Node{
+				p.NewNode(1, 2, protocol.RoleInternal),
+				p.NewNode(1, 0, protocol.RoleTerminal),
+			} {
+				if _, err := n.Receive(decoded, 0); err != nil {
+					t.Fatalf("%s: %T refuses the decoded %T: %v", p.Name(), n, decoded, err)
+				}
+			}
+		}
+	}
+}
+
 func TestWireBitsMatchesAccounting(t *testing.T) {
 	msgs := []protocol.Message{
 		pow2Msg{exp: 0},
@@ -167,7 +217,7 @@ func TestProtocolsCopyThePayload(t *testing.T) {
 			got = m.payload
 		case dagMsg:
 			got = m.payload
-		case gcMsg:
+		case *gcMsg:
 			got = m.payload
 		case mapMsg:
 			got = m.gc.payload

@@ -32,7 +32,7 @@ type GeneralBroadcast struct {
 var (
 	_ protocol.Protocol     = (*GeneralBroadcast)(nil)
 	_ protocol.BatchBuilder = (*GeneralBroadcast)(nil)
-	_ protocol.KeyAppender  = gcMsg{}
+	_ protocol.KeyAppender  = (*gcMsg)(nil)
 )
 
 // NewGeneralBroadcast returns the general-graph broadcast protocol carrying
@@ -56,7 +56,7 @@ func (p *GeneralBroadcast) Name() string { return "generalcast" }
 
 // InitialMessage implements protocol.Protocol: sigma0 = ([0,1), empty).
 func (p *GeneralBroadcast) InitialMessage() protocol.Message {
-	return gcMsg{payload: p.payload, alpha: interval.FullUnion()}
+	return &gcMsg{payload: p.payload, alpha: interval.FullUnion()}
 }
 
 // NewNode implements protocol.Protocol as a batch of one, so there is one
@@ -88,7 +88,8 @@ func (p *GeneralBroadcast) NewNodes(nodes []protocol.Node, vertex func(v int) (i
 // run on separate goroutines never write the same element.
 type gcBatch struct {
 	unions  []interval.Union
-	msgs    []protocol.Message
+	outs    []protocol.Message
+	msgs    []gcMsg
 	scratch []interval.Interval
 }
 
@@ -97,29 +98,30 @@ type gcBatch struct {
 const scratchPerNode = 4
 
 // newGCBatch allocates a slab of one N per vertex and the batch's backings:
-// d+extraUnions unions, msgsPerEdge·d messages and scratchPerNode
+// d+extraUnions unions, outsPerEdge·d outs, d messages and scratchPerNode
 // intervals for every non-terminal vertex of out-degree d.
-func newGCBatch[N any](nodes []protocol.Node, vertex func(v int) (int, int, protocol.Role), extraUnions, msgsPerEdge int) ([]N, gcBatch) {
-	var unions, msgs, internal int
+func newGCBatch[N any](nodes []protocol.Node, vertex func(v int) (int, int, protocol.Role), extraUnions, outsPerEdge int) ([]N, gcBatch) {
+	var unions, edges, internal int
 	for v := range nodes {
 		if _, outDeg, role := vertex(v); role != protocol.RoleTerminal {
 			unions += outDeg + extraUnions
-			msgs += msgsPerEdge * outDeg
+			edges += outDeg
 			internal++
 		}
 	}
 	return make([]N, len(nodes)), gcBatch{
 		unions:  make([]interval.Union, unions),
-		msgs:    make([]protocol.Message, msgs),
+		outs:    make([]protocol.Message, outsPerEdge*edges),
+		msgs:    make([]gcMsg, edges),
 		scratch: make([]interval.Interval, scratchPerNode*internal),
 	}
 }
 
 // state returns the initial gcState of a node with the given alphas, its
-// outs and scratch carved out of the batch.
+// outs, first-receipt messages and scratch carved out of the batch.
 func (b *gcBatch) state(payload Payload, alphas []interval.Union) gcState {
-	return gcState{payload: payload, alphas: alphas,
-		outs: carve(&b.msgs, len(alphas)), scratch: carve(&b.scratch, scratchPerNode)[:0]}
+	return gcState{payload: payload, alphas: alphas, outs: carve(&b.outs, len(alphas)),
+		msgs: carve(&b.msgs, len(alphas))[:0], scratch: carve(&b.scratch, scratchPerNode)[:0]}
 }
 
 // carve returns the first n elements of *s as a window capped at n and
@@ -130,7 +132,34 @@ func carve[T any](s *[]T, n int) []T {
 	return w
 }
 
-// gcMsg is sigma = (alpha', beta') plus the broadcast payload.
+// take returns the next n elements of *chunk as a window capped at n. When
+// the chunk has no room left it starts a new one of size elements; a request
+// larger than that gets a slice of its own and leaves the chunk as it is.
+// Nothing is handed out twice, so what a node sent stays as it was sent.
+func take[T any](chunk *[]T, n, size int) []T {
+	if cap(*chunk)-len(*chunk) < n {
+		if n > size {
+			return make([]T, n)
+		}
+		*chunk = make([]T, 0, size)
+	}
+	c := (*chunk)[:len(*chunk)+n]
+	*chunk = c
+	return c[len(c)-n : len(c) : len(c)]
+}
+
+// The chunk sizes step draws sent messages and their intervals from. A step
+// sends one or two messages whose deltas are mostly one interval each. A
+// node's last chunks are partly unused, so larger chunks trade allocations
+// for bytes.
+const (
+	msgChunk      = 2
+	intervalChunk = 4
+)
+
+// gcMsg is sigma = (alpha', beta') plus the broadcast payload. Nodes send it
+// as a pointer into storage the sending node owns (gcState.msgs), and it is
+// never written after it is sent.
 type gcMsg struct {
 	payload Payload
 	alpha   interval.Union
@@ -138,20 +167,20 @@ type gcMsg struct {
 }
 
 // Bits implements protocol.Message.
-func (m gcMsg) Bits() int { return m.alpha.EncodedBits() + m.beta.EncodedBits() + m.payload.Bits() }
+func (m *gcMsg) Bits() int { return m.alpha.EncodedBits() + m.beta.EncodedBits() + m.payload.Bits() }
 
 // Key implements protocol.Message: alpha's key, '|', beta's key, built in one
 // exactly sized buffer that the returned string then shares.
-func (m gcMsg) Key() string {
+func (m *gcMsg) Key() string {
 	buf := m.AppendKey(make([]byte, 0, (m.alpha.EncodedBits()+7)/8+1+(m.beta.EncodedBits()+7)/8))
 	// buf is never written again, so the string may alias it (the same
 	// hand-off strings.Builder makes).
 	return unsafe.String(unsafe.SliceData(buf), len(buf))
 }
 
-// AppendKey implements protocol.KeyAppender: gcMsg carries unions, so it is
-// not comparable, and metering finds its symbol through the key bytes.
-func (m gcMsg) AppendKey(dst []byte) []byte {
+// AppendKey implements protocol.KeyAppender: metering finds a gcMsg's symbol
+// through its key bytes, since equal keys arrive in distinct messages.
+func (m *gcMsg) AppendKey(dst []byte) []byte {
 	dst = m.alpha.AppendKey(dst)
 	dst = append(dst, '|')
 	return m.beta.AppendKey(dst)
@@ -169,6 +198,10 @@ func (m gcMsg) AppendKey(dst []byte) []byte {
 // therefore never written, and nothing the state owns is ever sent: step
 // sends only deltas, copied out of its scratch, and Absorb never adopts its
 // argument's storage.
+//
+// Sent messages and the deltas they carry live in chunks the node draws
+// from (take) and never writes again, so they may sit in a queue or on
+// another goroutine for as long as a run lasts.
 type gcState struct {
 	payload Payload
 	alphas  []interval.Union // alpha_j, 1-indexed in the paper, 0-indexed here
@@ -185,15 +218,29 @@ type gcState struct {
 	// returned slice lapses at its next Receive (protocol.Node), so every
 	// receipt reuses it.
 	outs []protocol.Message
+	// msgs is the chunk sent messages are drawn from. It starts as the
+	// node's window of the batch, one slot per out-edge, which firstSends
+	// fills; step then draws chunks of msgChunk.
+	msgs []gcMsg
+	// relayed is set when a wrapping node copies every message out before
+	// the next receipt (mapping), so each receipt rewinds msgs and reuses
+	// the first-receipt slots instead of drawing new ones.
+	relayed bool
+	// ivs is the chunk the intervals of sent deltas are drawn from.
+	ivs []interval.Interval
 	// scratch holds step's intermediate unions. It is the node's own: the
 	// concurrent and TCP engines run nodes on separate goroutines.
 	scratch []interval.Interval
 }
 
-// sends returns the outs buffer, one nil entry per out-edge.
-func (s *gcState) sends() []protocol.Message {
+// sends returns the outs buffer, one nil entry per out-edge, and n message
+// slots of the node's own to send.
+func (s *gcState) sends(n int) ([]protocol.Message, []gcMsg) {
 	clear(s.outs)
-	return s.outs
+	if s.relayed {
+		s.msgs = s.msgs[:0]
+	}
+	return s.outs, take(&s.msgs, n, msgChunk)
 }
 
 // grow sets *u to *u ∪ delta: by a copying Union the first time, after which
@@ -222,9 +269,9 @@ func grow(u *interval.Union, owned *bool, delta interval.Union) {
 //
 // Each delta is the same point set as (state ∪ x) \ state, and a canonical
 // union is unique for its point set, so the messages are identical. The
-// intermediates live in the node's scratch; the deltas that are sent are
-// copied into one exactly sized slice, so a receipt that sends costs one
-// allocation for its unions.
+// intermediates live in the node's scratch; the deltas that are sent, and
+// the messages that carry them, are copied into the node's chunks, so a
+// receipt allocates only when a chunk runs out.
 func (s *gcState) step(aIn, bIn, label interval.Union) []protocol.Message {
 	last := len(s.alphas) - 1
 	if !s.hasFrozen {
@@ -249,24 +296,30 @@ func (s *gcState) step(aIn, bIn, label interval.Union) []protocol.Message {
 	if alphaDelta.IsEmpty() && betaDelta.IsEmpty() {
 		return nil
 	}
-	sent := make([]interval.Interval, 0, alphaDelta.NumIntervals()+betaDelta.NumIntervals())
+	sent := take(&s.ivs, alphaDelta.NumIntervals()+betaDelta.NumIntervals(), intervalChunk)[:0]
 	sent, alphaDelta = interval.AppendCopy(sent, alphaDelta)
 	_, betaDelta = interval.AppendCopy(sent, betaDelta)
-	outs := s.sends()
+	toFrozen := !betaDelta.IsEmpty() && last > 0
+	n := 1
+	if toFrozen {
+		n = 2
+	}
+	outs, msgs := s.sends(n)
 	if !alphaDelta.IsEmpty() {
 		grow(&s.alphas[last], &s.ownLast, alphaDelta)
 	}
 	if !betaDelta.IsEmpty() {
 		grow(&s.beta, &s.ownBeta, betaDelta)
-		if last > 0 {
-			// One boxed message serves every frozen edge.
-			m := protocol.Message(gcMsg{payload: s.payload, beta: betaDelta})
-			for j := 0; j < last; j++ {
-				outs[j] = m
-			}
+	}
+	if toFrozen {
+		// One message serves every frozen edge.
+		msgs[1] = gcMsg{payload: s.payload, beta: betaDelta}
+		for j := 0; j < last; j++ {
+			outs[j] = &msgs[1]
 		}
 	}
-	outs[last] = gcMsg{payload: s.payload, alpha: alphaDelta, beta: betaDelta}
+	msgs[0] = gcMsg{payload: s.payload, alpha: alphaDelta, beta: betaDelta}
+	outs[last] = &msgs[0]
 	return outs
 }
 
@@ -290,12 +343,13 @@ func (s *gcState) freeze(label interval.Union) {
 // firstSends returns the messages of a first receipt: every out-edge j
 // carries (alpha_j, beta) unless both are empty.
 func (s *gcState) firstSends() []protocol.Message {
-	outs := s.sends()
+	outs, msgs := s.sends(len(s.alphas))
 	for j, a := range s.alphas {
 		if a.IsEmpty() && s.beta.IsEmpty() {
 			continue
 		}
-		outs[j] = gcMsg{payload: s.payload, alpha: a, beta: s.beta}
+		msgs[j] = gcMsg{payload: s.payload, alpha: a, beta: s.beta}
+		outs[j] = &msgs[j]
 	}
 	return outs
 }
@@ -312,7 +366,7 @@ type gcNode struct {
 
 // Receive implements the f and g of Section 4.
 func (n *gcNode) Receive(msg protocol.Message, _ int) ([]protocol.Message, error) {
-	m, ok := msg.(gcMsg)
+	m, ok := msg.(*gcMsg)
 	if !ok {
 		return nil, fmt.Errorf("generalcast: unexpected message type %T", msg)
 	}
@@ -374,10 +428,17 @@ type gcTerminal struct {
 // Receive implements protocol.Node. The three unions are owned by the
 // terminal and grow in place; nothing outside it ever holds their storage.
 func (t *gcTerminal) Receive(msg protocol.Message, _ int) ([]protocol.Message, error) {
-	m, ok := msg.(gcMsg)
+	m, ok := msg.(*gcMsg)
 	if !ok {
 		return nil, fmt.Errorf("generalcast: unexpected message type %T", msg)
 	}
+	t.receive(m)
+	return nil, nil
+}
+
+// receive absorbs m; the mapping terminal calls it on the labeling message
+// it unwraps.
+func (t *gcTerminal) receive(m *gcMsg) {
 	first := t.beta.IsEmpty()
 	t.alpha.Absorb(m.alpha)
 	t.beta.Absorb(m.beta)
@@ -390,7 +451,6 @@ func (t *gcTerminal) Receive(msg protocol.Message, _ int) ([]protocol.Message, e
 		t.cover.Absorb(m.alpha)
 		t.cover.Absorb(m.beta)
 	}
-	return nil, nil
 }
 
 // covered returns alpha ∪ beta without copying it.

@@ -209,7 +209,7 @@ func TestGeneralEveryEdgeCarriesFirstMessageWithAlpha(t *testing.T) {
 // receives, in delivery order.
 type terminalTap struct {
 	protocol.Protocol
-	got *[]gcMsg
+	got *[]*gcMsg
 }
 
 func (p terminalTap) NewNode(inDeg, outDeg int, role protocol.Role) protocol.Node {
@@ -222,11 +222,11 @@ func (p terminalTap) NewNode(inDeg, outDeg int, role protocol.Role) protocol.Nod
 
 type tapNode struct {
 	protocol.Terminal
-	got *[]gcMsg
+	got *[]*gcMsg
 }
 
 func (n tapNode) Receive(msg protocol.Message, inPort int) ([]protocol.Message, error) {
-	*n.got = append(*n.got, msg.(gcMsg))
+	*n.got = append(*n.got, msg.(*gcMsg))
 	return n.Terminal.Receive(msg, inPort)
 }
 
@@ -252,7 +252,7 @@ func TestGCTerminalMatchesEagerCover(t *testing.T) {
 		}
 		for _, p := range []protocol.Protocol{NewGeneralBroadcast([]byte("m")), NewLabelAssign(nil)} {
 			t.Run(gname+"/"+p.Name(), func(t *testing.T) {
-				var got []gcMsg
+				var got []*gcMsg
 				sched, err := sim.NewScheduler("random")
 				if err != nil {
 					t.Fatal(err)

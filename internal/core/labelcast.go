@@ -37,7 +37,7 @@ func (p *LabelAssign) Name() string { return "labelcast" }
 
 // InitialMessage implements protocol.Protocol.
 func (p *LabelAssign) InitialMessage() protocol.Message {
-	return gcMsg{payload: p.payload, alpha: interval.FullUnion()}
+	return &gcMsg{payload: p.payload, alpha: interval.FullUnion()}
 }
 
 // NewNode implements protocol.Protocol as a batch of one, so there is one
@@ -85,10 +85,16 @@ type labelNode struct {
 
 // Receive implements the modified f and g of Section 5.
 func (n *labelNode) Receive(msg protocol.Message, _ int) ([]protocol.Message, error) {
-	m, ok := msg.(gcMsg)
+	m, ok := msg.(*gcMsg)
 	if !ok {
 		return nil, fmt.Errorf("labelcast: unexpected message type %T", msg)
 	}
+	return n.receive(m), nil
+}
+
+// receive is Receive on a labeling message; the mapping node calls it on
+// the message it unwraps.
+func (n *labelNode) receive(m *gcMsg) []protocol.Message {
 	if !n.inited {
 		n.inited = true
 		n.virgin = true
@@ -116,21 +122,21 @@ func (n *labelNode) Receive(msg protocol.Message, _ int) ([]protocol.Message, er
 		}
 		n.beta = betaNew
 		if n.outDeg == 0 {
-			return nil, nil
+			return nil
 		}
-		return n.firstSends(), nil
+		return n.firstSends()
 	}
 
 	if n.outDeg == 0 {
 		grow(&n.beta, &n.ownBeta, bIn)
-		return nil, nil
+		return nil
 	}
 
 	// pi != pi0: exactly the Section 4 update with alpha_0 in the frozen
 	// prefix; alpha_0 never changes. Content coinciding with the label is
 	// already in beta (added at labeling time), so its overlap is a no-op
 	// kept for fidelity to "f is exactly as defined previously".
-	return n.step(aIn, bIn, n.parts[0]), nil
+	return n.step(aIn, bIn, n.parts[0])
 }
 
 // Label returns the vertex's assigned label and whether one was assigned.

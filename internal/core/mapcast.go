@@ -70,8 +70,9 @@ func (p *MapExtract) NewNode(inDeg, outDeg int, role protocol.Role) protocol.Nod
 }
 
 // NewNodes implements protocol.BatchBuilder: one slab of nodes and one
-// gcBatch of backings for their state, whose messages serve the outs of
-// both the labeling state and the node.
+// gcBatch of backings for their state, whose outs serve both the labeling
+// state and the node. The node copies each labeling message into the
+// mapMsg it sends, so the labeling state reuses its message slots.
 func (p *MapExtract) NewNodes(nodes []protocol.Node, vertex func(v int) (inDeg, outDeg int, role protocol.Role)) {
 	slab, b := newGCBatch[mapNode](nodes, vertex, 1, 2)
 	for v := range nodes {
@@ -84,8 +85,9 @@ func (p *MapExtract) NewNodes(nodes []protocol.Node, vertex func(v int) (inDeg, 
 			inner:  b.labelNode(p.payload, outDeg),
 			outDeg: outDeg,
 			seen:   map[recordID]struct{}{},
-			outs:   carve(&b.msgs, outDeg),
+			outs:   carve(&b.outs, outDeg),
 		}
+		slab[v].inner.relayed = true
 		nodes[v] = &slab[v]
 	}
 }
@@ -201,7 +203,7 @@ func (r EdgeRecord) String() string {
 }
 
 // mapMsg wraps the labeling message with sender identification and a batch
-// of flooded edge records.
+// of flooded edge records. It holds its own copy of the labeling message.
 type mapMsg struct {
 	gc        gcMsg
 	sender    Endpoint
@@ -296,10 +298,7 @@ func (n *mapNode) Receive(msg protocol.Message, inPort int) ([]protocol.Message,
 	}
 	// Run the labeling transition first so the vertex has its label before
 	// it constructs records or forwards anything.
-	innerOuts, err := n.inner.Receive(m.gc, inPort)
-	if err != nil {
-		return nil, err
-	}
+	innerOuts := n.inner.receive(&m.gc)
 	if n.self.Kind != EndpointLabeled {
 		label, labeled := n.inner.Label()
 		if !labeled {
@@ -345,7 +344,7 @@ func (n *mapNode) Receive(msg protocol.Message, inPort int) ([]protocol.Message,
 		gcPart := gcMsg{payload: n.inner.payload}
 		hasGC := false
 		if innerOuts != nil && innerOuts[j] != nil {
-			gcPart = innerOuts[j].(gcMsg)
+			gcPart = *innerOuts[j].(*gcMsg)
 			hasGC = true
 		}
 		if !hasGC && len(fresh) == 0 {
@@ -422,9 +421,7 @@ func (t *mapTerminal) Receive(msg protocol.Message, inPort int) ([]protocol.Mess
 	if !ok {
 		return nil, fmt.Errorf("mapcast: unexpected message type %T", msg)
 	}
-	if _, err := t.gc.Receive(m.gc, inPort); err != nil {
-		return nil, err
-	}
+	t.gc.receive(&m.gc)
 	for _, r := range m.records {
 		t.add(r)
 	}

@@ -50,9 +50,16 @@ func (p *DAGBroadcast) InitialMessages(d int) []protocol.Message {
 // InitialMessages implements protocol.MultiInitializer with the canonical
 // partition of [0, 1) into d parts.
 func (p *GeneralBroadcast) InitialMessages(d int) []protocol.Message {
-	outs := make([]protocol.Message, d)
+	return gcInitialMessages(p.payload, d)
+}
+
+// gcInitialMessages returns the canonical partition of [0, 1) into d
+// messages, held in one slice.
+func gcInitialMessages(payload Payload, d int) []protocol.Message {
+	outs, msgs := make([]protocol.Message, d), make([]gcMsg, d)
 	for j, part := range interval.FullUnion().CanonicalPartition(d) {
-		outs[j] = gcMsg{payload: p.payload, alpha: part}
+		msgs[j] = gcMsg{payload: payload, alpha: part}
+		outs[j] = &msgs[j]
 	}
 	return outs
 }
@@ -60,11 +67,7 @@ func (p *GeneralBroadcast) InitialMessages(d int) []protocol.Message {
 // InitialMessages implements protocol.MultiInitializer. The root itself
 // keeps no label: it is one of the two distinguished vertices.
 func (p *LabelAssign) InitialMessages(d int) []protocol.Message {
-	outs := make([]protocol.Message, d)
-	for j, part := range interval.FullUnion().CanonicalPartition(d) {
-		outs[j] = gcMsg{payload: p.payload, alpha: part}
-	}
-	return outs
+	return gcInitialMessages(p.payload, d)
 }
 
 // InitialMessages implements protocol.MultiInitializer. Each injected

@@ -143,7 +143,7 @@ func TestMultiInitConservation(t *testing.T) {
 		msgs := NewGeneralBroadcast(nil).InitialMessages(d)
 		whole := interval.EmptyUnion()
 		for _, m := range msgs {
-			gm := m.(gcMsg)
+			gm := m.(*gcMsg)
 			if whole.Intersect(gm.alpha).IsEmpty() == false {
 				t.Fatalf("d=%d: initial alphas overlap", d)
 			}

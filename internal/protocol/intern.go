@@ -17,28 +17,33 @@ type Symbol uint32
 // owner of Message.Key: the hot path asks only "which symbol is this?", and
 // the string encodings are materialized once, when results are reported.
 //
-// Two lookup tiers keep the steady state allocation-free:
+// Two lookup paths keep the steady state allocation-free:
 //
-//   - a value memo (map[Message]Symbol) hits when the same message value is
-//     transmitted again. Interface-keyed map lookups do not allocate, and
-//     most protocols here re-send small comparable message values, so after
-//     warm-up an Intern call costs zero heap and one map probe (two when
-//     the message's type differs from the previous call's).
-//   - the canonical key map (map[string]Symbol) is consulted on a memo miss;
-//     only a first-ever sighting of a key stores it. A KeyAppender key is
+//   - a KeyAppender's key is appended into a scratch buffer the Interner
+//     reuses and probed in the canonical key map (map[string]Symbol)
+//     without allocating; only a first-ever sighting of a key stores it,
 //     copied into a chunked byte arena, so N first-seen keys cost about
 //     N·len/arenaChunk allocations rather than N.
+//   - any other message goes through a value memo (map[Message]Symbol),
+//     which hits when the same message value is transmitted again.
+//     Interface-keyed map lookups do not allocate, and the tree and DAG
+//     protocols re-send small comparable message values, so after warm-up
+//     an Intern call costs zero heap and one map probe (two when the
+//     message's type differs from the previous call's). On a memo miss the
+//     key map is consulted with Key.
 //
-// Only comparable message types reach the memo, so a protocol should keep
-// its message types comparable (no slice, map or func fields). A message
-// type that cannot be comparable — one carrying interval unions, say —
-// should implement KeyAppender: its key is then appended into a scratch
-// buffer the Interner reuses and probed without allocating, so a repeated
-// key still costs no heap. Any other type renders Key on every call.
+// A KeyAppender never enters the memo. Such messages are pointers to
+// immutable values a node sends once each (the interval protocols'), or
+// values that are not comparable; the memo compares pointers by identity,
+// so it would admit one entry per send and seldom hit, while its keys are
+// already found without allocating. A protocol whose messages are neither
+// should keep its message types comparable (no slice, map or func fields);
+// a non-comparable type that does not implement KeyAppender renders Key on
+// every call.
 //
-// Correctness never depends on the memo: distinct message values with equal
-// keys unify through the key map, so Key -> Symbol stays injective (the
-// property test in internal/core asserts this across every protocol).
+// Correctness never depends on the memo: distinct messages with equal keys
+// unify through the key map, so Key -> Symbol stays injective (the property
+// test in internal/core asserts this across every protocol).
 //
 // An Interner is not safe for concurrent use; engines whose events originate
 // on many goroutines already serialize metering (see chansim's metricsMu).
@@ -84,28 +89,29 @@ func NewInterner() *Interner {
 }
 
 // Intern returns the Symbol of m's canonical key, assigning the next dense
-// Symbol on first sight. The fast paths (value already memoized, or a
-// KeyAppender whose key is already known) perform no allocation, and neither
+// Symbol on first sight. The fast paths (a KeyAppender whose key is already
+// known, or a value already memoized) perform no allocation, and neither
 // calls m.Key.
 func (in *Interner) Intern(m Message) Symbol {
+	if ka, ok := m.(KeyAppender); ok {
+		in.scratch = ka.AppendKey(in.scratch[:0])
+		// A map index by string(bytes) does not allocate.
+		s, ok := in.byKey[string(in.scratch)]
+		if !ok {
+			s = in.add(in.save(in.scratch))
+		}
+		return s
+	}
 	hashable := in.typeHashable(reflect.TypeOf(m))
 	if hashable {
 		if s, ok := in.memo[m]; ok {
 			return s
 		}
 	}
-	var s Symbol
-	if ka, ok := m.(KeyAppender); ok {
-		in.scratch = ka.AppendKey(in.scratch[:0])
-		// A map index by string(bytes) does not allocate.
-		if s, ok = in.byKey[string(in.scratch)]; !ok {
-			s = in.add(in.save(in.scratch))
-		}
-	} else {
-		k := m.Key()
-		if s, ok = in.byKey[k]; !ok {
-			s = in.add(k)
-		}
+	k := m.Key()
+	s, ok := in.byKey[k]
+	if !ok {
+		s = in.add(k)
 	}
 	if hashable && len(in.memo) < memoCap {
 		in.memo[m] = s

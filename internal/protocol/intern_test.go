@@ -122,6 +122,51 @@ func TestInternKeyAppenderZeroAlloc(t *testing.T) {
 	}
 }
 
+// ptrMsg is a pointer message like the interval protocols': comparable, so
+// the memo could key on it, but each send is a distinct pointer.
+type ptrMsg struct{ b []byte }
+
+func (m *ptrMsg) Bits() int                   { return 8 * len(m.b) }
+func (m *ptrMsg) Key() string                 { panic("Intern called Key on a KeyAppender") }
+func (m *ptrMsg) AppendKey(dst []byte) []byte { return append(dst, m.b...) }
+
+// TestInternPointerMessagesBypassMemo pins the memo rule for KeyAppender
+// messages: they are found by key, never memoized. 10,000 distinct pointers
+// over 50 keys intern to exactly 50 symbols, equal keys to equal symbols;
+// the memo stays empty, where memoizing by pointer would admit every one;
+// and re-interning them allocates nothing.
+func TestInternPointerMessagesBypassMemo(t *testing.T) {
+	const n, keys = 10000, 50
+	msgs := make([]Message, n)
+	for i := range msgs {
+		msgs[i] = &ptrMsg{[]byte(fmt.Sprintf("key-%d", i%keys))}
+	}
+	in := NewInterner()
+	syms := make([]Symbol, keys)
+	for i, m := range msgs {
+		s := in.Intern(m)
+		if i < keys {
+			syms[i] = s
+		} else if s != syms[i%keys] {
+			t.Fatalf("message %d: symbol %d, want %d as for key %d", i, s, syms[i%keys], i%keys)
+		}
+	}
+	if in.Len() != keys {
+		t.Fatalf("%d pointers over %d keys interned %d symbols", n, keys, in.Len())
+	}
+	if len(in.memo) != 0 {
+		t.Fatalf("memo holds %d entries, want 0", len(in.memo))
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		in.Intern(msgs[i%n])
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state Intern of a pointer message allocates %.1f per call, want 0", allocs)
+	}
+}
+
 // FuzzInternRoundTrip is the intern/lookup round-trip fuzz target: for an
 // arbitrary pair of byte-string keys, interning must be injective
 // (same symbol iff same key), KeyOf must invert Intern, and re-interning

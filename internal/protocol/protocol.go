@@ -14,7 +14,9 @@ package protocol
 import "fmt"
 
 // Message is a symbol sigma in the message space Sigma. Implementations are
-// immutable values.
+// immutable values, or pointers to values that are never written once sent:
+// a sent message may sit in a queue or on another goroutine for the rest of
+// a run, and one message may be sent on several edges.
 type Message interface {
 	// Bits returns the exact encoded length of the message in bits. All
 	// communication metrics (total communication complexity, per-edge
@@ -28,9 +30,9 @@ type Message interface {
 
 // KeyAppender is implemented by messages that can append their Key to a
 // caller's buffer: AppendKey(dst) returns dst followed by exactly the bytes
-// of Key(). Metering uses it to look a key up without building a string (see
-// Interner), so a message type that is not comparable — and therefore
-// misses the Interner's value memo — should implement it.
+// of Key(). Metering uses it to look a key up without building a string and
+// without the Interner's value memo, so a message type that is not
+// comparable, or a pointer to a message sent once, should implement it.
 type KeyAppender interface {
 	AppendKey(dst []byte) []byte
 }

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -47,11 +46,11 @@ func FuzzParseFaults(f *testing.F) {
 
 // FuzzParseScenario fuzzes the scenario grammar, the input surface of every
 // -graph flag and of the run server's scenario field. Parse must never
-// panic, Parse must reject every spec Vertices rejects and every graph of
-// more than maxVertices vertices, and for every spec Parse accepts the
-// built graph has exactly Vertices(spec) vertices. Only graphs of at most 4096 vertices and a bounded parameter
-// product are built: a family's edge count grows with its parameters, not
-// with its vertex count alone.
+// panic, Parse must reject every spec Size rejects and every graph of more
+// than maxVertices vertices, and for every spec Parse accepts the built
+// graph has exactly Size's vertex count and at most its edge count, exactly
+// it for every family but scalefree. Only graphs of at most 4096 vertices
+// and 2^14 edges are built.
 func FuzzParseScenario(f *testing.F) {
 	for _, spec := range []string{
 		"torus",
@@ -74,15 +73,15 @@ func FuzzParseScenario(f *testing.F) {
 		f.Add(spec)
 	}
 	f.Fuzz(func(t *testing.T, spec string) {
-		n, err := Vertices(spec)
+		n, edges, err := Size(spec)
 		if err != nil {
 			if _, perr := Parse(spec); perr == nil {
-				t.Fatalf("Parse accepts %q, Vertices rejects it: %v", spec, err)
+				t.Fatalf("Parse accepts %q, Size rejects it: %v", spec, err)
 			}
 			return
 		}
-		if n < 3 {
-			t.Fatalf("Vertices(%q) = %d, below the root, one internal vertex and the terminal", spec, n)
+		if n < 3 || edges < n-1 {
+			t.Fatalf("Size(%q) = %d vertices, %d edges: below the root, one internal vertex and the terminal, or too few edges to connect them", spec, n, edges)
 		}
 		if n > maxVertices {
 			if _, err := Parse(spec); err == nil {
@@ -90,7 +89,7 @@ func FuzzParseScenario(f *testing.F) {
 			}
 			return
 		}
-		if n > 4096 || paramProduct(spec) > 1<<14 {
+		if n > 4096 || edges > 1<<14 {
 			return
 		}
 		g, err := Parse(spec)
@@ -98,24 +97,11 @@ func FuzzParseScenario(f *testing.F) {
 			return
 		}
 		if g.NumVertices() != n {
-			t.Fatalf("Parse(%q) built %d vertices, Vertices says %d", spec, g.NumVertices(), n)
+			t.Fatalf("Parse(%q) built %d vertices, Size says %d", spec, g.NumVertices(), n)
+		}
+		family, _, _ := strings.Cut(strings.TrimSpace(spec), ":")
+		if got := g.NumEdges(); got > edges || got != edges && family != "scalefree" {
+			t.Fatalf("Parse(%q) built %d edges, Size says %d", spec, got, edges)
 		}
 	})
-}
-
-// paramProduct multiplies the spec's non-seed parameter values, each at
-// least 1, saturating past 2^32; a value that does not parse counts as 1.
-func paramProduct(spec string) uint64 {
-	_, rest, _ := strings.Cut(spec, ":")
-	prod := uint64(1)
-	for _, kv := range strings.Split(rest, ",") {
-		k, v, _ := strings.Cut(kv, "=")
-		x, err := strconv.ParseInt(v, 10, 64)
-		if k == "seed" || err != nil || x < 1 {
-			continue
-		}
-		prod *= uint64(min(x, 1<<32))
-		prod = min(prod, 1<<32)
-	}
-	return prod
 }

@@ -42,9 +42,9 @@ type Family struct {
 	Params []Param
 
 	build func(p map[string]int, seed int64) (*graph.G, error)
-	// sizeParams names the parameters whose product is the number of
-	// internal vertices build makes.
-	sizeParams []string
+	// size returns the vertex count build makes for full parameters p and
+	// its edge count, or a bound on it, both saturated at math.MaxInt.
+	size func(p map[string]int) (vertices, edges int)
 }
 
 // families is the registry. Generators draw randomness exclusively from a
@@ -58,8 +58,13 @@ var families = []Family{
 			{Name: "n", Default: 24, Min: 2},
 			{Name: "m", Default: 2, Min: 1},
 		},
-		build:      buildScaleFree,
-		sizeParams: []string{"n"},
+		build: buildScaleFree,
+		// s->1, at most min(m, n-1) in-edges per vertex, and at most one
+		// edge to t per vertex.
+		size: func(p map[string]int) (int, int) {
+			n := p["n"]
+			return satAdd(n, 2), satAdd(satMul(n, min(p["m"], n-1)), satAdd(n, 1))
+		},
 	},
 	{
 		Name: "smallworld",
@@ -69,8 +74,10 @@ var families = []Family{
 			{Name: "k", Default: 2, Min: 1},
 			{Name: "p", Default: 20, Min: 0},
 		},
-		build:      buildSmallWorld,
-		sizeParams: []string{"n"},
+		build: buildSmallWorld,
+		size: func(p map[string]int) (int, int) {
+			return satAdd(p["n"], 2), satAdd(satMul(p["n"], p["k"]), 2)
+		},
 	},
 	{
 		Name: "torus",
@@ -79,8 +86,11 @@ var families = []Family{
 			{Name: "w", Default: 4, Min: 2},
 			{Name: "h", Default: 3, Min: 2},
 		},
-		build:      buildTorus,
-		sizeParams: []string{"w", "h"},
+		build: buildTorus,
+		size: func(p map[string]int) (int, int) {
+			cells := satMul(p["w"], p["h"])
+			return satAdd(cells, 2), satAdd(satMul(cells, 2), 2)
+		},
 	},
 	{
 		Name: "regular",
@@ -89,8 +99,10 @@ var families = []Family{
 			{Name: "n", Default: 24, Min: 2},
 			{Name: "d", Default: 3, Min: 1},
 		},
-		build:      buildRegular,
-		sizeParams: []string{"n"},
+		build: buildRegular,
+		size: func(p map[string]int) (int, int) {
+			return satAdd(p["n"], 2), satAdd(satMul(p["n"], p["d"]), 2)
+		},
 	},
 	{
 		Name: "layereddag",
@@ -100,8 +112,14 @@ var families = []Family{
 			{Name: "width", Default: 4, Min: 1},
 			{Name: "fanout", Default: 2, Min: 1},
 		},
-		build:      buildLayeredDAG,
-		sizeParams: []string{"layers", "width"},
+		build: buildLayeredDAG,
+		// s->first, a chain of width-1 edges per layer, and between
+		// consecutive layers the first-to-first edge plus fanout per vertex.
+		size: func(p map[string]int) (int, int) {
+			layers, width := p["layers"], p["width"]
+			between := satMul(layers-1, satAdd(satMul(width, p["fanout"]), 1))
+			return satAdd(satMul(layers, width), 2), satAdd(satAdd(satMul(layers, width-1), between), 2)
+		},
 	},
 }
 
@@ -144,7 +162,7 @@ func Build(family string, params map[string]int, seed int64) (*graph.G, error) {
 	if err != nil {
 		return nil, err
 	}
-	if vertices(f, full) > maxVertices {
+	if v, _ := f.size(full); v > maxVertices {
 		return nil, fmt.Errorf("scenario: %s has more than %d vertices", family, maxVertices)
 	}
 	g, err := f.build(full, seed)
@@ -159,37 +177,44 @@ func Build(family string, params map[string]int, seed int64) (*graph.G, error) {
 // nears math.MaxInt.
 const maxVertices = math.MaxInt32
 
-// Vertices returns the number of vertices Parse(spec) builds — the family's
-// internal vertices plus the root and the terminal — without building the
-// graph. The count is exact, saturated at math.MaxInt when it does not fit
-// in an int. It returns Parse's error for a spec whose syntax, family or
-// parameters Parse rejects before building; a family may still reject a
-// spec Vertices accepts (smallworld needs k < n, for one).
-func Vertices(spec string) (int, error) {
+// Size returns the number of vertices Parse(spec) builds — the family's
+// internal vertices plus the root and the terminal — and its number of
+// edges, without building the graph. Both counts saturate at math.MaxInt
+// when they do not fit in an int. The vertex count is exact, and so is the
+// edge count except for scalefree, whose sinks are random: there it is an
+// upper bound, 1 + n·min(m, n−1) + n. Size returns Parse's error for a spec
+// whose syntax, family or parameters Parse rejects before building; a
+// family may still reject a spec Size accepts (smallworld needs k < n, for
+// one).
+func Size(spec string) (vertices, edges int, err error) {
 	family, params, _, err := parseSpec(spec)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	f, full, err := resolve(family, params)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	return vertices(f, full), nil
+	vertices, edges = f.size(full)
+	return vertices, edges, nil
 }
 
-// vertices is the family's vertex count for full parameters, saturated at
-// math.MaxInt. Parameters are at least their minimum, which is positive for
-// every size parameter.
-func vertices(f Family, full map[string]int) int {
-	n := uint64(1)
-	for _, name := range f.sizeParams {
-		hi, lo := bits.Mul64(n, uint64(full[name]))
-		if hi != 0 || lo > math.MaxInt-2 {
-			return math.MaxInt
-		}
-		n = lo
+// satMul and satAdd multiply and add non-negative counts, saturating at
+// math.MaxInt. Parameters are at least their minimum, which is never
+// negative.
+func satMul(a, b int) int {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	if hi != 0 || lo > math.MaxInt {
+		return math.MaxInt
 	}
-	return int(n) + 2
+	return int(lo)
+}
+
+func satAdd(a, b int) int {
+	if a > math.MaxInt-b {
+		return math.MaxInt
+	}
+	return a + b
 }
 
 // resolve looks family up and returns its full parameters: params over the

@@ -185,8 +185,9 @@ func KeyOf(req *anonnet.Request, limits Limits) (Key, *Error) {
 	return k, nil
 }
 
-// resolveNetwork builds the request's network and enforces the size limit,
-// on a scenario before building it: its vertex count follows from the spec.
+// resolveNetwork builds the request's network and enforces the size limits,
+// on a scenario before building it: its vertex and edge counts follow from
+// the spec.
 // The '@'-fault suffix of WithScenario is refused on the wire: fault plans
 // are first-class in the API and travel in the Faults field only.
 func resolveNetwork(req *anonnet.Request, limits Limits) (*anonnet.Network, *Error) {
@@ -197,11 +198,11 @@ func resolveNetwork(req *anonnet.Request, limits Limits) (*anonnet.Network, *Err
 		if strings.Contains(req.Scenario, "@") {
 			return nil, Errf(CodeBadScenario, "scenario spec %q carries an '@' fault suffix; put the fault plan in the faults field", req.Scenario)
 		}
-		n, err := scenario.Vertices(req.Scenario)
+		vertices, edges, err := scenario.Size(req.Scenario)
 		if err != nil {
 			return nil, Errf(CodeBadScenario, "%v", err)
 		}
-		if apiErr := checkSize(n, limits); apiErr != nil {
+		if apiErr := checkSize(vertices, edges, limits); apiErr != nil {
 			return nil, apiErr
 		}
 		net, err := anonnet.ScenarioNetwork(req.Scenario)
@@ -214,7 +215,7 @@ func resolveNetwork(req *anonnet.Request, limits Limits) (*anonnet.Network, *Err
 		if err != nil {
 			return nil, Errf(CodeBadNetwork, "%v", err)
 		}
-		if apiErr := checkSize(net.NumVertices(), limits); apiErr != nil {
+		if apiErr := checkSize(net.NumVertices(), net.NumEdges(), limits); apiErr != nil {
 			return nil, apiErr
 		}
 		return net, nil
@@ -223,11 +224,24 @@ func resolveNetwork(req *anonnet.Request, limits Limits) (*anonnet.Network, *Err
 	}
 }
 
-// checkSize refuses a network of n vertices when it exceeds the limit. A
-// scenario's count saturates at math.MaxInt, which no limit admits.
-func checkSize(n int, limits Limits) *Error {
-	if limits.MaxVertices > 0 && n > limits.MaxVertices {
-		return Errf(CodeNetworkTooLarge, "network has %d vertices, the server admits at most %d", n, limits.MaxVertices)
+// maxEdgesPerVertex bounds the edges of an admitted network at this many
+// times MaxVertices. A scenario family can raise its edge count without
+// bound at a fixed vertex count (regular's d, layereddag's fanout), and a
+// run's cost grows with the edges.
+const maxEdgesPerVertex = 8
+
+// checkSize refuses a network of the given vertex and edge counts when it
+// exceeds the limits. A scenario's counts saturate at math.MaxInt, which no
+// limit admits.
+func checkSize(vertices, edges int, limits Limits) *Error {
+	if limits.MaxVertices <= 0 {
+		return nil
+	}
+	if vertices > limits.MaxVertices {
+		return Errf(CodeNetworkTooLarge, "network has %d vertices, the server admits at most %d", vertices, limits.MaxVertices)
+	}
+	if maxEdges := maxEdgesPerVertex * limits.MaxVertices; edges > maxEdges {
+		return Errf(CodeNetworkTooLarge, "network has %d edges, the server admits at most %d", edges, maxEdges)
 	}
 	return nil
 }

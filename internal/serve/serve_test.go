@@ -363,15 +363,18 @@ func TestMetricsRender(t *testing.T) {
 	}
 }
 
-// TestOversizedScenarioRejectedBeforeBuild posts a scenario whose graph
-// would take hundreds of megabytes to a server that admits 32 vertices. The
-// server must answer network_too_large from the spec's vertex count, without
-// building the 490,002-vertex torus, so the request allocates little.
+// TestOversizedScenarioRejectedBeforeBuild posts scenarios whose graphs
+// would take hundreds of megabytes, or whose runs would take a minute, to a
+// server that admits 32 vertices. The server must answer network_too_large
+// from the spec's vertex and edge counts, without building the
+// 490,002-vertex torus or the 12-vertex regular graph of 20,002 edges, so
+// the request allocates little.
 func TestOversizedScenarioRejectedBeforeBuild(t *testing.T) {
 	srv := NewServer(Config{Workers: 1, MaxVertices: 32})
 	defer srv.Close()
 	h := srv.Handler()
-	for _, spec := range []string{"torus:w=700,h=700", "torus:w=4294967296,h=4294967296", "scalefree:n=9223372036854775807"} {
+	for _, spec := range []string{"torus:w=700,h=700", "torus:w=4294967296,h=4294967296", "scalefree:n=9223372036854775807",
+		"regular:n=10,d=2000", "layereddag:layers=2,width=4,fanout=5000"} {
 		body := fmt.Sprintf(`{"scenario":%q}`, spec)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -386,6 +389,41 @@ func TestOversizedScenarioRejectedBeforeBuild(t *testing.T) {
 		}
 		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
 			t.Fatalf("%s: refusing the request allocated %d bytes, want under 1 MB", spec, got)
+		}
+	}
+}
+
+// TestNetworkTextEdgeLimit posts network text of 4 vertices to a server that
+// admits 32, with parallel edges up to and past maxEdgesPerVertex·32 edges:
+// the edge limit applies to network text as it does to scenarios.
+func TestNetworkTextEdgeLimit(t *testing.T) {
+	srv := NewServer(Config{Workers: 1, MaxVertices: 32})
+	defer srv.Close()
+	h := srv.Handler()
+	limit := maxEdgesPerVertex * 32
+	for _, c := range []struct {
+		edges int
+		want  int
+	}{{limit, http.StatusOK}, {limit + 1, http.StatusRequestEntityTooLarge}} {
+		// s -> 1, then parallel edges 1 -> 2 and one edge 2 -> t.
+		var text strings.Builder
+		text.WriteString("anonnet v1\nvertices 4\nroot 0\nterminal 3\nedge 0 1\nedge 2 3\n")
+		for i := 2; i < c.edges; i++ {
+			text.WriteString("edge 1 2\n")
+		}
+		body, err := json.Marshal(map[string]string{"network": text.String()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)))
+		if rec.Code != c.want {
+			t.Fatalf("%d edges: status %d, want %d (%s)", c.edges, rec.Code, c.want, rec.Body)
+		}
+		if c.want != http.StatusOK {
+			if e := decodeError(t, rec.Body.Bytes()); e.Code != CodeNetworkTooLarge {
+				t.Fatalf("%d edges: code %s, want %s", c.edges, e.Code, CodeNetworkTooLarge)
+			}
 		}
 	}
 }
