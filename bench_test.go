@@ -271,7 +271,7 @@ func BenchmarkE10Mapping(b *testing.B) {
 func BenchmarkEngineComparison(b *testing.B) {
 	g := graph.LayeredDigraph(4, 4, 3)
 	p := core.NewGeneralBroadcast(nil)
-	for _, eng := range sim.InMemoryEngines() {
+	for _, eng := range []sim.Engine{sim.Sequential(), sim.Concurrent(), sim.Synchronous()} {
 		b.Run(eng.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := eng.Run(g, p, sim.Options{}); err != nil {
@@ -372,7 +372,7 @@ func BenchmarkTCPRuntime(b *testing.B) {
 	g := graph.Ring(8)
 	p := core.NewGeneralBroadcast(nil)
 	for i := 0; i < b.N; i++ {
-		r, err := netrun.Run(g, p, core.Codec{}, netrun.Options{})
+		r, err := netrun.Engine(core.Codec{}, netrun.Options{}).Run(g, p, sim.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

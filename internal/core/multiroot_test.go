@@ -163,7 +163,7 @@ func TestWideRootRejectedForSingleInitProtocol(t *testing.T) {
 	if _, err := sim.Run(g, p, sim.Options{}); err == nil {
 		t.Fatal("seq engine accepted wide root without MultiInitializer")
 	}
-	if _, err := sim.RunConcurrent(g, p, sim.Options{}); err == nil {
+	if _, err := sim.Concurrent().Run(g, p, sim.Options{}); err == nil {
 		t.Fatal("concurrent engine accepted wide root without MultiInitializer")
 	}
 	if _, err := sim.RunSynchronous(g, p, sim.Options{}); err == nil {

@@ -33,7 +33,7 @@ func runAllSchedules(t *testing.T, g *graph.G, p protocol.Protocol, opts sim.Opt
 			t.Fatalf("%s on %s: verdict differs across orders: %s vs %s", p.Name(), g, r.Verdict, first.Verdict)
 		}
 	}
-	rc, err := sim.RunConcurrent(g, p, opts)
+	rc, err := sim.Concurrent().Run(g, p, opts)
 	if err != nil {
 		t.Fatalf("%s on %s concurrent: %v", p.Name(), g, err)
 	}

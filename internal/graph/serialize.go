@@ -6,6 +6,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // The text format is a minimal, line-oriented description of an anonymous
@@ -150,6 +151,40 @@ func ParseText(r io.Reader) (*G, error) {
 	}
 	b.SetName(name)
 	return b.Build()
+}
+
+// TextSize returns the largest vertex count that text's vertices
+// directives declare and its number of edge lines, without building the
+// graph (and, on well-formed text, without allocating): a server sizes
+// network text with it before ParseText builds a graph of that many
+// vertices. For every text ParseText accepts, the counts equal the built
+// graph's. TextSize reports no errors; ParseText rejects every text whose
+// counts TextSize cannot read.
+func TextSize(text string) (vertices, edges int) {
+	for text != "" {
+		var line string
+		line, text, _ = strings.Cut(text, "\n")
+		switch word, rest := nextField(line); word {
+		case "edge":
+			edges++
+		case "vertices":
+			n, _ := nextField(rest)
+			if v, err := strconv.Atoi(n); err == nil {
+				vertices = max(vertices, v)
+			}
+		}
+	}
+	return vertices, edges
+}
+
+// nextField splits s into its first whitespace-separated field and the
+// rest, as strings.Fields would.
+func nextField(s string) (field, rest string) {
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
+		return s[:i], s[i:]
+	}
+	return s, ""
 }
 
 func atoiField(fields []string, idx, lineNo int) (int, error) {

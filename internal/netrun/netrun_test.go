@@ -3,6 +3,8 @@ package netrun
 import (
 	"bytes"
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,7 +18,7 @@ import (
 
 func tcpRun(t *testing.T, g *graph.G, p protocol.Protocol) *sim.Result {
 	t.Helper()
-	r, err := Run(g, p, core.Codec{}, Options{Timeout: 30 * time.Second})
+	r, err := Engine(core.Codec{}, Options{Timeout: 30 * time.Second}).Run(g, p, sim.Options{})
 	if err != nil {
 		t.Fatalf("%s on %s over TCP: %v", p.Name(), g, err)
 	}
@@ -419,5 +421,64 @@ func TestTCPShardedWildReplayByteIdentity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// pulse is a one-bit message; pulseFlood forwards every pulse it receives
+// to all its out-ports, so on a cycle the traffic never ends, and its
+// terminal is never done.
+type pulse struct{}
+
+func (pulse) Bits() int   { return 1 }
+func (pulse) Key() string { return "p" }
+
+type pulseFlood struct{}
+
+func (pulseFlood) Name() string                     { return "pulse-flood" }
+func (pulseFlood) InitialMessage() protocol.Message { return pulse{} }
+func (pulseFlood) NewNode(_, outDeg int, role protocol.Role) protocol.Node {
+	if role == protocol.RoleTerminal {
+		return pulseSink{}
+	}
+	return pulseNode{outDeg: outDeg}
+}
+
+type pulseNode struct{ outDeg int }
+
+func (n pulseNode) Receive(protocol.Message, int) ([]protocol.Message, error) {
+	outs := make([]protocol.Message, n.outDeg)
+	for j := range outs {
+		outs[j] = pulse{}
+	}
+	return outs, nil
+}
+
+type pulseSink struct{}
+
+func (pulseSink) Receive(protocol.Message, int) ([]protocol.Message, error) { return nil, nil }
+func (pulseSink) Done() bool                                                { return false }
+func (pulseSink) Output() any                                               { return nil }
+
+type pulseCodec struct{}
+
+func (pulseCodec) Encode(protocol.Message) ([]byte, int, error) { return []byte{0}, 1, nil }
+func (pulseCodec) Decode([]byte, int) (protocol.Message, error) { return pulse{}, nil }
+
+// TestTCPMessageBudget floods a ring with a budget of 8 messages: the run
+// fails with an error naming the budget, and every goroutine it started has
+// exited when Run returns.
+func TestTCPMessageBudget(t *testing.T) {
+	before := runtime.NumGoroutine()
+	_, err := Engine(pulseCodec{}, Options{MaxMessages: 8, Timeout: 30 * time.Second}).Run(graph.Ring(4), pulseFlood{}, sim.Options{})
+	if err == nil || !strings.Contains(err.Error(), "message budget exceeded (8)") {
+		t.Fatalf("err = %v, want the message budget of 8", err)
+	}
+	// A goroutine that signalled its exit may still be unwinding.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after the run, %d before", n, before)
 	}
 }

@@ -46,7 +46,7 @@ type Symbol uint32
 // test in internal/core asserts this across every protocol).
 //
 // An Interner is not safe for concurrent use; engines whose events originate
-// on many goroutines already serialize metering (see chansim's metricsMu).
+// on many goroutines already serialize metering (see sim.Wild's metricsMu).
 type Interner struct {
 	byKey map[string]Symbol
 	keys  []string

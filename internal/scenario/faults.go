@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -59,10 +60,31 @@ func (p *FaultPlan) Empty() bool {
 		len(p.LossSteps) == 0)
 }
 
+// effective returns p without the terms that cannot change a run: drop
+// counts of zero, and the seed when no loss is configured. Compile and
+// Canonical both start from it, so a spec and its canonical form compile
+// alike.
+func (p *FaultPlan) effective() *FaultPlan {
+	if p == nil {
+		return nil
+	}
+	q := *p
+	q.DropFirst = maps.Clone(p.DropFirst)
+	maps.DeleteFunc(q.DropFirst, func(_ graph.EdgeID, k int) bool { return k == 0 })
+	if len(q.DropFirst) == 0 {
+		q.DropFirst = nil
+	}
+	if q.LossPct == 0 && len(q.LossSteps) == 0 {
+		q.Seed = 0
+	}
+	return &q
+}
+
 // Compile validates the plan against g and lowers it to the sim layer's
-// fault mechanism. An empty plan compiles to nil (fault-free run).
+// fault mechanism. A plan without effective terms compiles to nil
+// (fault-free run).
 func (p *FaultPlan) Compile(g *graph.G) (*sim.Faults, error) {
-	if p.Empty() {
+	if p = p.effective(); p.Empty() {
 		return nil, nil
 	}
 	if p.LossPct < 0 || p.LossPct > 100 {
@@ -140,23 +162,21 @@ func (p *FaultPlan) Compile(g *graph.G) (*sim.Faults, error) {
 }
 
 // Canonical renders the plan back into ParseFaults syntax in a normal form:
-// drop terms sorted by edge, then crash and recover sorted by vertex, then
-// join and cut sorted by edge, then loss steps sorted by trigger, then loss,
-// then seed — with the seed omitted when no Bernoulli loss is configured
-// anywhere (without loss the seed cannot affect any run). Two plans with the
-// same effect on every run render identically, which is what lets the run
-// server use the rendering as the fault component of its cache key:
-// ParseFaults(Canonical) round-trips to an equivalent plan, and an empty
-// plan renders as "".
+// nonzero drop terms sorted by edge, then crash and recover sorted by
+// vertex, then join and cut sorted by edge, then loss steps in spec order
+// (Compile requires ascending triggers), then loss, then seed — with the
+// seed omitted when no Bernoulli loss is configured anywhere (without loss
+// the seed cannot affect any run). Two plans with the same effect on every
+// run render identically, which is what lets the run server use the
+// rendering as the fault component of its cache key: ParseFaults(Canonical)
+// round-trips to an equivalent plan, and an empty plan renders as "".
 func (p *FaultPlan) Canonical() string {
-	if p.Empty() {
+	if p = p.effective(); p.Empty() {
 		return ""
 	}
 	var terms []string
 	for _, e := range sortedKeys(p.DropFirst) {
-		if k := p.DropFirst[graph.EdgeID(e)]; k != 0 {
-			terms = append(terms, fmt.Sprintf("drop=%d:%d", e, k))
-		}
+		terms = append(terms, fmt.Sprintf("drop=%d:%d", e, p.DropFirst[graph.EdgeID(e)]))
 	}
 	for _, v := range sortedKeys(p.CrashAfter) {
 		terms = append(terms, fmt.Sprintf("crash=%d:%d", v, p.CrashAfter[graph.VertexID(v)]))
@@ -170,15 +190,13 @@ func (p *FaultPlan) Canonical() string {
 	for _, e := range sortedKeys(p.CutAfter) {
 		terms = append(terms, fmt.Sprintf("cut=%d:%d", e, p.CutAfter[graph.EdgeID(e)]))
 	}
-	steps := append([]LossStep(nil), p.LossSteps...)
-	sort.Slice(steps, func(i, j int) bool { return steps[i].AfterSend < steps[j].AfterSend })
-	for _, s := range steps {
+	for _, s := range p.LossSteps {
 		terms = append(terms, fmt.Sprintf("lossat=%d:%d", s.AfterSend, s.Pct))
 	}
 	if p.LossPct != 0 {
 		terms = append(terms, fmt.Sprintf("loss=%d", p.LossPct))
 	}
-	if p.LossPct != 0 || len(steps) > 0 {
+	if p.LossPct != 0 || len(p.LossSteps) > 0 {
 		terms = append(terms, fmt.Sprintf("seed=%d", p.Seed))
 	}
 	return strings.Join(terms, ",")

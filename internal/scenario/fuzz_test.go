@@ -1,15 +1,20 @@
 package scenario
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 // FuzzParseFaults fuzzes the fault/churn grammar, the input surface of the
 // churn benchmark and of every -faults flag. ParseFaults must never panic,
 // and on every spec it accepts, rendering and re-parsing must be a fixed
 // point: ParseFaults(p.Canonical()) succeeds and renders the same string, so
-// parse∘canonical = parse and Canonical is idempotent.
+// parse∘canonical = parse and Canonical is idempotent. CompileSpec, the
+// step after parsing, must never panic and must treat a spec and its
+// canonical form alike on every graph.
 func FuzzParseFaults(f *testing.F) {
 	for _, spec := range []string{
 		"",
@@ -41,8 +46,24 @@ func FuzzParseFaults(f *testing.F) {
 		if again := q.Canonical(); again != canon {
 			t.Fatalf("Canonical is not a fixed point for %q: %q, then %q", spec, canon, again)
 		}
+		// CompileSpec never panics, and a spec and its canonical form
+		// compile alike on every graph: both fail, or both give equal plans.
+		for _, g := range compileGraphs {
+			want, _, errSpec := CompileSpec(spec, g)
+			got, _, errCanon := CompileSpec(canon, g)
+			if (errSpec == nil) != (errCanon == nil) {
+				t.Fatalf("on %s, %q compiles with error %v but its canonical form %q with %v", g, spec, errSpec, canon, errCanon)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("on %s, %q compiles to %+v but its canonical form %q to %+v", g, spec, want, canon, got)
+			}
+		}
 	})
 }
+
+// compileGraphs are the fixed graphs FuzzParseFaults compiles plans
+// against: a chain, a ring (cyclic) and a small layered DAG.
+var compileGraphs = []*graph.G{graph.Chain(3), graph.Ring(4), graph.LayeredDigraph(2, 2, 3)}
 
 // FuzzParseScenario fuzzes the scenario grammar, the input surface of every
 // -graph flag and of the run server's scenario field. Parse must never

@@ -5,16 +5,10 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"regexp"
 	"slices"
 	"strings"
 	"testing"
-
-	anonnet "repro"
 )
-
-// bigNumber matches a decimal run of three or more digits (>= 100).
-var bigNumber = regexp.MustCompile(`[0-9]{3,}`)
 
 // FuzzServeRequest posts arbitrary bytes to /v1/run. The server must never
 // panic; every refusal must be the typed error envelope with a code from
@@ -59,13 +53,6 @@ func FuzzServeRequest(f *testing.F) {
 		f.Add(body)
 	}
 	f.Fuzz(func(t *testing.T, body string) {
-		// The server refuses a scenario over the vertex or edge limit
-		// before building it, but network text is parsed in full first.
-		// Keep the fuzzer on small network text.
-		var req anonnet.Request
-		if json.Unmarshal([]byte(body), &req) == nil && bigNumber.MatchString(req.Network) {
-			t.Skip("network text too large to parse cheaply")
-		}
 		srv := NewServer(Config{Workers: 1, MaxVertices: 32})
 		defer srv.Close()
 		h := srv.Handler()

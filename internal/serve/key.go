@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	anonnet "repro"
+	"repro/internal/graph"
 	"repro/internal/scenario"
 )
 
@@ -185,9 +186,9 @@ func KeyOf(req *anonnet.Request, limits Limits) (Key, *Error) {
 	return k, nil
 }
 
-// resolveNetwork builds the request's network and enforces the size limits,
-// on a scenario before building it: its vertex and edge counts follow from
-// the spec.
+// resolveNetwork builds the request's network and enforces the size limits
+// before building it: a scenario's vertex and edge counts follow from the
+// spec, and network text's from its vertices directive and edge lines.
 // The '@'-fault suffix of WithScenario is refused on the wire: fault plans
 // are first-class in the API and travel in the Faults field only.
 func resolveNetwork(req *anonnet.Request, limits Limits) (*anonnet.Network, *Error) {
@@ -211,12 +212,13 @@ func resolveNetwork(req *anonnet.Request, limits Limits) (*anonnet.Network, *Err
 		}
 		return net, nil
 	case req.Network != "":
+		vertices, edges := graph.TextSize(req.Network)
+		if apiErr := checkSize(vertices, edges, limits); apiErr != nil {
+			return nil, apiErr
+		}
 		net, err := anonnet.ParseNetwork(strings.NewReader(req.Network))
 		if err != nil {
 			return nil, Errf(CodeBadNetwork, "%v", err)
-		}
-		if apiErr := checkSize(net.NumVertices(), net.NumEdges(), limits); apiErr != nil {
-			return nil, apiErr
 		}
 		return net, nil
 	default:

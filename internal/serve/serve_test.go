@@ -368,27 +368,33 @@ func TestMetricsRender(t *testing.T) {
 // server that admits 32 vertices. The server must answer network_too_large
 // from the spec's vertex and edge counts, without building the
 // 490,002-vertex torus or the 12-vertex regular graph of 20,002 edges, so
-// the request allocates little.
+// the request allocates little. Network text is sized the same way, from
+// its vertices directive and edge lines, before it is parsed.
 func TestOversizedScenarioRejectedBeforeBuild(t *testing.T) {
 	srv := NewServer(Config{Workers: 1, MaxVertices: 32})
 	defer srv.Close()
 	h := srv.Handler()
+	var bodies []string
 	for _, spec := range []string{"torus:w=700,h=700", "torus:w=4294967296,h=4294967296", "scalefree:n=9223372036854775807",
 		"regular:n=10,d=2000", "layereddag:layers=2,width=4,fanout=5000"} {
-		body := fmt.Sprintf(`{"scenario":%q}`, spec)
+		bodies = append(bodies, fmt.Sprintf(`{"scenario":%q}`, spec))
+	}
+	// 75 bytes of network text declaring 2^20 vertices.
+	bodies = append(bodies, `{"network":"anonnet v1\nvertices 1048576\nroot 0\nterminal 1\nedge 0 1\n"}`)
+	for _, body := range bodies {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", strings.NewReader(body)))
 		runtime.ReadMemStats(&after)
 		if rec.Code != http.StatusRequestEntityTooLarge {
-			t.Fatalf("%s: status %d, want %d (%s)", spec, rec.Code, http.StatusRequestEntityTooLarge, rec.Body)
+			t.Fatalf("%s: status %d, want %d (%s)", body, rec.Code, http.StatusRequestEntityTooLarge, rec.Body)
 		}
 		if e := decodeError(t, rec.Body.Bytes()); e.Code != CodeNetworkTooLarge {
-			t.Fatalf("%s: code %s, want %s", spec, e.Code, CodeNetworkTooLarge)
+			t.Fatalf("%s: code %s, want %s", body, e.Code, CodeNetworkTooLarge)
 		}
 		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
-			t.Fatalf("%s: refusing the request allocated %d bytes, want under 1 MB", spec, got)
+			t.Fatalf("%s: refusing the request allocated %d bytes, want under 1 MB", body, got)
 		}
 	}
 }

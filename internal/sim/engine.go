@@ -6,10 +6,11 @@ import (
 )
 
 // Engine is the uniform entry point to every execution substrate: the three
-// in-memory engines of this package and the TCP tier of package netrun all
-// run a protocol on a graph and produce the same Result shape, so callers
-// (the anonnet facade, the experiment drivers, the conformance suite) can
-// treat "where does this run" as data.
+// in-memory engines of this package and the TCP tier of package netrun (the
+// wild runner over a socket Transport) all run a protocol on a graph and
+// produce the same Result shape, so callers (the anonnet facade, the
+// experiment drivers, the conformance suite) can treat "where does this
+// run" as data.
 //
 // The paper's correctness claims are schedule-independent: broadcast,
 // labeling, and mapping must reach the same verdict under any engine and any
@@ -27,8 +28,9 @@ type Engine interface {
 // pluggable and seeded.
 func Sequential() Engine { return seqEngine{} }
 
-// Concurrent returns the goroutine-per-vertex engine (RunConcurrent), whose
-// schedule comes from the Go runtime.
+// Concurrent returns the goroutine-per-vertex engine, whose schedule comes
+// from the Go runtime: the Wild runner with one worker per vertex and no
+// transport, so every edge is an inbox append.
 func Concurrent() Engine { return chanEngine{} }
 
 // Synchronous returns the global-rounds engine (RunSynchronous), which also
@@ -46,7 +48,12 @@ type chanEngine struct{}
 
 func (chanEngine) Name() string { return "concurrent" }
 func (chanEngine) Run(g *graph.G, p protocol.Protocol, opts Options) (*Result, error) {
-	return RunConcurrent(g, p, opts)
+	maxSteps := opts.MaxSteps
+	if maxSteps <= 0 {
+		maxSteps = DefaultMaxSteps
+	}
+	w := Wild{Provenance: "wild-concurrent", Seed: opts.Seed, RunPhase: "run", MaxSteps: int64(maxSteps)}
+	return w.Run(g, p, opts)
 }
 
 type syncEngine struct{}
@@ -54,11 +61,4 @@ type syncEngine struct{}
 func (syncEngine) Name() string { return "sync" }
 func (syncEngine) Run(g *graph.G, p protocol.Protocol, opts Options) (*Result, error) {
 	return RunSynchronous(g, p, opts)
-}
-
-// InMemoryEngines returns the engines that need no real transport, in a
-// stable order. The TCP engine is constructed separately (netrun.Engine)
-// because it needs a wire codec.
-func InMemoryEngines() []Engine {
-	return []Engine{Sequential(), Concurrent(), Synchronous()}
 }

@@ -5,13 +5,14 @@
 //     adversarial delivery order is a pluggable, seeded Scheduler —
 //     asynchrony is modeled as an adversary choosing which in-flight message
 //     is delivered next, with per-edge FIFO links;
-//   - RunConcurrent (Concurrent): a goroutine-per-vertex, mailbox-per-vertex
-//     concurrent runtime where asynchrony comes from the Go scheduler itself;
+//   - Concurrent: the wild runner (Wild) with one worker goroutine and
+//     one mailbox per vertex, where asynchrony comes from the Go scheduler
+//     itself;
 //   - RunSynchronous (Synchronous): global rounds, the paper's Section 2
 //     extension, which additionally measures time (Result.Rounds).
 //
-// A fourth engine — real TCP sockets — lives in package netrun and satisfies
-// the same interface. All engines meter communication exactly in bits and
+// A fourth engine — real TCP sockets — is the same wild runner over the
+// socket Transport of package netrun, and satisfies the same interface. All engines meter communication exactly in bits and
 // agree on verdicts under every schedule; that agreement is asserted by the
 // cross-engine conformance suite in internal/conformance.
 package sim
@@ -140,15 +141,10 @@ func newMetrics(nE int, opts *Options) Metrics {
 	return m
 }
 
+// record meters one send of msg on e: its bits, and its symbol when the
+// alphabet accounting is armed.
 func (m *Metrics) record(e graph.EdgeID, msg protocol.Message) {
-	bits := msg.Bits()
-	m.Messages++
-	m.TotalBits += int64(bits)
-	m.PerEdgeBits[e] += int64(bits)
-	m.PerEdgeMsgs[e]++
-	if bits > m.MaxMsgBits {
-		m.MaxMsgBits = bits
-	}
+	m.count(e, msg.Bits())
 	if m.interner != nil {
 		sym := m.interner.Intern(msg)
 		if m.trackAlphabet {
@@ -160,6 +156,17 @@ func (m *Metrics) record(e graph.EdgeID, msg protocol.Message) {
 		if m.trackFirstSym && m.firstSym[e] == 0 {
 			m.firstSym[e] = uint32(sym) + 1
 		}
+	}
+}
+
+// count meters one send of bits on e.
+func (m *Metrics) count(e graph.EdgeID, bits int) {
+	m.Messages++
+	m.TotalBits += int64(bits)
+	m.PerEdgeBits[e] += int64(bits)
+	m.PerEdgeMsgs[e]++
+	if bits > m.MaxMsgBits {
+		m.MaxMsgBits = bits
 	}
 }
 
@@ -293,7 +300,7 @@ type Options struct {
 	TrackFirstSymbol bool
 	// Observer, when non-nil, receives every send and delivery event. The
 	// deterministic engines (Run, RunSynchronous) invoke it inline; the
-	// nondeterministic engines (RunConcurrent and the TCP tier in netrun)
+	// nondeterministic engines (Concurrent and the TCP tier in netrun)
 	// serialize their events through an internal lock (SerializedObserver),
 	// so the observer sees one linearization of the wild schedule that
 	// respects causality — every message's send is observed before its

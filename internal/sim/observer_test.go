@@ -45,7 +45,7 @@ func TestConcurrentObserverStreamContract(t *testing.T) {
 		obs := newCausalObserver(t)
 		// A high `need` keeps the terminal unsatisfied, so the run quiesces
 		// after every message was delivered — the stream covers the run.
-		r, err := RunConcurrent(g, floodProto{need: 1 << 20}, Options{Observer: obs})
+		r, err := Concurrent().Run(g, floodProto{need: 1 << 20}, Options{Observer: obs})
 		if err != nil {
 			t.Fatal(err)
 		}

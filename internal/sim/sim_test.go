@@ -87,9 +87,9 @@ func runBoth(t *testing.T, g *graph.G, p protocol.Protocol, opts Options) (*Resu
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	con, err := RunConcurrent(g, p, opts)
+	con, err := Concurrent().Run(g, p, opts)
 	if err != nil {
-		t.Fatalf("RunConcurrent: %v", err)
+		t.Fatalf("Concurrent: %v", err)
 	}
 	return seq, con
 }
@@ -174,7 +174,7 @@ func TestStepLimit(t *testing.T) {
 	if !errors.Is(err, ErrStepLimit) {
 		t.Fatalf("err = %v, want ErrStepLimit", err)
 	}
-	_, err = RunConcurrent(g, floodProto{need: 10}, Options{MaxSteps: 3})
+	_, err = Concurrent().Run(g, floodProto{need: 10}, Options{MaxSteps: 3})
 	if !errors.Is(err, ErrStepLimit) {
 		t.Fatalf("concurrent err = %v, want ErrStepLimit", err)
 	}
@@ -187,7 +187,7 @@ func TestFailureInjection(t *testing.T) {
 	if !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v, want injected failure", err)
 	}
-	_, err = RunConcurrent(g, floodProto{need: 1, failAt: 1}, Options{})
+	_, err = Concurrent().Run(g, floodProto{need: 1, failAt: 1}, Options{})
 	if !errors.Is(err, errInjected) {
 		t.Fatalf("concurrent err = %v, want injected failure", err)
 	}
@@ -221,7 +221,7 @@ func TestBadTerminalRejected(t *testing.T) {
 	if _, err := Run(g, badTerminalProto{}, Options{}); err == nil {
 		t.Fatal("seq engine accepted a protocol without a Terminal node")
 	}
-	if _, err := RunConcurrent(g, badTerminalProto{}, Options{}); err == nil {
+	if _, err := Concurrent().Run(g, badTerminalProto{}, Options{}); err == nil {
 		t.Fatal("concurrent engine accepted a protocol without a Terminal node")
 	}
 }
@@ -247,7 +247,7 @@ func TestWrongArityRejected(t *testing.T) {
 	if _, err := Run(g, wrongArityProto{}, Options{}); err == nil {
 		t.Fatal("seq engine accepted wrong output arity")
 	}
-	if _, err := RunConcurrent(g, wrongArityProto{}, Options{}); err == nil {
+	if _, err := Concurrent().Run(g, wrongArityProto{}, Options{}); err == nil {
 		t.Fatal("concurrent engine accepted wrong output arity")
 	}
 }
@@ -256,7 +256,7 @@ func TestConcurrentManyRuns(t *testing.T) {
 	// Hammer the concurrent engine for races (run with -race in CI).
 	g := graph.Chain(8)
 	for i := 0; i < 50; i++ {
-		r, err := RunConcurrent(g, floodProto{need: 8}, Options{})
+		r, err := Concurrent().Run(g, floodProto{need: 8}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
