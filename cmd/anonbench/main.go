@@ -38,7 +38,7 @@
 // bench artifacts chart the repository's speed across builds.
 //
 // Graph mode (-graph "family:param=value,...", same scenario-registry
-// syntax as anoncast and anontrace) times the sequential general broadcast
+// syntax as anoncast and anonshrink record) times the sequential general broadcast
 // on one generated scenario and prints the per-delivery rate — a one-off
 // measurement outside the BENCH.json trajectory, whose per-family slice
 // bench mode records under scenario_broadcast. -faults arms a churn plan

@@ -1,18 +1,22 @@
-// Command anonshrink records, replays, and minimizes adversarial delivery
-// schedules. A recorded trace is self-contained (it embeds the network, the
-// protocol name, the scheduler name and seed alongside the full send/deliver
-// stream), so a single file turns any adversarial run — including a
-// conformance divergence found in CI — into a deterministic regression case.
+// Command anonshrink is the trace tool: it records, replays, renders and
+// minimizes adversarial delivery schedules. A recorded trace is
+// self-contained (it embeds the network, the protocol name, the scheduler
+// name and seed alongside the full send/deliver stream), so a single file
+// turns any adversarial run — including a conformance divergence found in
+// CI — into a deterministic regression case.
 //
 // Record a schedule:
 //
 //	anonshrink record -topo randnet -n 12 -proto generalcast -sched random -seed 3 -o run.trace
+//	anonshrink record -graph torus:w=4,h=4 -proto auto -faults crash=3:1,recover=3:4 -o run.trace
 //	anonshrink record -net graph.txt -proto labelcast -sched latency-pareto -o run.trace
 //
 // Replay it byte-identically (errors loudly on any divergence — wrong graph,
-// wrong protocol, or changed engine behavior):
+// wrong protocol, or changed engine behavior). The per-event timeline, the
+// per-vertex summary and the run telemetry are views of the replay, so
+// every timeline comes from a schedule that strict replay reproduces:
 //
-//	anonshrink replay -in run.trace [-timeline] [-summary]
+//	anonshrink replay -in run.trace [-timeline] [-summary] [-obs FILE|-] [-obs-every K]
 //
 // Delta-debug it to a 1-minimal failing schedule for a predicate:
 //
@@ -38,6 +42,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -47,12 +52,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/replay"
 	"repro/internal/replay/fuzz"
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -85,16 +90,17 @@ func main() {
 
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
-  anonshrink record -topo T -n N -proto P -sched S [-seed K] [-net FILE] [-faults SPEC] -o OUT
-  anonshrink replay -in FILE [-timeline] [-summary] [-v]
+  anonshrink record (-topo T -n N | -graph SPEC | -net FILE) -proto P -sched S [-seed K] [-faults SPEC] -o OUT
+  anonshrink replay -in FILE [-timeline] [-summary] [-v] [-obs FILE|-] [-obs-every K]
   anonshrink shrink -in FILE -pred PRED -o OUT
   anonshrink fuzz   (-in FILE | -corpus DIR) [-n MUTANTS] [-seed K] [-fallback S] [-o DIR]
 
-topologies: line|chain|ring|karytree|randnet   protocols: %s
+topologies: line|chain|ring|karytree|randnet   graph families: %s
+protocols: auto|%s
 schedulers: %s
 predicates: quiescent|terminated|all-visited|not-all-visited|label-collision|visited:<v>
             (comma-separate for a conjunction, e.g. quiescent,visited:3)
-`, strings.Join(replay.ProtocolNames(), "|"), strings.Join(sim.SchedulerNames(), "|"))
+`, strings.Join(scenario.Names(), "|"), strings.Join(replay.ProtocolNames(), "|"), strings.Join(sim.SchedulerNames(), "|"))
 }
 
 func cmdRecord(args []string) error {
@@ -103,7 +109,8 @@ func cmdRecord(args []string) error {
 		topo   = fs.String("topo", "randnet", "topology: line|chain|ring|karytree|randnet")
 		n      = fs.Int("n", 8, "size parameter")
 		netF   = fs.String("net", "", "load the network from this file (anonnet v1 text) instead of generating one")
-		proto  = fs.String("proto", "generalcast", "protocol: "+strings.Join(replay.ProtocolNames(), "|"))
+		spec   = fs.String("graph", "", "scenario registry spec \"family[:param=value,...]\" ("+strings.Join(scenario.Names(), "|")+"); overrides -topo")
+		proto  = fs.String("proto", "generalcast", "protocol: auto|"+strings.Join(replay.ProtocolNames(), "|")+" (auto picks by the graph's class)")
 		sched  = fs.String("sched", "random", "adversarial scheduler: "+strings.Join(sim.SchedulerNames(), "|"))
 		seed   = fs.Int64("seed", 1, "generator / scheduler seed")
 		faults = fs.String("faults", "", "fault/churn plan (scenario spec, e.g. crash=3:1,recover=3:4); recorded into the trace header and re-armed on replay and shrink")
@@ -113,9 +120,12 @@ func cmdRecord(args []string) error {
 	if *out == "" {
 		return fmt.Errorf("record: -o is required")
 	}
-	g, err := buildGraph(*topo, *n, *seed, *netF)
+	g, err := buildGraph(*topo, *n, *seed, *netF, *spec)
 	if err != nil {
 		return err
+	}
+	if *proto == "auto" {
+		*proto = autoProtocol(g)
 	}
 	newProto, err := replay.ProtocolFactory(*proto)
 	if err != nil {
@@ -139,8 +149,8 @@ func cmdRecord(args []string) error {
 	if err := os.WriteFile(*out, replay.Encode(tr), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("%s on %s under %s/seed=%d: %s after %d deliveries\n",
-		*proto, g, *sched, *seed, r.Verdict, r.Steps)
+	fmt.Printf("%s on %s under %s/seed=%d: %s after %d deliveries, %d messages, %d bits\n",
+		*proto, g, *sched, *seed, r.Verdict, r.Steps, r.Metrics.Messages, r.Metrics.TotalBits)
 	if tr.Faults != "" {
 		fmt.Printf("fault plan pinned in header: %s (%d dropped this run)\n", tr.Faults, r.Dropped)
 	}
@@ -155,6 +165,8 @@ func cmdReplay(args []string) error {
 		timeline = fs.Bool("timeline", false, "print the replayed per-event timeline")
 		summary  = fs.Bool("summary", false, "print the replayed per-vertex summary")
 		verbose  = fs.Bool("v", false, "print the trace header and the embedded network text")
+		obsFile  = fs.String("obs", "", "capture the replay's telemetry and write the report JSON to this file (\"-\" = stdout); see docs/OBSERVABILITY.md")
+		obsEvery = fs.Int("obs-every", 0, "telemetry sampling stride in deliveries (0 = default)")
 	)
 	fs.Parse(args)
 	tr, g, newProto, err := loadTrace(*in)
@@ -166,8 +178,16 @@ func cmdReplay(args []string) error {
 			tr.Version, tr.GraphFP, tr.Protocol, tr.Scheduler, tr.Seed, tr.Faults, tr.Truncated, len(tr.Events))
 		fmt.Printf("embedded network:\n%s\n", tr.GraphText)
 	}
-	rec := trace.New(g)
-	r, err := replay.Run(g, newProto(), tr, sim.Options{Observer: rec})
+	var tl bytes.Buffer
+	v := newView(g, nil)
+	if *timeline {
+		v.timeline = &tl
+	}
+	var obsRec *obs.Recorder
+	if *obsFile != "" {
+		obsRec = obs.NewRecorder(*obsEvery)
+	}
+	r, err := replay.Run(g, newProto(), tr, sim.Options{Observer: v, Obs: obsRec})
 	if err != nil {
 		return err
 	}
@@ -182,16 +202,33 @@ func cmdReplay(args []string) error {
 	}
 	if *timeline {
 		fmt.Println("\ntimeline:")
-		if err := rec.WriteTimeline(os.Stdout); err != nil {
+		if _, err := tl.WriteTo(os.Stdout); err != nil {
 			return err
 		}
 	}
 	if *summary {
 		fmt.Println("\nper-vertex summary:")
-		if err := rec.WriteSummary(os.Stdout); err != nil {
+		if err := v.writeSummary(os.Stdout); err != nil {
 			return err
 		}
 	}
+	if obsRec == nil {
+		return nil
+	}
+	data, err := obsRec.Report().JSON()
+	if err != nil {
+		return err
+	}
+	data = append(data, '\n')
+	if *obsFile == "-" {
+		fmt.Println()
+		_, err = os.Stdout.Write(data)
+		return err
+	}
+	if err := os.WriteFile(*obsFile, data, 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("\ntelemetry: %s\n", *obsFile)
 	return nil
 }
 
@@ -322,7 +359,15 @@ func loadTrace(path string) (*replay.Trace, *graph.G, func() protocol.Protocol, 
 	return tr, g, newProto, nil
 }
 
-func buildGraph(topo string, n int, seed int64, netFile string) (*graph.G, error) {
+// buildGraph loads the network from netFile, else builds the scenario spec,
+// else generates topology topo.
+func buildGraph(topo string, n int, seed int64, netFile, spec string) (*graph.G, error) {
+	if netFile != "" && spec != "" {
+		return nil, fmt.Errorf("record: -net and -graph are mutually exclusive")
+	}
+	if spec != "" {
+		return scenario.Parse(spec)
+	}
 	if netFile != "" {
 		f, err := os.Open(netFile)
 		if err != nil {
@@ -344,6 +389,19 @@ func buildGraph(topo string, n int, seed int64, netFile string) (*graph.G, error
 		return graph.RandomDigraph(n, seed, graph.RandomDigraphOpts{ExtraEdges: n, TerminalFrac: 0.2}), nil
 	default:
 		return nil, fmt.Errorf("unknown topology %q", topo)
+	}
+}
+
+// autoProtocol names the broadcast protocol for g's class: tree broadcast on
+// a grounded tree, DAG broadcast on a DAG, general broadcast otherwise.
+func autoProtocol(g *graph.G) string {
+	switch g.Classify() {
+	case graph.ClassGroundedTree:
+		return "treecast/pow2"
+	case graph.ClassDAG:
+		return "dagcast"
+	default:
+		return "generalcast"
 	}
 }
 
@@ -390,22 +448,15 @@ func buildPredicate(name string, g *graph.G) (replay.Predicate, error) {
 			if err != nil {
 				return false
 			}
-			seen := make(map[string]bool)
-			for _, node := range r.Nodes {
-				ln, ok := node.(core.Labeled)
-				if !ok {
-					continue
+			var labels []fuzz.Label
+			for v, node := range r.Nodes {
+				if ln, ok := node.(core.Labeled); ok {
+					if u, has := ln.Label(); has {
+						labels = append(labels, fuzz.Label{V: v, U: u})
+					}
 				}
-				u, has := ln.Label()
-				if !has {
-					continue
-				}
-				if seen[u.Key()] {
-					return true
-				}
-				seen[u.Key()] = true
 			}
-			return false
+			return len(fuzz.Overlaps(labels)) > 0
 		}, nil
 	case strings.HasPrefix(name, "visited:"):
 		v, err := strconv.Atoi(strings.TrimPrefix(name, "visited:"))

@@ -203,7 +203,7 @@ func BenchmarkPow2TreeReceive(b *testing.B) {
 
 // TestGCMsgKeyMatchesTwoWriterComposition pins gcMsg.Key to the composition
 // it replaced — each union rendered by its own bit writer, joined by '|' —
-// because anontrace timelines and the Alphabet/FirstSymbol maps print keys.
+// because anonshrink timelines and the Alphabet/FirstSymbol maps print keys.
 func TestGCMsgKeyMatchesTwoWriterComposition(t *testing.T) {
 	render := func(u interval.Union) string {
 		var w bitio.Writer

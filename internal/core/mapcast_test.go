@@ -370,7 +370,7 @@ func TestMapTerminalMatchesClosureOracle(t *testing.T) {
 }
 
 // TestMapKeysMatchFmtComposition pins EdgeRecord.Key and mapMsg.Key to the
-// fmt compositions they replaced, because anontrace timelines and the
+// fmt compositions they replaced, because anonshrink timelines and the
 // Alphabet/FirstSymbol maps print keys.
 func TestMapKeysMatchFmtComposition(t *testing.T) {
 	endpointKey := func(e Endpoint) string {

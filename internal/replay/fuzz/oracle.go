@@ -47,7 +47,7 @@ func Compute(g *graph.G, r *sim.Result) (Outcome, []string) {
 	o := Outcome{Verdict: r.Verdict, AllVisited: r.AllVisited()}
 	var problems []string
 	var labeled []int
-	var labels []vertexLabel
+	var labels []Label
 	for v, node := range r.Nodes {
 		ln, ok := node.(core.Labeled)
 		if !ok {
@@ -62,10 +62,10 @@ func Compute(g *graph.G, r *sim.Result) (Outcome, []string) {
 			if u.NumIntervals() != 1 {
 				problems = append(problems, fmt.Sprintf("vertex %d label %s is not a single interval", v, u))
 			}
-			labels = append(labels, vertexLabel{v, u})
+			labels = append(labels, Label{v, u})
 		}
 	}
-	problems = append(problems, overlaps(labels)...)
+	problems = append(problems, Overlaps(labels)...)
 	sort.Ints(labeled)
 	o.Labeled = fmt.Sprint(labeled)
 	if topo, ok := r.Output.(*core.Topology); ok && r.Verdict == sim.Terminated {
@@ -79,29 +79,29 @@ func Compute(g *graph.G, r *sim.Result) (Outcome, []string) {
 	return o, problems
 }
 
-// vertexLabel is the label u of vertex v.
-type vertexLabel struct {
-	v int
-	u interval.Union
+// Label is the label U of vertex V.
+type Label struct {
+	V int
+	U interval.Union
 }
 
-// overlaps reports every pair of labels that share a point. Theorem 5.1's
+// Overlaps reports every pair of labels that share a point. Theorem 5.1's
 // labels are pairwise disjoint, which is stronger than pairwise distinct,
 // and the mapping protocol names a vertex by its label. Each label is
 // checked against the union of the earlier ones, so disjoint labels cost
 // one pass.
-func overlaps(labels []vertexLabel) []string {
+func Overlaps(labels []Label) []string {
 	var problems []string
 	var seen interval.Union
 	for i, l := range labels {
-		if !seen.Intersect(l.u).IsEmpty() {
+		if !seen.Intersect(l.U).IsEmpty() {
 			for _, p := range labels[:i] {
-				if !p.u.Intersect(l.u).IsEmpty() {
-					problems = append(problems, fmt.Sprintf("labels overlap: vertex %d owns %s, vertex %d owns %s", p.v, p.u, l.v, l.u))
+				if !p.U.Intersect(l.U).IsEmpty() {
+					problems = append(problems, fmt.Sprintf("labels overlap: vertex %d owns %s, vertex %d owns %s", p.V, p.U, l.V, l.U))
 				}
 			}
 		}
-		seen.Absorb(l.u)
+		seen.Absorb(l.U)
 	}
 	return problems
 }

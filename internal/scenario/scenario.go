@@ -6,7 +6,7 @@
 // complete, replayable description of a workload.
 //
 // The registry is mirrored into the CLIs as -graph "family:param=v,..."
-// (anoncast, anonbench, anontrace) and into the facade as
+// (anoncast, anonbench, anonshrink record) and into the facade as
 // anonnet.ScenarioNetwork / anonnet.WithScenario.
 package scenario
 
