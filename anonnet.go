@@ -202,40 +202,6 @@ func (b *Builder) Build() (*Network, error) {
 // did not) declare termination.
 var ErrNotTerminated = errors.New("anonnet: protocol did not terminate (some vertex cannot reach the terminal)")
 
-// --- standard topology generators ------------------------------------------
-
-// Line returns the path s -> v_1 -> ... -> v_n -> t.
-func Line(n int) *Network { return wrap(graph.Line(n)) }
-
-// Chain returns the lower-bound chain G_n of the paper (Figure 5).
-func Chain(n int) *Network { return wrap(graph.Chain(n)) }
-
-// Ring returns a directed n-cycle with every cycle vertex also wired to t.
-func Ring(n int) *Network { return wrap(graph.Ring(n)) }
-
-// KaryTree returns the full d-ary grounded tree of height h with all leaves
-// wired to t.
-func KaryTree(h, d int) *Network { return wrap(graph.KaryGroundedTree(h, d)) }
-
-// RandomTree returns a random grounded tree with n internal vertices.
-func RandomTree(n int, seed int64) *Network { return wrap(graph.RandomGroundedTree(n, 0.2, seed)) }
-
-// RandomDAG returns a random DAG with n internal vertices and extra
-// additional forward edges.
-func RandomDAG(n, extra int, seed int64) *Network { return wrap(graph.RandomDAG(n, extra, seed)) }
-
-// RandomNetwork returns a random general (possibly cyclic) network with n
-// internal vertices and extra additional edges; every vertex can reach t.
-func RandomNetwork(n, extra int, seed int64) *Network {
-	return wrap(graph.RandomDigraph(n, seed, graph.RandomDigraphOpts{ExtraEdges: extra, TerminalFrac: 0.15}))
-}
-
-// LayeredNetwork returns a layered cyclic network (layers x width vertices)
-// with dense forward edges and one back edge per layer.
-func LayeredNetwork(layers, width int, seed int64) *Network {
-	return wrap(graph.LayeredDigraph(layers, width, seed))
-}
-
 // MarshalText renders the network in the library's line-oriented text
 // format; ParseNetwork reads it back with identical port numbering.
 func (n *Network) MarshalText() []byte { return n.g.MarshalText() }

@@ -7,14 +7,24 @@ import (
 	"testing"
 )
 
+// specNet builds a registry network for a test table, panicking on a bad
+// spec.
+func specNet(spec string) *Network {
+	n, err := ScenarioNetwork(spec)
+	if err != nil {
+		panic(err)
+	}
+	return n
+}
+
 func TestBroadcastAutoSelectsProtocol(t *testing.T) {
 	cases := []struct {
 		net  *Network
 		want string
 	}{
-		{Chain(5), "treecast/pow2"},
-		{RandomDAG(15, 10, 1), "dagcast"},
-		{Ring(4), "generalcast"},
+		{specNet("chain:n=5"), "treecast/pow2"},
+		{specNet("randdag:n=15,extra=10,seed=1"), "dagcast"},
+		{specNet("ring:n=4"), "generalcast"},
 	}
 	for _, tc := range cases {
 		rep, err := Broadcast(tc.net, []byte("msg"))
@@ -31,7 +41,7 @@ func TestBroadcastAutoSelectsProtocol(t *testing.T) {
 }
 
 func TestBroadcastForcedProtocol(t *testing.T) {
-	rep, err := Broadcast(Chain(4), nil, WithProtocol(ProtoGeneral))
+	rep, err := Broadcast(specNet("chain:n=4"), nil, WithProtocol(ProtoGeneral))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +51,7 @@ func TestBroadcastForcedProtocol(t *testing.T) {
 }
 
 func TestBroadcastOnConcurrentEngine(t *testing.T) {
-	rep, err := Broadcast(LayeredNetwork(3, 3, 5), []byte("hi"), WithEngine(EngineConcurrent))
+	rep, err := Broadcast(specNet("layered:layers=3,width=3,seed=5"), []byte("hi"), WithEngine(EngineConcurrent))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +81,7 @@ func TestBroadcastNotTerminatedError(t *testing.T) {
 }
 
 func TestAssignLabelsUnique(t *testing.T) {
-	n := RandomNetwork(25, 30, 9)
+	n := specNet("randnet:n=25,extra=30,seed=9")
 	labels, rep, err := AssignLabels(n, WithScheduler("random"), WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +109,7 @@ func TestAssignLabelsUnique(t *testing.T) {
 }
 
 func TestLabelEqual(t *testing.T) {
-	n := Line(3)
+	n := specNet("line:n=3")
 	l1, _, err := AssignLabels(n)
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +127,7 @@ func TestLabelEqual(t *testing.T) {
 }
 
 func TestExtractTopologyCounts(t *testing.T) {
-	n := RandomNetwork(20, 25, 4)
+	n := specNet("randnet:n=20,extra=25,seed=4")
 	topo, rep, err := ExtractTopology(n)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +154,7 @@ func TestExtractTopologyCounts(t *testing.T) {
 }
 
 func TestNetworkAccessors(t *testing.T) {
-	n := Chain(3)
+	n := specNet("chain:n=3")
 	if n.NumVertices() != 5 || n.NumEdges() != 6 {
 		t.Fatalf("%s: wrong counts", n)
 	}
@@ -188,14 +198,14 @@ func TestBuilderAddVertex(t *testing.T) {
 }
 
 func TestAlphabetTrackingOption(t *testing.T) {
-	rep, err := Broadcast(Chain(6), nil, WithAlphabetTracking())
+	rep, err := Broadcast(specNet("chain:n=6"), nil, WithAlphabetTracking())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.AlphabetSize != 6 {
 		t.Fatalf("alphabet %d, want 6", rep.AlphabetSize)
 	}
-	rep2, err := Broadcast(Chain(6), nil)
+	rep2, err := Broadcast(specNet("chain:n=6"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +215,7 @@ func TestAlphabetTrackingOption(t *testing.T) {
 }
 
 func TestNaiveProtocolOption(t *testing.T) {
-	rep, err := Broadcast(Chain(6), nil, WithProtocol(ProtoTreeNaive))
+	rep, err := Broadcast(specNet("chain:n=6"), nil, WithProtocol(ProtoTreeNaive))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +225,7 @@ func TestNaiveProtocolOption(t *testing.T) {
 }
 
 func TestSynchronousEngine(t *testing.T) {
-	n := Ring(6)
+	n := specNet("ring:n=6")
 	rep, err := Broadcast(n, []byte("sync"), WithEngine(EngineSynchronous))
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +273,7 @@ func TestWideRootPublicAPI(t *testing.T) {
 }
 
 func TestNetworkFileRoundTrip(t *testing.T) {
-	n := RandomNetwork(10, 12, 2)
+	n := specNet("randnet:n=10,extra=12,seed=2")
 	data := n.MarshalText()
 	got, err := ParseNetwork(bytes.NewReader(data))
 	if err != nil {
@@ -289,7 +299,7 @@ func TestNetworkFileRoundTrip(t *testing.T) {
 }
 
 func TestTCPEngine(t *testing.T) {
-	n := Ring(4)
+	n := specNet("ring:n=4")
 	rep, err := Broadcast(n, []byte("tcp"), WithEngine(EngineTCP))
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +324,7 @@ func TestTCPEngine(t *testing.T) {
 }
 
 func TestTopologyIsomorphicTo(t *testing.T) {
-	n := RandomNetwork(12, 15, 8)
+	n := specNet("randnet:n=12,extra=15,seed=8")
 	topo, _, err := ExtractTopology(n)
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +336,7 @@ func TestTopologyIsomorphicTo(t *testing.T) {
 	if !iso {
 		t.Fatal("extracted topology not isomorphic to its own network")
 	}
-	other := RandomNetwork(12, 15, 9)
+	other := specNet("randnet:n=12,extra=15,seed=9")
 	iso, err = topo.IsomorphicTo(other)
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +351,7 @@ func TestWithSchedulerAllAdversaries(t *testing.T) {
 	// so message count and total bits are schedule-independent quantities
 	// every adversary must reproduce exactly (Theorem 3.1); on general
 	// graphs only the verdict is invariant.
-	tree := Chain(8)
+	tree := specNet("chain:n=8")
 	var want *Report
 	for _, name := range SchedulerNames() {
 		rep, err := Broadcast(tree, []byte("sched"), WithScheduler(name), WithSeed(11))
@@ -358,7 +368,7 @@ func TestWithSchedulerAllAdversaries(t *testing.T) {
 				name, rep.Messages, rep.TotalBits, want.Messages, want.TotalBits)
 		}
 	}
-	cyclic := RandomNetwork(10, 12, 4)
+	cyclic := specNet("randnet:n=10,extra=12,seed=4")
 	for _, name := range SchedulerNames() {
 		rep, err := Broadcast(cyclic, []byte("sched"), WithScheduler(name), WithSeed(11))
 		if err != nil {
@@ -371,7 +381,7 @@ func TestWithSchedulerAllAdversaries(t *testing.T) {
 }
 
 func TestWithSchedulerUnknownName(t *testing.T) {
-	_, err := Broadcast(Line(3), nil, WithScheduler("no-such-adversary"))
+	_, err := Broadcast(specNet("line:n=3"), nil, WithScheduler("no-such-adversary"))
 	if err == nil {
 		t.Fatal("Broadcast accepted an unknown scheduler name")
 	}
@@ -399,7 +409,7 @@ func TestSchedulerAcrossEngineMatrix(t *testing.T) {
 	// A scheduler option is honored by the sequential and sharded engines
 	// (the latter instantiates one copy per shard) and simply ignored by
 	// the others; the run must succeed and agree either way.
-	n := Ring(5)
+	n := specNet("ring:n=5")
 	for _, eng := range []Engine{EngineSequential, EngineConcurrent, EngineSynchronous, EngineSharded} {
 		rep, err := Broadcast(n, []byte("x"), WithEngine(eng), WithScheduler("greedy"), WithSeed(2))
 		if err != nil {

@@ -1,12 +1,17 @@
-// Command anoncast runs a broadcasting protocol on a generated directed
-// anonymous network and reports the paper's quality metrics.
+// Command anoncast runs one of the paper's protocols on a directed
+// anonymous network and reports its quality metrics: broadcast (the
+// default), unique label assignment (-op labels), or topology extraction at
+// the terminal (-op topology, checked for isomorphism against the network;
+// a mismatch exits non-zero).
 //
 // Usage:
 //
-//	anoncast -topo ring -n 12 -msg "hello" [-proto general] [-engine concurrent] [-sched greedy -seed 7] [-dot out.dot]
+//	anoncast -graph ring:n=12 -msg "hello" [-op broadcast|labels|topology] [-proto general] [-engine concurrent] [-sched greedy -seed 7] [-dot out.dot]
 //
-// Topologies: line, chain, ring, karytree (use -h and -d), randtree,
-// randdag, randnet, layered (use -layers and -width).
+// The network is named by a scenario registry spec (-graph, default
+// randnet; `anoncast -h` lists the families) or read from a file in the
+// anonnet v1 text format (-file). A spec's seed= seeds the generator; -seed
+// seeds the scheduler only.
 //
 // Engines: seq (deterministic, adversarial scheduler), concurrent
 // (goroutine per vertex), sync (global rounds), tcp (real sockets), shard
@@ -22,14 +27,15 @@
 // directly, the wild-capture engines (concurrent, tcp, shard) capture their
 // schedule through a serializing observer and canonicalize it (scheduler
 // header reads wild-concurrent/wild-tcp/wild-shard). -replay FILE
-// re-executes a trace byte-identically (network and protocol come from the
-// file). Minimize or differential-fuzz traces with cmd/anonshrink.
+// re-executes a trace byte-identically (network, protocol and op come from
+// the file). Minimize or differential-fuzz traces with cmd/anonshrink.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 
 	"repro"
@@ -42,18 +48,14 @@ func main() {
 	}
 }
 
+// params is the command line: the run's anonnet.Request, plus what only
+// the command line has (where the network comes from and goes to, the
+// trace files, the telemetry output).
 type params struct {
-	topo                             string
-	n, height, degree, layers, width int
-	extra                            int
-	shards                           int
-	seed                             int64
-	msg, proto, engine, sched        string
-	dot, file, save                  string
-	record, replay                   string
-	graph, faults, chaos             string
-	obs, obsFormat                   string
-	obsEvery                         int
+	anonnet.Request
+	graph, file, save, dot string
+	record, replay         string
+	obs, obsFormat         string
 }
 
 // parseFlags reads the command line into params; -h and malformed flags
@@ -61,29 +63,23 @@ type params struct {
 func parseFlags(args []string) params {
 	var p params
 	fs := flag.NewFlagSet("anoncast", flag.ExitOnError)
-	fs.StringVar(&p.topo, "topo", "randnet", "topology: line|chain|ring|karytree|randtree|randdag|randnet|layered")
-	fs.IntVar(&p.n, "n", 16, "internal vertex count (line/chain/ring/randtree/randdag/randnet)")
-	fs.IntVar(&p.height, "height", 3, "tree height (karytree)")
-	fs.IntVar(&p.degree, "d", 2, "tree degree (karytree)")
-	fs.IntVar(&p.layers, "layers", 4, "layer count (layered)")
-	fs.IntVar(&p.width, "width", 3, "layer width (layered)")
-	fs.IntVar(&p.extra, "extra", 16, "extra random edges (randdag/randnet)")
-	fs.Int64Var(&p.seed, "seed", 1, "generator / scheduler seed")
-	fs.StringVar(&p.msg, "msg", "hello, anonymous world", "broadcast payload")
-	fs.StringVar(&p.proto, "proto", "auto", "protocol: "+strings.Join(anonnet.ProtocolNames(), "|"))
-	fs.StringVar(&p.engine, "engine", "seq", "engine: "+strings.Join(anonnet.EngineNames(), "|"))
-	fs.IntVar(&p.shards, "shards", 0, fmt.Sprintf("worker partition: 0 = engine default (%d shards for shard, one worker per vertex for tcp)", anonnet.DefaultShards))
-	fs.StringVar(&p.sched, "sched", "fifo", "adversarial scheduler (seq/shard engines): "+strings.Join(anonnet.SchedulerNames(), "|"))
-	fs.StringVar(&p.dot, "dot", "", "write the network in DOT format to this file")
-	fs.StringVar(&p.file, "file", "", "load the network from this file (anonnet v1 text format) instead of generating one")
-	fs.StringVar(&p.save, "save", "", "write the generated network to this file in the text format")
+	fs.StringVar(&p.Op, "op", "broadcast", "operation: "+strings.Join(anonnet.Ops(), "|"))
+	fs.StringVar(&p.graph, "graph", "randnet", "scenario registry spec \"family[:param=value,...,seed=N]\" ("+strings.Join(anonnet.ScenarioFamilies(), "|")+")")
+	fs.StringVar(&p.file, "file", "", "load the network from this file (anonnet v1 text format); overrides -graph")
+	fs.Int64Var(&p.Seed, "seed", 1, "scheduler seed (the spec's seed= seeds the generator)")
+	fs.StringVar(&p.Message, "msg", "hello, anonymous world", "broadcast payload")
+	fs.StringVar(&p.Protocol, "proto", "auto", "broadcast protocol: "+strings.Join(anonnet.ProtocolNames(), "|"))
+	fs.StringVar(&p.Engine, "engine", "seq", "engine: "+strings.Join(anonnet.EngineNames(), "|"))
+	fs.IntVar(&p.Shards, "shards", 0, fmt.Sprintf("worker partition: 0 = engine default (%d shards for shard, one worker per vertex for tcp)", anonnet.DefaultShards))
+	fs.StringVar(&p.Scheduler, "sched", "fifo", "adversarial scheduler (seq/shard engines): "+strings.Join(anonnet.SchedulerNames(), "|"))
+	fs.StringVar(&p.dot, "dot", "", "write the network in DOT format to this file (with -op labels, annotated with the labels)")
+	fs.StringVar(&p.save, "save", "", "write the network to this file in the text format")
 	fs.StringVar(&p.record, "record", "", "write the run's delivery schedule to this trace file (any engine; wild schedules are canonicalized)")
-	fs.StringVar(&p.replay, "replay", "", "replay a recorded trace file (seq engine; overrides -topo/-file/-sched/-proto)")
-	fs.StringVar(&p.graph, "graph", "", "scenario registry spec \"family[:param=value,...]\" ("+strings.Join(anonnet.ScenarioFamilies(), "|")+"); overrides -topo")
-	fs.StringVar(&p.faults, "faults", "", "fault/churn plan \"drop=EDGE:K,loss=PCT,crash=VERTEX:K,recover=VERTEX:K,cut=EDGE:K,join=EDGE:K,lossat=SEND:PCT,seed=N\" (terms optional; drop/crash/recover/cut/join/lossat repeatable)")
-	fs.StringVar(&p.chaos, "chaos", "", "socket chaos spec \"disconnect=N,loss=PCT,delay=MS,seed=S\" (tcp engine only; every disturbance heals via reconnect/backoff/resend)")
+	fs.StringVar(&p.replay, "replay", "", "replay a recorded trace file (seq engine; overrides -graph/-file/-sched/-proto/-op)")
+	fs.StringVar(&p.Faults, "faults", "", "fault/churn plan \"drop=EDGE:K,loss=PCT,crash=VERTEX:K,recover=VERTEX:K,cut=EDGE:K,join=EDGE:K,lossat=SEND:PCT,seed=N\" (terms optional; drop/crash/recover/cut/join/lossat repeatable)")
+	fs.StringVar(&p.Chaos, "chaos", "", "socket chaos spec \"disconnect=N,loss=PCT,delay=MS,seed=S\" (tcp engine only; every disturbance heals via reconnect/backoff/resend)")
 	fs.StringVar(&p.obs, "obs", "", "capture run telemetry and write it to this file (\"-\" = stdout); see docs/OBSERVABILITY.md")
-	fs.IntVar(&p.obsEvery, "obs-every", 0, "telemetry sampling stride in deliveries (0 = default)")
+	fs.IntVar(&p.TimelineEvery, "obs-every", 0, "telemetry sampling stride in deliveries (0 = default)")
 	fs.StringVar(&p.obsFormat, "obs-format", "json", "telemetry output format: json|table|prom")
 	fs.Parse(args) // ExitOnError: a malformed flag exits
 	return p
@@ -107,10 +103,11 @@ func run(p params) error {
 		if err != nil {
 			return err
 		}
-		p.proto, err = protoFlagFor(replayTrace.Protocol())
-		if err != nil {
-			return err
+		op, ok := replayOps[replayTrace.Protocol()]
+		if !ok {
+			return fmt.Errorf("trace records protocol %q, which anoncast cannot replay", replayTrace.Protocol())
 		}
+		p.Op, p.Protocol = op[0], op[1]
 		fmt.Printf("replaying %s\n", replayTrace)
 	case p.file != "":
 		f, ferr := os.Open(p.file)
@@ -119,10 +116,8 @@ func run(p params) error {
 		}
 		net, err = anonnet.ParseNetwork(f)
 		f.Close()
-	case p.graph != "":
-		net, err = anonnet.ScenarioNetwork(p.graph)
 	default:
-		net, err = buildNetwork(p.topo, p.n, p.height, p.degree, p.layers, p.width, p.extra, p.seed)
+		net, err = anonnet.ScenarioNetwork(p.graph)
 	}
 	if err != nil {
 		return err
@@ -136,11 +131,9 @@ func run(p params) error {
 	fmt.Printf("network: %s  (|V|=%d |E|=%d class=%s dout=%d)\n",
 		net, net.NumVertices(), net.NumEdges(), net.Class(), net.MaxOutDegree())
 
-	opts, err := buildOptions(p.proto, p.engine, p.sched, p.seed, p.shards)
-	if err != nil {
-		return err
-	}
-	opts = append(opts, anonnet.WithAlphabetTracking())
+	req := p.Request
+	req.Network, req.Alphabet, req.Timeline = string(net.MarshalText()), true, p.obs != ""
+	var opts []anonnet.Option
 	var recorded *anonnet.TraceData
 	if p.record != "" {
 		opts = append(opts, anonnet.WithRecordTrace(&recorded))
@@ -148,18 +141,10 @@ func run(p params) error {
 	if replayTrace != nil {
 		opts = append(opts, anonnet.WithReplayTrace(replayTrace))
 	}
-	if p.faults != "" {
-		opts = append(opts, anonnet.WithFaults(p.faults))
-	}
-	if p.chaos != "" {
-		opts = append(opts, anonnet.WithChaos(p.chaos))
-	}
-	if p.obs != "" {
-		opts = append(opts, anonnet.WithObservability(p.obsEvery))
-	}
 
-	rep, err := anonnet.Broadcast(net, []byte(p.msg), opts...)
-	if rep != nil {
+	res, err := anonnet.Do(req, opts...)
+	if res != nil {
+		rep := res.Report
 		fmt.Printf("protocol:        %s\n", rep.Protocol)
 		fmt.Printf("terminated:      %v\n", rep.Terminated)
 		fmt.Printf("all received:    %v\n", rep.AllReceived)
@@ -169,7 +154,7 @@ func run(p params) error {
 		fmt.Printf("max message:     %d bits\n", rep.MaxMessageBits)
 		fmt.Printf("alphabet:        %d distinct symbols\n", rep.AlphabetSize)
 		fmt.Printf("delivery steps:  %d\n", rep.Steps)
-		if p.faults != "" {
+		if p.Faults != "" {
 			fmt.Printf("dropped:         %d (by the fault plan)\n", rep.Dropped)
 		}
 		for _, ev := range rep.Churn {
@@ -184,8 +169,19 @@ func run(p params) error {
 	if err != nil {
 		return err
 	}
-	if rep != nil && rep.Timeline != nil {
-		if err := writeObs(rep.Timeline, p.obs, p.obsFormat); err != nil {
+	if res.Labels != nil {
+		printLabels(res.Labels)
+	}
+	match := true
+	if res.Topology != nil {
+		fmt.Printf("mapping:         extracted |V|=%d |E|=%d\n", len(res.Topology.Vertices), len(res.Topology.Edges))
+		if match, err = res.Topology.IsomorphicTo(net); err != nil {
+			return err
+		}
+		fmt.Printf("isomorphic:      %v (canonical-form check against the network)\n", match)
+	}
+	if res.Report.Timeline != nil {
+		if err := writeObs(res.Report.Timeline, p.obs, p.obsFormat); err != nil {
 			return err
 		}
 	}
@@ -201,12 +197,38 @@ func run(p params) error {
 			return err
 		}
 		defer f.Close()
-		if err := net.WriteDOT(f, nil); err != nil {
+		// With -op labels, each vertex is annotated with its label.
+		err = net.WriteDOT(f, func(v anonnet.VertexID) string {
+			if l, ok := res.Labels[v]; ok {
+				return l.String()
+			}
+			return ""
+		})
+		if err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s\n", p.dot)
 	}
+	if !match {
+		return fmt.Errorf("extracted topology does not match the network")
+	}
 	return nil
+}
+
+// printLabels prints the label of every labeled vertex in vertex order,
+// after the longest label's length.
+func printLabels(labels map[anonnet.VertexID]anonnet.Label) {
+	ids := make([]anonnet.VertexID, 0, len(labels))
+	longest := 0
+	for v, l := range labels {
+		ids = append(ids, v)
+		longest = max(longest, l.Bits)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	fmt.Printf("labels:          %d assigned, longest %d bits (Theta(|V| log dout) is optimal)\n", len(labels), longest)
+	for _, v := range ids {
+		fmt.Printf("  v%-3d %s  (%d bits)\n", v, labels[v], labels[v].Bits)
+	}
 }
 
 // writeObs renders the run telemetry in the requested format and writes it to
@@ -238,62 +260,12 @@ func writeObs(t *anonnet.Timeline, path, format string) error {
 	return nil
 }
 
-// protoFlagFor maps the protocol name in a trace header back onto the -proto
-// flag vocabulary. Broadcast drives only the broadcast protocols; traces of
-// labelcast/mapcast replay through anonshrink instead.
-func protoFlagFor(traceProto string) (string, error) {
-	switch traceProto {
-	case "treecast/pow2":
-		return "tree", nil
-	case "treecast/naive":
-		return "tree-naive", nil
-	case "dagcast":
-		return "dag", nil
-	case "generalcast":
-		return "general", nil
-	default:
-		return "", fmt.Errorf("trace records protocol %q; replay it with anonshrink instead", traceProto)
-	}
-}
-
-func buildNetwork(topo string, n, height, degree, layers, width, extra int, seed int64) (*anonnet.Network, error) {
-	switch topo {
-	case "line":
-		return anonnet.Line(n), nil
-	case "chain":
-		return anonnet.Chain(n), nil
-	case "ring":
-		return anonnet.Ring(n), nil
-	case "karytree":
-		return anonnet.KaryTree(height, degree), nil
-	case "randtree":
-		return anonnet.RandomTree(n, seed), nil
-	case "randdag":
-		return anonnet.RandomDAG(n, extra, seed), nil
-	case "randnet":
-		return anonnet.RandomNetwork(n, extra, seed), nil
-	case "layered":
-		return anonnet.LayeredNetwork(layers, width, seed), nil
-	default:
-		return nil, fmt.Errorf("unknown topology %q", topo)
-	}
-}
-
-// buildOptions lowers the CLI flags through the facade's shared name
-// resolution — the same ProtocolByName/EngineByName vocabulary the run
-// server's request validation uses, so the CLI and the API cannot drift.
-func buildOptions(proto, engine, sched string, seed int64, shards int) ([]anonnet.Option, error) {
-	kind, err := anonnet.ProtocolByName(proto)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := anonnet.EngineByName(engine)
-	if err != nil {
-		return nil, err
-	}
-	return []anonnet.Option{
-		anonnet.WithProtocol(kind), anonnet.WithEngine(eng),
-		anonnet.WithShards(shards), anonnet.WithScheduler(sched),
-		anonnet.WithSeed(seed),
-	}, nil
+// replayOps maps the protocol name in a trace header onto -op and -proto.
+var replayOps = map[string][2]string{
+	"treecast/pow2":  {"broadcast", "tree"},
+	"treecast/naive": {"broadcast", "tree-naive"},
+	"dagcast":        {"broadcast", "dag"},
+	"generalcast":    {"broadcast", "general"},
+	"labelcast":      {"labels", "auto"},
+	"mapcast":        {"topology", "auto"},
 }

@@ -7,9 +7,14 @@
 //
 // Record a schedule:
 //
-//	anonshrink record -topo randnet -n 12 -proto generalcast -sched random -seed 3 -o run.trace
+//	anonshrink record -graph randnet:n=12,seed=5 -proto generalcast -sched random -seed 3 -o run.trace
 //	anonshrink record -graph torus:w=4,h=4 -proto auto -faults crash=3:1,recover=3:4 -o run.trace
 //	anonshrink record -net graph.txt -proto labelcast -sched latency-pareto -o run.trace
+//
+// The network is a scenario registry spec (-graph, default randnet, the
+// default of anoncast too) or a file in the anonnet v1 text format (-net).
+// The spec's seed= seeds the generator; -seed seeds the scheduler (default
+// fifo, the adversary of anoncast, the facade and the run server).
 //
 // Replay it byte-identically (errors loudly on any divergence — wrong graph,
 // wrong protocol, or changed engine behavior). The per-event timeline, the
@@ -90,12 +95,12 @@ func main() {
 
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
-  anonshrink record (-topo T -n N | -graph SPEC | -net FILE) -proto P -sched S [-seed K] [-faults SPEC] -o OUT
+  anonshrink record [-graph SPEC | -net FILE] [-proto P] [-sched S] [-seed K] [-faults SPEC] -o OUT
   anonshrink replay -in FILE [-timeline] [-summary] [-v] [-obs FILE|-] [-obs-every K]
   anonshrink shrink -in FILE -pred PRED -o OUT
   anonshrink fuzz   (-in FILE | -corpus DIR) [-n MUTANTS] [-seed K] [-fallback S] [-o DIR]
 
-topologies: line|chain|ring|karytree|randnet   graph families: %s
+graph families: %s
 protocols: auto|%s
 schedulers: %s
 predicates: quiescent|terminated|all-visited|not-all-visited|label-collision|visited:<v>
@@ -106,13 +111,11 @@ predicates: quiescent|terminated|all-visited|not-all-visited|label-collision|vis
 func cmdRecord(args []string) error {
 	fs := flag.NewFlagSet("record", flag.ExitOnError)
 	var (
-		topo   = fs.String("topo", "randnet", "topology: line|chain|ring|karytree|randnet")
-		n      = fs.Int("n", 8, "size parameter")
-		netF   = fs.String("net", "", "load the network from this file (anonnet v1 text) instead of generating one")
-		spec   = fs.String("graph", "", "scenario registry spec \"family[:param=value,...]\" ("+strings.Join(scenario.Names(), "|")+"); overrides -topo")
+		netF   = fs.String("net", "", "load the network from this file (anonnet v1 text); overrides -graph")
+		spec   = fs.String("graph", "randnet", "scenario registry spec \"family[:param=value,...,seed=N]\" ("+strings.Join(scenario.Names(), "|")+")")
 		proto  = fs.String("proto", "generalcast", "protocol: auto|"+strings.Join(replay.ProtocolNames(), "|")+" (auto picks by the graph's class)")
-		sched  = fs.String("sched", "random", "adversarial scheduler: "+strings.Join(sim.SchedulerNames(), "|"))
-		seed   = fs.Int64("seed", 1, "generator / scheduler seed")
+		sched  = fs.String("sched", "fifo", "adversarial scheduler: "+strings.Join(sim.SchedulerNames(), "|"))
+		seed   = fs.Int64("seed", 1, "scheduler seed (the spec's seed= seeds the generator)")
 		faults = fs.String("faults", "", "fault/churn plan (scenario spec, e.g. crash=3:1,recover=3:4); recorded into the trace header and re-armed on replay and shrink")
 		out    = fs.String("o", "", "output trace file (required)")
 	)
@@ -120,7 +123,7 @@ func cmdRecord(args []string) error {
 	if *out == "" {
 		return fmt.Errorf("record: -o is required")
 	}
-	g, err := buildGraph(*topo, *n, *seed, *netF, *spec)
+	g, err := loadGraph(*netF, *spec)
 	if err != nil {
 		return err
 	}
@@ -359,37 +362,17 @@ func loadTrace(path string) (*replay.Trace, *graph.G, func() protocol.Protocol, 
 	return tr, g, newProto, nil
 }
 
-// buildGraph loads the network from netFile, else builds the scenario spec,
-// else generates topology topo.
-func buildGraph(topo string, n int, seed int64, netFile, spec string) (*graph.G, error) {
-	if netFile != "" && spec != "" {
-		return nil, fmt.Errorf("record: -net and -graph are mutually exclusive")
-	}
-	if spec != "" {
+// loadGraph loads the network from netFile, else builds the scenario spec.
+func loadGraph(netFile, spec string) (*graph.G, error) {
+	if netFile == "" {
 		return scenario.Parse(spec)
 	}
-	if netFile != "" {
-		f, err := os.Open(netFile)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return graph.ParseText(f)
+	f, err := os.Open(netFile)
+	if err != nil {
+		return nil, err
 	}
-	switch topo {
-	case "line":
-		return graph.Line(n), nil
-	case "chain":
-		return graph.Chain(n), nil
-	case "ring":
-		return graph.Ring(n), nil
-	case "karytree":
-		return graph.KaryGroundedTree(n, 2), nil
-	case "randnet":
-		return graph.RandomDigraph(n, seed, graph.RandomDigraphOpts{ExtraEdges: n, TerminalFrac: 0.2}), nil
-	default:
-		return nil, fmt.Errorf("unknown topology %q", topo)
-	}
+	defer f.Close()
+	return graph.ParseText(f)
 }
 
 // autoProtocol names the broadcast protocol for g's class: tree broadcast on

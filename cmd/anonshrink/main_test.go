@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro"
 	"repro/internal/core"
 	"repro/internal/dyadic"
 	"repro/internal/graph"
@@ -295,5 +297,34 @@ func TestRecordThenReplayViews(t *testing.T) {
 	}
 	if strconv.FormatInt(total, 10) != m[1] {
 		t.Fatalf("record metered %s bits, replay's summary totals %d", m[1], total)
+	}
+}
+
+// TestRecordEmbedsSpecNetwork: record -graph S embeds the network text
+// anonnet.ScenarioNetwork(S) renders, which is what anoncast -graph S -save
+// writes (cmd/anoncast's TestSaveIsTheSpecNetwork), for a random and a
+// deterministic family, and record defaults to the fifo adversary.
+func TestRecordEmbedsSpecNetwork(t *testing.T) {
+	for _, spec := range []string{"randnet:n=8,extra=8,tfrac=20,seed=3", "karytree:h=2,d=3"} {
+		f := filepath.Join(t.TempDir(), "run.trace")
+		stdout(t, func() error { return cmdRecord([]string{"-graph", spec, "-o", f}) })
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := replay.Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := anonnet.ScenarioNetwork(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(tr.GraphText, want.MarshalText()) {
+			t.Fatalf("%s: the trace embeds\n%s\nthe spec's network is\n%s", spec, tr.GraphText, want.MarshalText())
+		}
+		if tr.Scheduler != "fifo" {
+			t.Fatalf("%s: recorded under %q, want the default fifo", spec, tr.Scheduler)
+		}
 	}
 }

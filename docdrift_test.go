@@ -356,6 +356,16 @@ func TestScenariosDocFaultTermsInSync(t *testing.T) {
 	}
 }
 
+// TestScenariosDocFamiliesInSync drift-guards the family table of
+// docs/SCENARIOS.md against the scenario registry.
+func TestScenariosDocFamiliesInSync(t *testing.T) {
+	documented := markedTableNames(t, "docs/SCENARIOS.md",
+		"scenarios:families:begin", "scenarios:families:end")
+	if got, want := strings.Join(documented, " "), strings.Join(scenario.Names(), " "); got != want {
+		t.Fatalf("docs/SCENARIOS.md family table out of sync with scenario.Names\n doc:      %s\n registry: %s", got, want)
+	}
+}
+
 // TestArchitectureDocChurnColumnInSync drift-guards the churn column of the
 // engine matrix: every engine row must state how crash/recover/cut/join
 // churn behaves there. The cross-engine churn conformance suite enforces

@@ -48,7 +48,10 @@ func ExampleBroadcast_deadEnd() {
 // Unique labels from nothing: anonymous vertices end up owning disjoint
 // sub-intervals of [0, 1).
 func ExampleAssignLabels() {
-	net := anonnet.Line(3) // s -> v1 -> v2 -> v3 -> t
+	net, err := anonnet.ScenarioNetwork("line:n=3") // s -> v1 -> v2 -> v3 -> t
+	if err != nil {
+		log.Fatal(err)
+	}
 	labels, _, err := anonnet.AssignLabels(net)
 	if err != nil {
 		log.Fatal(err)
@@ -71,7 +74,10 @@ func ExampleAssignLabels() {
 // byte-identically: the trace embeds the network, so the replay side needs
 // nothing but the bytes.
 func ExampleWithRecordTrace() {
-	net := anonnet.Ring(4)
+	net, err := anonnet.ScenarioNetwork("ring:n=4")
+	if err != nil {
+		log.Fatal(err)
+	}
 	var td *anonnet.TraceData
 	rep, err := anonnet.Broadcast(net, []byte("m"),
 		anonnet.WithScheduler("lifo"), anonnet.WithRecordTrace(&td))
@@ -103,7 +109,10 @@ func ExampleWithRecordTrace() {
 // reach the same schedule-independent outcome. A nonzero violation count
 // would come with a 1-minimal repro trace in FuzzReport.MinimalRepro.
 func ExampleWithScheduleFuzz() {
-	net := anonnet.Ring(4)
+	net, err := anonnet.ScenarioNetwork("ring:n=4")
+	if err != nil {
+		log.Fatal(err)
+	}
 	var fr *anonnet.FuzzReport
 	if _, err := anonnet.Broadcast(net, []byte("m"),
 		anonnet.WithSeed(1), anonnet.WithScheduleFuzz(16, &fr)); err != nil {
@@ -116,7 +125,10 @@ func ExampleWithScheduleFuzz() {
 
 // The terminal can reconstruct the whole port-numbered topology.
 func ExampleExtractTopology() {
-	net := anonnet.Ring(3)
+	net, err := anonnet.ScenarioNetwork("ring:n=3")
+	if err != nil {
+		log.Fatal(err)
+	}
 	topo, _, err := anonnet.ExtractTopology(net)
 	if err != nil {
 		log.Fatal(err)

@@ -23,7 +23,10 @@ func chainDemo() {
 	fmt.Println("=== Theorem 3.2: alphabet lower bound on the chain G_n ===")
 	fmt.Println("n     |E|   alphabet   total bits")
 	for _, n := range []int{4, 8, 16, 32, 64, 128} {
-		net := anonnet.Chain(n)
+		net, err := anonnet.ScenarioNetwork(fmt.Sprintf("chain:n=%d", n))
+		if err != nil {
+			log.Fatal(err)
+		}
 		rep, err := anonnet.Broadcast(net, nil, anonnet.WithAlphabetTracking())
 		if err != nil {
 			log.Fatal(err)

@@ -17,7 +17,10 @@ import (
 
 func main() {
 	// A random cyclic overlay: 18 peers, ~40 one-way connections.
-	net := anonnet.RandomNetwork(18, 22, 7)
+	net, err := anonnet.ScenarioNetwork("randnet:n=18,extra=22,seed=7")
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("overlay: %d peers, %d one-way connections, cyclic: %v\n",
 		net.NumVertices(), net.NumEdges(), net.Class() == anonnet.ClassGeneral)
 

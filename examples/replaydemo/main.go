@@ -17,7 +17,10 @@ import (
 )
 
 func main() {
-	net := anonnet.RandomNetwork(12, 16, 42)
+	net, err := anonnet.ScenarioNetwork("randnet:n=12,extra=16,seed=42")
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("network:  %s\n", net)
 
 	// Run under a seeded adversary, pinning the schedule as we go.

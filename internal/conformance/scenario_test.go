@@ -20,6 +20,14 @@ var scenarioSizes = map[string]map[string]int{
 	"regular":    {"n": 10},
 	"torus":      {"w": 3, "h": 3},
 	"layereddag": {"layers": 3, "width": 3},
+	"line":       {"n": 3},
+	"chain":      {"n": 3},
+	"ring":       {"n": 3},
+	"karytree":   {"h": 2, "d": 2},
+	"randtree":   {"n": 5},
+	"randdag":    {"n": 5, "extra": 3},
+	"randnet":    {"n": 5, "extra": 3},
+	"layered":    {"layers": 2, "width": 2},
 }
 
 // TestScenarioConformanceMatrix wires every scenario family through the

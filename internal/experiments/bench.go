@@ -490,8 +490,16 @@ func benchShardOn(g *graph.G, proto protocol.Protocol, repeats int) (*ShardBench
 // linearly on the DAGs, so comparable wall-clock means very different
 // vertex counts. Full sizes keep the whole tier in single-digit seconds.
 var benchScenarioSizes = map[string]map[string]int{
+	"chain":      {"n": 256},
+	"karytree":   {"h": 7, "d": 2},
+	"layered":    {"layers": 10, "width": 10},
 	"layereddag": {"layers": 12, "width": 24},
+	"line":       {"n": 256},
+	"randdag":    {"n": 256, "extra": 256},
+	"randnet":    {"n": 100, "extra": 100},
+	"randtree":   {"n": 256},
 	"regular":    {"n": 100, "d": 3},
+	"ring":       {"n": 64},
 	"scalefree":  {"n": 512, "m": 2},
 	"smallworld": {"n": 100, "k": 3},
 	"torus":      {"w": 10, "h": 10},
@@ -499,8 +507,16 @@ var benchScenarioSizes = map[string]map[string]int{
 
 // benchScenarioSizesQuick is the reduced sweep for -quick.
 var benchScenarioSizesQuick = map[string]map[string]int{
+	"chain":      {"n": 64},
+	"karytree":   {"h": 5, "d": 2},
+	"layered":    {"layers": 6, "width": 6},
 	"layereddag": {"layers": 6, "width": 10},
+	"line":       {"n": 64},
+	"randdag":    {"n": 64, "extra": 64},
+	"randnet":    {"n": 40, "extra": 40},
+	"randtree":   {"n": 64},
 	"regular":    {"n": 40, "d": 3},
+	"ring":       {"n": 24},
 	"scalefree":  {"n": 128, "m": 2},
 	"smallworld": {"n": 40, "k": 3},
 	"torus":      {"w": 6, "h": 6},
@@ -520,31 +536,13 @@ func benchScenarioBroadcast(quick bool, repeats int) ([]ScenarioBench, error) {
 		if err != nil {
 			return nil, err
 		}
-		sb, err := timeScenario(fam.Name, scenarioSpec(fam, params, 1), "", g, repeats)
+		sb, err := timeScenario(fam.Name, scenario.Spec(fam, params, 1), "", g, repeats)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, *sb)
 	}
 	return out, nil
-}
-
-// scenarioSpec renders the spec string the scenario tier ran, in the
-// family's declared parameter order so the string is deterministic.
-func scenarioSpec(fam scenario.Family, params map[string]int, seed int64) string {
-	var b strings.Builder
-	b.WriteString(fam.Name)
-	sep := ":"
-	for _, p := range fam.Params {
-		v, ok := params[p.Name]
-		if !ok {
-			v = p.Default
-		}
-		fmt.Fprintf(&b, "%s%s=%d", sep, p.Name, v)
-		sep = ","
-	}
-	fmt.Fprintf(&b, "%sseed=%d", sep, seed)
-	return b.String()
 }
 
 // BenchScenario times the sequential general broadcast on one scenario spec

@@ -345,20 +345,36 @@ func RandomDigraph(n int, seed int64, opts RandomDigraphOpts) *G {
 			b.AddEdge(VertexID(i), t)
 		}
 	}
-	// Guarantee co-reachability by wiring t-less sinks into t, iterating
-	// until every non-orphan vertex can reach t.
-	for {
-		g := probeCoReach(b, n, t)
-		fixed := false
-		for i := 1; i <= n; i++ {
-			if !g[i] {
-				b.AddEdge(VertexID(i), t)
-				fixed = true
-				break
+	// Guarantee co-reachability: in vertex order, wire each vertex that
+	// cannot reach t straight to t, then mark its ancestors, which now
+	// reach t through it. This adds the edges a fixpoint loop (wire the
+	// first vertex that cannot reach t, recompute, repeat) would, in the
+	// same order, in one pass over the edges.
+	inAdj := make([][]VertexID, n+2)
+	for _, e := range b.edges {
+		inAdj[e.To] = append(inAdj[e.To], e.From)
+	}
+	reach := make([]bool, n+2)
+	var stack []VertexID
+	mark := func(v VertexID) {
+		reach[v] = true
+		stack = append(stack[:0], v)
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, u := range inAdj[v] {
+				if !reach[u] {
+					reach[u] = true
+					stack = append(stack, u)
+				}
 			}
 		}
-		if !fixed {
-			break
+	}
+	mark(t)
+	for i := 1; i <= n; i++ {
+		if !reach[i] {
+			b.AddEdge(VertexID(i), t)
+			mark(VertexID(i))
 		}
 	}
 	// Orphans: reachable from s, no path to t.
@@ -371,31 +387,6 @@ func RandomDigraph(n int, seed int64, opts RandomDigraphOpts) *G {
 		}
 	}
 	return b.MustBuild()
-}
-
-// probeCoReach computes co-reachability of t on the builder's current edges
-// for vertices 0..n+1 (ignoring orphans, which are added later).
-func probeCoReach(b *Builder, n int, t VertexID) []bool {
-	inAdj := make([][]VertexID, n+2)
-	for _, e := range b.edges {
-		if int(e.To) < n+2 && int(e.From) < n+2 {
-			inAdj[e.To] = append(inAdj[e.To], e.From)
-		}
-	}
-	seen := make([]bool, n+2)
-	stack := []VertexID{t}
-	seen[t] = true
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, u := range inAdj[v] {
-			if !seen[u] {
-				seen[u] = true
-				stack = append(stack, u)
-			}
-		}
-	}
-	return seen
 }
 
 // LayeredDigraph returns a general digraph of `layers` layers of `width`

@@ -256,6 +256,14 @@ func (b *Builder) MustBuild() *G {
 // Name returns the graph's human-readable name.
 func (g *G) Name() string { return g.name }
 
+// Renamed returns g under another name. The copy shares g's immutable
+// adjacency.
+func (g *G) Renamed(name string) *G {
+	c := *g
+	c.name = name
+	return &c
+}
+
 // NumVertices returns |V|.
 func (g *G) NumVertices() int { return len(g.outOff) - 1 }
 

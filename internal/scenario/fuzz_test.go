@@ -65,13 +65,18 @@ func FuzzParseFaults(f *testing.F) {
 // against: a chain, a ring (cyclic) and a small layered DAG.
 var compileGraphs = []*graph.G{graph.Chain(3), graph.Ring(4), graph.LayeredDigraph(2, 2, 3)}
 
+// edgeBound are the families whose edges to t or extra edges are random, so
+// Size's edge count is an upper bound; for every other family, seedless
+// ones included, it is exact.
+var edgeBound = map[string]bool{"scalefree": true, "randtree": true, "randdag": true, "randnet": true}
+
 // FuzzParseScenario fuzzes the scenario grammar, the input surface of every
 // -graph flag and of the run server's scenario field. Parse must never
 // panic, Parse must reject every spec Size rejects and every graph of more
 // than maxVertices vertices, and for every spec Parse accepts the built
 // graph has exactly Size's vertex count and at most its edge count, exactly
-// it for every family but scalefree. Only graphs of at most 4096 vertices
-// and 2^14 edges are built.
+// it for every family but those with random edges to t or random extra
+// edges. Only graphs of at most 4096 vertices and 2^14 edges are built.
 func FuzzParseScenario(f *testing.F) {
 	for _, spec := range []string{
 		"torus",
@@ -85,6 +90,21 @@ func FuzzParseScenario(f *testing.F) {
 		"torus:w=4294967296,h=4294967296",
 		"scalefree:n=9223372036854775807",
 		"layereddag:layers=0",
+		"line:n=1",
+		"chain:n=7",
+		"ring:n=2",
+		"ring:n=1",
+		"karytree:h=0,d=1",
+		"karytree:h=4,d=3",
+		"karytree:h=9223372036854775807,d=1",
+		"karytree:h=70,d=2",
+		"randtree:n=1,tfrac=100",
+		"randtree:tfrac=101",
+		"randdag:n=3,extra=40,seed=5",
+		"randnet:n=10,extra=100000000",
+		"randnet:n=1,extra=0,tfrac=0",
+		"layered:layers=1,width=1",
+		"layered:layers=5,width=2,seed=3",
 		"klein:w=3",
 		"torus:w",
 		"torus:w=x",
@@ -121,7 +141,7 @@ func FuzzParseScenario(f *testing.F) {
 			t.Fatalf("Parse(%q) built %d vertices, Size says %d", spec, g.NumVertices(), n)
 		}
 		family, _, _ := strings.Cut(strings.TrimSpace(spec), ":")
-		if got := g.NumEdges(); got > edges || got != edges && family != "scalefree" {
+		if got := g.NumEdges(); got > edges || got != edges && !edgeBound[family] {
 			t.Fatalf("Parse(%q) built %d edges, Size says %d", spec, got, edges)
 		}
 	})

@@ -1,13 +1,17 @@
-// Package scenario is the workload-preset layer: named, parameterized,
-// seeded graph families beyond the trees/rings/random digraphs of package
-// graph, plus first-class fault plans. Every family is a pure function of
-// (family, params, seed) — same inputs, byte-identical graph, pinned by
-// fingerprint in the determinism tests — so a scenario spec string is a
-// complete, replayable description of a workload.
+// Package scenario is the workload-preset layer and the one vocabulary for
+// naming a network: named, parameterized, seeded graph families, plus
+// first-class fault plans. The registry holds the generators of package
+// graph (line, chain, ring, karytree, randtree, randdag, randnet, layered)
+// beside families of its own (scalefree, smallworld, torus, regular,
+// layereddag). Every family is a pure function of (family, params, seed) —
+// same inputs, byte-identical graph, pinned by fingerprint in the
+// determinism tests — so a scenario spec string is a complete, replayable
+// description of a workload.
 //
 // The registry is mirrored into the CLIs as -graph "family:param=v,..."
-// (anoncast, anonbench, anonshrink record) and into the facade as
-// anonnet.ScenarioNetwork / anonnet.WithScenario.
+// (anoncast, anonbench, anonshrink record), into the facade as
+// anonnet.ScenarioNetwork / anonnet.WithScenario, and into the run server's
+// scenario field.
 package scenario
 
 import (
@@ -30,6 +34,8 @@ type Param struct {
 	Default int
 	// Min is the smallest accepted value.
 	Min int
+	// Max, when positive, is the largest accepted value.
+	Max int
 }
 
 // Family is one named graph family of the registry.
@@ -40,8 +46,14 @@ type Family struct {
 	Desc string
 	// Params lists the accepted parameters with defaults.
 	Params []Param
+	// Seedless families ignore the seed: every seed builds one graph, and
+	// Spec omits it.
+	Seedless bool
 
 	build func(p map[string]int, seed int64) (*graph.G, error)
+	// namedBySpec families name their graph by its canonical spec (Spec);
+	// the others name it in their builder.
+	namedBySpec bool
 	// size returns the vertex count build makes for full parameters p and
 	// its edge count, or a bound on it, both saturated at math.MaxInt.
 	size func(p map[string]int) (vertices, edges int)
@@ -86,7 +98,8 @@ var families = []Family{
 			{Name: "w", Default: 4, Min: 2},
 			{Name: "h", Default: 3, Min: 2},
 		},
-		build: buildTorus,
+		Seedless: true,
+		build:    buildTorus,
 		size: func(p map[string]int) (int, int) {
 			cells := satMul(p["w"], p["h"])
 			return satAdd(cells, 2), satAdd(satMul(cells, 2), 2)
@@ -120,6 +133,103 @@ var families = []Family{
 			between := satMul(layers-1, satAdd(satMul(width, p["fanout"]), 1))
 			return satAdd(satMul(layers, width), 2), satAdd(satAdd(satMul(layers, width-1), between), 2)
 		},
+	},
+	// The generators of package graph. Their graphs are named by their
+	// canonical specs.
+	{
+		Name:        "line",
+		Desc:        "path s -> v1 -> ... -> vn -> t, the simplest grounded tree",
+		Params:      []Param{{Name: "n", Default: 16, Min: 1}},
+		build:       func(p map[string]int, _ int64) (*graph.G, error) { return graph.Line(p["n"]), nil },
+		size:        func(p map[string]int) (int, int) { return satAdd(p["n"], 2), satAdd(p["n"], 1) },
+		Seedless:    true,
+		namedBySpec: true,
+	},
+	{
+		Name:        "chain",
+		Desc:        "the lower-bound chain G_n of Theorem 3.2: a path with every vertex also wired to t",
+		Params:      []Param{{Name: "n", Default: 16, Min: 1}},
+		build:       func(p map[string]int, _ int64) (*graph.G, error) { return graph.Chain(p["n"]), nil },
+		size:        func(p map[string]int) (int, int) { return satAdd(p["n"], 2), satMul(p["n"], 2) },
+		Seedless:    true,
+		namedBySpec: true,
+	},
+	{
+		Name:        "ring",
+		Desc:        "directed n-cycle under s with every cycle vertex also wired to t",
+		Params:      []Param{{Name: "n", Default: 16, Min: 2}},
+		build:       func(p map[string]int, _ int64) (*graph.G, error) { return graph.Ring(p["n"]), nil },
+		size:        func(p map[string]int) (int, int) { return satAdd(p["n"], 2), satAdd(satMul(p["n"], 2), 1) },
+		Seedless:    true,
+		namedBySpec: true,
+	},
+	{
+		Name:   "karytree",
+		Desc:   "full d-ary grounded tree of height h, every leaf wired to t (Theorem 5.2's large graph)",
+		Params: []Param{{Name: "h", Default: 3, Min: 0}, {Name: "d", Default: 2, Min: 1}},
+		build: func(p map[string]int, _ int64) (*graph.G, error) {
+			return graph.KaryGroundedTree(p["h"], p["d"]), nil
+		},
+		// s->root, one in-edge per other tree vertex, one edge per leaf to t.
+		size: func(p map[string]int) (int, int) {
+			tree, leaves := karySize(p["h"], p["d"])
+			return satAdd(tree, 2), satAdd(tree, leaves)
+		},
+		Seedless:    true,
+		namedBySpec: true,
+	},
+	// randtree, randdag and randnet: s->1, n-1 tree edges, at most extra
+	// random edges, and at most one edge to t per vertex.
+	{
+		Name:   "randtree",
+		Desc:   "random recursive grounded tree; leaves wire to t, other vertices with probability tfrac%",
+		Params: []Param{{Name: "n", Default: 16, Min: 1}, {Name: "tfrac", Default: 20, Min: 0, Max: 100}},
+		build: func(p map[string]int, seed int64) (*graph.G, error) {
+			return graph.RandomGroundedTree(p["n"], float64(p["tfrac"])/100, seed), nil
+		},
+		size:        randSize,
+		namedBySpec: true,
+	},
+	{
+		Name:   "randdag",
+		Desc:   "random DAG: a recursive spanning tree plus extra random forward edges; sinks wire to t",
+		Params: []Param{{Name: "n", Default: 16, Min: 1}, {Name: "extra", Default: 16, Min: 0}},
+		build: func(p map[string]int, seed int64) (*graph.G, error) {
+			return graph.RandomDAG(p["n"], p["extra"], seed), nil
+		},
+		size:        randSize,
+		namedBySpec: true,
+	},
+	{
+		Name: "randnet",
+		Desc: "random general digraph: a recursive spanning tree plus extra random edges (cycles welcome), tfrac% direct edges to t, every vertex co-reachable",
+		Params: []Param{
+			{Name: "n", Default: 16, Min: 1}, {Name: "extra", Default: 16, Min: 0}, {Name: "tfrac", Default: 15, Min: 0, Max: 100},
+		},
+		build: func(p map[string]int, seed int64) (*graph.G, error) {
+			opts := graph.RandomDigraphOpts{ExtraEdges: p["extra"], TerminalFrac: float64(p["tfrac"]) / 100}
+			return graph.RandomDigraph(p["n"], seed, opts), nil
+		},
+		size:        randSize,
+		namedBySpec: true,
+	},
+	{
+		Name:   "layered",
+		Desc:   "layers x width cyclic digraph: two forward edges per vertex and one seeded back edge per inner layer",
+		Params: []Param{{Name: "layers", Default: 4, Min: 1}, {Name: "width", Default: 3, Min: 1}},
+		build: func(p map[string]int, seed int64) (*graph.G, error) {
+			return graph.LayeredDigraph(p["layers"], p["width"], seed), nil
+		},
+		// s->first, width-1 fan-out edges in the first layer, two forward
+		// edges per vertex of every layer but the last, one back edge per
+		// layer strictly between the first and the last, and width edges
+		// to t.
+		size: func(p map[string]int) (int, int) {
+			layers, width := p["layers"], p["width"]
+			forward := satMul(satMul(width, 2), layers-1)
+			return satAdd(satMul(layers, width), 2), satAdd(satAdd(satMul(width, 2), forward), max(layers-2, 0))
+		},
+		namedBySpec: true,
 	},
 }
 
@@ -169,7 +279,33 @@ func Build(family string, params map[string]int, seed int64) (*graph.G, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %s: %w", family, err)
 	}
+	if f.namedBySpec {
+		g = g.Renamed(Spec(f, full, seed))
+	}
 	return g, nil
+}
+
+// Spec renders the canonical spec of family f: its name, every parameter
+// in declared order (defaults fill the ones params omits), and the seed
+// unless f is seedless. Parse(Spec(f, params, seed)) builds the graph
+// Build(f.Name, params, seed) does.
+func Spec(f Family, params map[string]int, seed int64) string {
+	b := []byte(f.Name)
+	sep := byte(':')
+	for _, p := range f.Params {
+		v, ok := params[p.Name]
+		if !ok {
+			v = p.Default
+		}
+		b = append(append(append(b, sep), p.Name...), '=')
+		b = strconv.AppendInt(b, int64(v), 10)
+		sep = ','
+	}
+	if !f.Seedless {
+		b = append(append(b, sep), "seed="...)
+		b = strconv.AppendInt(b, seed, 10)
+	}
+	return string(b)
 }
 
 // maxVertices bounds the graphs Build makes. No larger graph fits in
@@ -181,8 +317,9 @@ const maxVertices = math.MaxInt32
 // internal vertices plus the root and the terminal — and its number of
 // edges, without building the graph. Both counts saturate at math.MaxInt
 // when they do not fit in an int. The vertex count is exact, and so is the
-// edge count except for scalefree, whose sinks are random: there it is an
-// upper bound, 1 + n·min(m, n−1) + n. Size returns Parse's error for a spec
+// edge count except where the edges to t or the extra edges are random
+// (scalefree, randtree, randdag, randnet): there it is an upper bound, for
+// scalefree 1 + n·min(m, n−1) + n. Size returns Parse's error for a spec
 // whose syntax, family or parameters Parse rejects before building; a
 // family may still reject a spec Size accepts (smallworld needs k < n, for
 // one).
@@ -217,6 +354,26 @@ func satAdd(a, b int) int {
 	return a + b
 }
 
+// karySize returns the vertex count of the full d-ary tree of height h and
+// its leaf count, both saturated at math.MaxInt.
+func karySize(h, d int) (tree, leaves int) {
+	if d == 1 {
+		return satAdd(h, 1), 1
+	}
+	tree, leaves = 1, 1
+	for i := 0; i < h && tree < math.MaxInt; i++ {
+		leaves = satMul(leaves, d)
+		tree = satAdd(tree, leaves)
+	}
+	return tree, leaves
+}
+
+// randSize is the size of randtree, randdag and randnet (randtree has no
+// extra edges).
+func randSize(p map[string]int) (int, int) {
+	return satAdd(p["n"], 2), satAdd(satMul(p["n"], 2), p["extra"])
+}
+
 // resolve looks family up and returns its full parameters: params over the
 // defaults, each checked against its family.
 func resolve(family string, params map[string]int) (Family, map[string]int, error) {
@@ -235,6 +392,9 @@ func resolve(family string, params map[string]int) (Family, map[string]int, erro
 		}
 		if v < p.Min {
 			return Family{}, nil, fmt.Errorf("scenario: %s:%s=%d below minimum %d", family, k, v, p.Min)
+		}
+		if p.Max > 0 && v > p.Max {
+			return Family{}, nil, fmt.Errorf("scenario: %s:%s=%d above maximum %d", family, k, v, p.Max)
 		}
 		full[k] = v
 	}

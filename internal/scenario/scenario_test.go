@@ -14,16 +14,28 @@ import (
 // function of (family, params, seed) — old trace files and published
 // numbers would silently refer to different graphs.
 var pinnedFingerprints = map[string]uint64{
+	"chain":      0xb8b84b94a84ae08c,
+	"karytree":   0x142a9aa31e7bf3a6,
+	"layered":    0x19eb7331d273e4cd,
 	"layereddag": 0x0909ddba47d98117,
+	"line":       0x76f2b96517a32973,
+	"randdag":    0x234896435ecd77a3,
+	"randnet":    0x40a15aedbe000f5c,
+	"randtree":   0xdc806892bcfca80b,
 	"regular":    0xad1c28ba69dd81ea,
+	"ring":       0x8fc93fcd0c83f7a8,
 	"scalefree":  0x76fe5860d3441303,
 	"smallworld": 0xad96b040f868e701,
 	"torus":      0x7d2b07aca3ea0250,
 }
 
+// seedless are the families that are deterministic by construction and
+// ignore the seed.
+var seedless = map[string]bool{"line": true, "chain": true, "ring": true, "karytree": true, "torus": true}
+
 // TestFamilyDeterminism: same (family, params, seed) — identical
-// fingerprint, pinned; different seed — a different graph (except torus,
-// which is deterministic by construction and ignores the seed).
+// fingerprint, pinned; different seed — a different graph, except for the
+// seedless families, where it is the same graph.
 func TestFamilyDeterminism(t *testing.T) {
 	fams := Families()
 	if len(fams) != len(pinnedFingerprints) {
@@ -54,10 +66,73 @@ func TestFamilyDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if f.Name != "torus" && c.Fingerprint() == a.Fingerprint() {
-				t.Fatalf("seed 2 reproduced seed 1's graph %016x — generator ignores the seed", a.Fingerprint())
+			if f.Seedless != seedless[f.Name] {
+				t.Fatalf("Seedless = %v, want %v", f.Seedless, seedless[f.Name])
+			}
+			if same := c.Fingerprint() == a.Fingerprint(); same != f.Seedless {
+				t.Fatalf("seed 2 gives the same graph as seed 1: %v, want %v (seedless %v)", same, f.Seedless, f.Seedless)
 			}
 		})
+	}
+}
+
+// TestOldGeneratorDefaults: every network the CLIs once built from their
+// private generator flags has a registry spec that builds it edge for edge:
+// anoncast's -topo defaults (-n 16 -extra 16 -height 3 -d 2 -layers 4
+// -width 3 -seed 1) and anonshrink record's randnet (-n 8 -seed 1).
+func TestOldGeneratorDefaults(t *testing.T) {
+	for _, c := range []struct {
+		spec string
+		old  *graph.G
+	}{
+		{"line", graph.Line(16)},
+		{"chain", graph.Chain(16)},
+		{"ring", graph.Ring(16)},
+		{"karytree", graph.KaryGroundedTree(3, 2)},
+		{"randtree", graph.RandomGroundedTree(16, 0.2, 1)},
+		{"randdag", graph.RandomDAG(16, 16, 1)},
+		{"randnet", graph.RandomDigraph(16, 1, graph.RandomDigraphOpts{ExtraEdges: 16, TerminalFrac: 0.15})},
+		{"layered", graph.LayeredDigraph(4, 3, 1)},
+		{"randnet:n=8,extra=8,tfrac=20", graph.RandomDigraph(8, 1, graph.RandomDigraphOpts{ExtraEdges: 8, TerminalFrac: 0.2})},
+	} {
+		g, err := Parse(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.Fingerprint() != c.old.Fingerprint() {
+			t.Errorf("%s: fingerprint %016x, the old generator's %016x", c.spec, g.Fingerprint(), c.old.Fingerprint())
+		}
+		if got, want := g.Renamed("").MarshalText(), c.old.Renamed("").MarshalText(); string(got) != string(want) {
+			t.Errorf("%s: edges differ from the old generator's\ngot:\n%s\nwant:\n%s", c.spec, got, want)
+		}
+	}
+}
+
+// TestSpecNamesGraph: a family that names its graph by its spec names it
+// by the canonical spec, whatever spelling built it, and the name parses
+// back to the same graph. Seedless families leave the seed out.
+func TestSpecNamesGraph(t *testing.T) {
+	for _, c := range []struct{ spec, name string }{
+		{"randnet", "randnet:n=16,extra=16,tfrac=15,seed=1"},
+		{" randnet:seed=1,tfrac=15,n=8 ", "randnet:n=8,extra=16,tfrac=15,seed=1"},
+		{"ring:n=5,seed=9", "ring:n=5"},
+		{"karytree:d=3", "karytree:h=3,d=3"},
+		{"layered:width=2,seed=4", "layered:layers=4,width=2,seed=4"},
+	} {
+		g, err := Parse(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.Name() != c.name {
+			t.Errorf("Parse(%q) named %q, want %q", c.spec, g.Name(), c.name)
+		}
+		again, err := Parse(g.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(again.MarshalText()) != string(g.MarshalText()) {
+			t.Errorf("%q does not rebuild the graph it names", g.Name())
+		}
 	}
 }
 
@@ -75,6 +150,9 @@ func TestFamilyParams(t *testing.T) {
 	}
 	if _, err := Build("torus", map[string]int{"w": 1}, 1); err == nil || !strings.Contains(err.Error(), "below minimum") {
 		t.Fatalf("below-minimum parameter accepted: %v", err)
+	}
+	if _, err := Build("randnet", map[string]int{"tfrac": 101}, 1); err == nil || !strings.Contains(err.Error(), "above maximum") {
+		t.Fatalf("above-maximum parameter accepted: %v", err)
 	}
 	if _, err := Build("nope", nil, 1); err == nil || !strings.Contains(err.Error(), "unknown family") {
 		t.Fatalf("unknown family accepted: %v", err)
@@ -187,5 +265,20 @@ func TestCompiledPlanRuns(t *testing.T) {
 	}
 	if r.AllVisited() {
 		t.Fatal("all vertices visited although the only initial message was dropped")
+	}
+}
+
+// TestLookupAllocsNothing: finding a family allocates nothing, the first
+// and the last of the registry alike. The benchmark's graph setup and every
+// freshly keyed served request look one up.
+func TestLookupAllocsNothing(t *testing.T) {
+	for _, name := range []string{families[0].Name, families[len(families)-1].Name} {
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := lookup(name); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("lookup(%q) allocates %.1f times", name, allocs)
+		}
 	}
 }

@@ -254,3 +254,20 @@ func TestKeyRejections(t *testing.T) {
 		t.Fatalf("oversized message %q does not say how", err.Message)
 	}
 }
+
+// TestScenarioKeysPinned pins the cache key of one spec per family that
+// predates the registry's generator families: the registry's growth must
+// not move a cached verdict of an existing spec.
+func TestScenarioKeysPinned(t *testing.T) {
+	for spec, want := range map[string]string{
+		"layereddag:layers=3,width=4,fanout=2,seed=5": "6b995dadd403f8bc",
+		"regular:n=12,d=3,seed=2":                     "06238ab02e54cd8a",
+		"scalefree:n=20,m=2,seed=7":                   "a4482831ce9e80fc",
+		"smallworld:n=16,k=3,p=30,seed=4":             "6024e8ca0916c420",
+		"torus:w=4,h=4,seed=1":                        "09ae2601b4fdc668",
+	} {
+		if got := mustKey(t, anonnet.Request{Scenario: spec}).Digest(); got != want {
+			t.Errorf("%s: key digest %s, pinned %s", spec, got, want)
+		}
+	}
+}

@@ -367,8 +367,9 @@ func TestMetricsRender(t *testing.T) {
 // would take hundreds of megabytes, or whose runs would take a minute, to a
 // server that admits 32 vertices. The server must answer network_too_large
 // from the spec's vertex and edge counts, without building the
-// 490,002-vertex torus or the 12-vertex regular graph of 20,002 edges, so
-// the request allocates little. Network text is sized the same way, from
+// 490,002-vertex torus, the 12-vertex regular graph of 20,002 edges, or the
+// 12-vertex random networks whose generators would draw 10^8 extra edges,
+// so the request allocates little. Network text is sized the same way, from
 // its vertices directive and edge lines, before it is parsed.
 func TestOversizedScenarioRejectedBeforeBuild(t *testing.T) {
 	srv := NewServer(Config{Workers: 1, MaxVertices: 32})
@@ -376,7 +377,8 @@ func TestOversizedScenarioRejectedBeforeBuild(t *testing.T) {
 	h := srv.Handler()
 	var bodies []string
 	for _, spec := range []string{"torus:w=700,h=700", "torus:w=4294967296,h=4294967296", "scalefree:n=9223372036854775807",
-		"regular:n=10,d=2000", "layereddag:layers=2,width=4,fanout=5000"} {
+		"regular:n=10,d=2000", "layereddag:layers=2,width=4,fanout=5000",
+		"randnet:n=10,extra=100000000", "randdag:n=10,extra=100000000"} {
 		bodies = append(bodies, fmt.Sprintf(`{"scenario":%q}`, spec))
 	}
 	// 75 bytes of network text declaring 2^20 vertices.

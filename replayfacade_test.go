@@ -9,7 +9,7 @@ import (
 // record under a seeded adversary, encode, decode, rebuild the network from
 // the trace alone, replay, and compare the reports.
 func TestRecordReplayFacade(t *testing.T) {
-	net := RandomNetwork(10, 12, 5)
+	net := specNet("randnet:n=10,extra=12,seed=5")
 	var td *TraceData
 	rep, err := Broadcast(net, []byte("m"),
 		WithScheduler("random"), WithSeed(9), WithRecordTrace(&td))
@@ -60,10 +60,10 @@ func TestRecordReplayFacade(t *testing.T) {
 // against a structurally different network.
 func TestReplayWrongNetworkErrors(t *testing.T) {
 	var td *TraceData
-	if _, err := Broadcast(Ring(5), []byte("m"), WithRecordTrace(&td)); err != nil {
+	if _, err := Broadcast(specNet("ring:n=5"), []byte("m"), WithRecordTrace(&td)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Broadcast(Ring(6), []byte("m"), WithReplayTrace(td)); err == nil {
+	if _, err := Broadcast(specNet("ring:n=6"), []byte("m"), WithReplayTrace(td)); err == nil {
 		t.Fatal("replay against a different network did not error")
 	}
 }
@@ -73,7 +73,7 @@ func TestReplayWrongNetworkErrors(t *testing.T) {
 // sequential engine replays byte-identically. Replay itself remains a
 // sequential-engine operation.
 func TestRecordOnConcurrentEngine(t *testing.T) {
-	net := Ring(4)
+	net := specNet("ring:n=4")
 	var td *TraceData
 	rep, err := Broadcast(net, []byte("m"),
 		WithEngine(EngineConcurrent), WithRecordTrace(&td))
@@ -114,7 +114,7 @@ func TestRecordOnConcurrentEngine(t *testing.T) {
 // paper's (schedule-independent) protocols.
 func TestScheduleFuzzFacade(t *testing.T) {
 	var fr *FuzzReport
-	if _, err := Broadcast(RandomNetwork(8, 9, 4), []byte("m"),
+	if _, err := Broadcast(specNet("randnet:n=8,extra=9,seed=4"), []byte("m"),
 		WithScheduler("random"), WithSeed(6), WithScheduleFuzz(16, &fr)); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestScheduleFuzzFacade(t *testing.T) {
 	}
 	// Fuzzing composes with the wild engines: capture, canonicalize, fuzz.
 	fr = nil
-	if _, err := Broadcast(Ring(4), []byte("m"),
+	if _, err := Broadcast(specNet("ring:n=4"), []byte("m"),
 		WithEngine(EngineConcurrent), WithScheduleFuzz(8, &fr)); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestScheduleFuzzFacade(t *testing.T) {
 // verdict — the schedules differ, which is exactly what the trace captures).
 func TestRecordOnSynchronousEngine(t *testing.T) {
 	var td *TraceData
-	rep, err := Broadcast(Chain(4), []byte("m"),
+	rep, err := Broadcast(specNet("chain:n=4"), []byte("m"),
 		WithEngine(EngineSynchronous), WithRecordTrace(&td))
 	if err != nil {
 		t.Fatal(err)

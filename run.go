@@ -260,9 +260,10 @@ func WithChaos(spec string) Option { return func(c *runConfig) { c.Chaos = spec 
 // ScenarioFamilies lists the scenario registry's family names, sorted.
 func ScenarioFamilies() []string { return scenario.Names() }
 
-// ScenarioNetwork builds a Network from a scenario spec
-// ("family[:param=value,...]"), the same syntax WithScenario and the CLIs'
-// -graph flags accept.
+// ScenarioNetwork builds a generated Network from a scenario spec
+// ("family[:param=value,...]", e.g. "ring:n=12" or "randnet:n=20,seed=3"),
+// the one way to name one: WithScenario, the run server and the CLIs'
+// -graph flags take the same syntax and build the same network.
 func ScenarioNetwork(spec string) (*Network, error) {
 	g, err := scenario.Parse(spec)
 	if err != nil {

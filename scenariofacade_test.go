@@ -39,7 +39,7 @@ func TestWithScenarioBuildsNetwork(t *testing.T) {
 // TestWithScenarioConflicts: ambiguous and malformed configurations error
 // instead of guessing.
 func TestWithScenarioConflicts(t *testing.T) {
-	n := Ring(4)
+	n := specNet("ring:n=4")
 	if _, err := Broadcast(n, nil, WithScenario("torus")); err == nil {
 		t.Fatal("explicit network plus WithScenario accepted")
 	}

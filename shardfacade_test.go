@@ -10,7 +10,7 @@ import (
 // with the sequential engine on every schedule-independent quantity, across
 // shard counts.
 func TestShardEngineFacade(t *testing.T) {
-	n := RandomNetwork(24, 30, 11)
+	n := specNet("randnet:n=24,extra=30,seed=11")
 
 	seqRep, err := Broadcast(n, []byte("payload"), WithAlphabetTracking())
 	if err != nil {
@@ -66,7 +66,7 @@ func TestShardEngineFacade(t *testing.T) {
 // TestShardEngineDeterministicFacade: a fixed (scheduler, seed, shards)
 // triple yields byte-identical reports through the facade.
 func TestShardEngineDeterministicFacade(t *testing.T) {
-	n := RandomNetwork(30, 40, 3)
+	n := specNet("randnet:n=30,extra=40,seed=3")
 	opts := func() []Option {
 		return []Option{
 			WithEngine(EngineSharded), WithShards(4), WithScheduler("random"), WithSeed(13),
@@ -90,7 +90,7 @@ func TestShardEngineDeterministicFacade(t *testing.T) {
 // a wild-shard trace whose strict sequential replay reproduces the verdict —
 // the facade face of the wild-capture pipeline.
 func TestShardEngineRecordReplay(t *testing.T) {
-	n := Ring(6)
+	n := specNet("ring:n=6")
 	var tr *TraceData
 	rep, err := Broadcast(n, []byte("m"),
 		WithEngine(EngineSharded), WithShards(3), WithRecordTrace(&tr))
