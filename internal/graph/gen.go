@@ -390,8 +390,12 @@ func RandomDigraph(n int, seed int64, opts RandomDigraphOpts) *G {
 }
 
 // LayeredDigraph returns a general digraph of `layers` layers of `width`
-// vertices with dense forward edges plus one back edge per layer, giving a
-// predictable cyclic topology for scaling sweeps with controllable d_out.
+// vertices with dense forward edges plus one back edge per inner layer, for
+// scaling sweeps with controllable d_out. The back edge joins a random
+// vertex of a layer to a random vertex of the layer before, so it closes a
+// cycle only when a forward path leads from its head back to its tail, and
+// some seeds build a DAG: 3 of seeds 1–50 at 4×3, 7 of 50 at 6×6. A sweep
+// that needs cycles checks IsDAG.
 func LayeredDigraph(layers, width int, seed int64) *G {
 	if layers < 1 || width < 1 {
 		panic("graph: LayeredDigraph requires layers >= 1 and width >= 1")

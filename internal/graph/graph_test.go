@@ -264,6 +264,23 @@ func TestLayeredDigraph(t *testing.T) {
 	}
 }
 
+// TestLayeredDigraphSometimesAcyclic pins how often the back edge closes
+// no cycle: it joins random vertices of adjacent layers, and when no forward
+// path leads from its head back to its tail the graph is a DAG.
+func TestLayeredDigraphSometimesAcyclic(t *testing.T) {
+	for _, c := range []struct{ layers, width, dags int }{{4, 3, 3}, {6, 6, 7}} {
+		dags := 0
+		for seed := int64(1); seed <= 50; seed++ {
+			if LayeredDigraph(c.layers, c.width, seed).IsDAG() {
+				dags++
+			}
+		}
+		if dags != c.dags {
+			t.Errorf("%dx%d: %d of seeds 1-50 build a DAG, want %d", c.layers, c.width, dags, c.dags)
+		}
+	}
+}
+
 func TestTopoOrder(t *testing.T) {
 	g := RandomDAG(25, 20, 3)
 	order, ok := g.TopoOrder()

@@ -215,7 +215,7 @@ var families = []Family{
 	},
 	{
 		Name:   "layered",
-		Desc:   "layers x width cyclic digraph: two forward edges per vertex and one seeded back edge per inner layer",
+		Desc:   "layers x width digraph: two forward edges per vertex and one seeded back edge per inner layer, usually but not always cyclic",
 		Params: []Param{{Name: "layers", Default: 4, Min: 1}, {Name: "width", Default: 3, Min: 1}},
 		build: func(p map[string]int, seed int64) (*graph.G, error) {
 			return graph.LayeredDigraph(p["layers"], p["width"], seed), nil

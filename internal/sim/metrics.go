@@ -54,10 +54,14 @@ func (v Verdict) String() string {
 
 // Metrics aggregates the paper's quality measures for one run.
 type Metrics struct {
-	// Messages is the total number of messages delivered.
+	// Messages is the total number of messages sent. Every engine meters a
+	// message when it is put on an edge, so sends the fault plan drops at
+	// the link and messages still queued when the run ends count too. On
+	// the sequential and synchronous engines Messages is exactly Steps plus
+	// those two.
 	Messages int
 	// TotalBits is the total communication complexity: the sum of encoded
-	// lengths of all delivered messages.
+	// lengths of all sent messages, counted as Messages is.
 	TotalBits int64
 	// PerEdgeBits[e] is the number of bits carried by edge e over the whole
 	// run; its maximum is the paper's "required bandwidth".

@@ -45,6 +45,8 @@ func Run(g *graph.G, p protocol.Protocol, opts Options) (*Result, error) {
 		Metrics: newMetrics(nE, &opts),
 	}
 	defer res.Metrics.finalize()
+	mt := meter{m: &res.Metrics}
+	defer mt.close()
 	res.Visited[g.Root()] = true
 
 	sched := opts.Scheduler
@@ -133,7 +135,7 @@ func Run(g *graph.G, p protocol.Protocol, opts Options) (*Result, error) {
 			continue
 		}
 		rootEdge := g.OutEdge(g.Root(), j)
-		res.Metrics.record(rootEdge.ID, init)
+		mt.record(rootEdge.ID, init)
 		if opts.Observer != nil {
 			opts.Observer.OnSend(rootEdge.ID, init)
 		}
@@ -197,7 +199,7 @@ func Run(g *graph.G, p protocol.Protocol, opts Options) (*Result, error) {
 						continue
 					}
 					oe := outIDs[j]
-					res.Metrics.record(oe, out)
+					mt.record(oe, out)
 					if opts.Observer != nil {
 						opts.Observer.OnSend(oe, out)
 					}

@@ -30,6 +30,8 @@ func RunSynchronous(g *graph.G, p protocol.Protocol, opts Options) (*Result, err
 		Metrics: newMetrics(nE, &opts),
 	}
 	defer res.Metrics.finalize()
+	mt := meter{m: &res.Metrics}
+	defer mt.close()
 	res.Visited[g.Root()] = true
 
 	faults, err := NewFaultState(g, &opts)
@@ -68,7 +70,7 @@ func RunSynchronous(g *graph.G, p protocol.Protocol, opts Options) (*Result, err
 			continue
 		}
 		rootEdge := g.OutEdge(g.Root(), j)
-		res.Metrics.record(rootEdge.ID, init)
+		mt.record(rootEdge.ID, init)
 		if opts.Observer != nil {
 			opts.Observer.OnSend(rootEdge.ID, init)
 		}
@@ -120,7 +122,7 @@ func RunSynchronous(g *graph.G, p protocol.Protocol, opts Options) (*Result, err
 					continue
 				}
 				oe := outIDs[j]
-				res.Metrics.record(oe, out)
+				mt.record(oe, out)
 				if opts.Observer != nil {
 					opts.Observer.OnSend(oe, out)
 				}

@@ -410,9 +410,11 @@ type Report struct {
 	Terminated bool
 	// AllReceived reports whether every vertex received the broadcast.
 	AllReceived bool
-	// Messages is the total number of messages delivered.
+	// Messages is the total number of messages sent, counting sends the
+	// fault plan dropped and messages still queued when the run ended.
 	Messages int
-	// TotalBits is the total communication complexity in bits.
+	// TotalBits is the total communication complexity in bits, over the
+	// same sends.
 	TotalBits int64
 	// BandwidthBits is the maximal number of bits carried by a single edge.
 	BandwidthBits int64
