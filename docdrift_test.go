@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	anonnet "repro"
-	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/replay"
 	"repro/internal/scenario"
@@ -202,34 +201,9 @@ func jsonTagsOf(t reflect.Type, into map[string]bool) {
 	}
 }
 
-// TestBenchJSONFieldsDocumented drift-guards the BENCH.json schema table in
-// docs/BENCHMARKS.md against experiments.BenchReport: every JSON field the
-// report can emit must be documented, and nothing else. Adding a benchmark
-// metric without documenting it (or documenting a field that no longer
-// exists) fails here, not when someone's trend tooling breaks.
-func TestBenchJSONFieldsDocumented(t *testing.T) {
-	documented := markedTableNames(t, "docs/BENCHMARKS.md",
-		"bench:fields:begin", "bench:fields:end")
-	sort.Strings(documented)
-
-	tags := map[string]bool{}
-	jsonTagsOf(reflect.TypeOf(experiments.BenchReport{}), tags)
-	var want []string
-	for tag := range tags {
-		want = append(want, tag)
-	}
-	sort.Strings(want)
-
-	if strings.Join(documented, " ") != strings.Join(want, " ") {
-		t.Fatalf("docs/BENCHMARKS.md schema table out of sync with experiments.BenchReport\n doc:    %v\n struct: %v",
-			documented, want)
-	}
-}
-
 // TestObsJSONFieldsDocumented drift-guards the telemetry schema table in
 // docs/OBSERVABILITY.md against obs.Report: every JSON field a report can
-// emit must be documented, and nothing else — same contract as the
-// BENCH.json table above.
+// emit must be documented, and nothing else.
 func TestObsJSONFieldsDocumented(t *testing.T) {
 	documented := markedTableNames(t, "docs/OBSERVABILITY.md",
 		"obs:fields:begin", "obs:fields:end")

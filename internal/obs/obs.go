@@ -32,7 +32,7 @@ import (
 )
 
 // TimelineSchemaVersion identifies the Timeline JSON layout; tooling must
-// refuse to compare mismatched versions (same contract as BENCH.json).
+// refuse to compare mismatched versions.
 // Version 2 added the churn section (dynamic-network events with per-event
 // re-stabilization).
 const TimelineSchemaVersion = 2

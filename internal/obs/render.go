@@ -8,10 +8,8 @@ import (
 )
 
 // RenderTable renders rows as a width-aligned plain-text table with a dashed
-// separator under the first (header) row — the same rendering the
-// `anonbench -trend` trajectory table uses (internal/experiments calls this
-// too). Rows may have differing lengths; short rows leave trailing cells
-// empty.
+// separator under the first (header) row. Rows may have differing lengths;
+// short rows leave trailing cells empty.
 func RenderTable(rows [][]string) string {
 	var widths []int
 	for _, r := range rows {

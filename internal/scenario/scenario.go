@@ -9,7 +9,7 @@
 // description of a workload.
 //
 // The registry is mirrored into the CLIs as -graph "family:param=v,..."
-// (anoncast, anonbench, anonshrink record), into the facade as
+// (anoncast, anonshrink record), into the facade as
 // anonnet.ScenarioNetwork / anonnet.WithScenario, and into the run server's
 // scenario field.
 package scenario

@@ -6,19 +6,16 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
-	"runtime"
 	"sync/atomic"
 	"time"
 
 	anonnet "repro"
-	"repro/internal/experiments"
 	"repro/internal/par"
 )
 
-// Load describes one server benchmark workload: Clients concurrent clients
-// each POST PerClient run requests, drawing seeds round-robin from Distinct
-// values so the workload has exactly Distinct cache keys.
+// Load describes one server load: Clients concurrent clients each POST
+// PerClient run requests, drawing seeds round-robin from Distinct values so
+// the workload has exactly Distinct cache keys.
 type Load struct {
 	Clients   int
 	PerClient int
@@ -38,12 +35,23 @@ func (l Load) loadRequest(i int) anonnet.Request {
 	}
 }
 
+// LoadResult is what RunLoad measured from the client side.
+type LoadResult struct {
+	// RunsPerSec is end-to-end request throughput (requests / wall-clock).
+	RunsPerSec float64
+	// CacheHitRate is the fraction of requests answered without a fresh
+	// execution (cache hits plus singleflight joins, over all requests).
+	CacheHitRate float64
+	// Executions counts the responses whose cache status was "miss": the
+	// engine runs the load caused. On a cold server it equals Distinct.
+	Executions int64
+}
+
 // RunLoad drives a Load against a live server at baseURL and measures
-// end-to-end throughput. Every response must be 200; the returned bench
-// carries the client-side counts plus the hit rate implied by the cache
-// provenance of each response. It is the engine of both BenchThroughput
-// (in-process) and anonbench's -server mode (remote daemon).
-func RunLoad(baseURL string, l Load) (*experiments.ServerBench, error) {
+// end-to-end throughput. Every response must be 200; the result carries the
+// hit rate implied by the cache provenance of each response. anonbench's
+// -server mode drives a remote daemon with it.
+func RunLoad(baseURL string, l Load) (*LoadResult, error) {
 	if l.Clients <= 0 || l.PerClient <= 0 || l.Distinct <= 0 {
 		return nil, fmt.Errorf("serve: load %+v needs positive clients, per-client, distinct", l)
 	}
@@ -86,15 +94,10 @@ func RunLoad(baseURL string, l Load) (*experiments.ServerBench, error) {
 	}
 
 	requests := l.Clients * l.PerClient
-	return &experiments.ServerBench{
-		Clients:           l.Clients,
-		RequestsPerClient: l.PerClient,
-		DistinctKeys:      l.Distinct,
-		Requests:          requests,
-		Workers:           runtime.GOMAXPROCS(0),
-		RunsPerSec:        float64(requests) / wall.Seconds(),
-		CacheHitRate:      1 - float64(fresh.Load())/float64(requests),
-		Executions:        fresh.Load(),
+	return &LoadResult{
+		RunsPerSec:   float64(requests) / wall.Seconds(),
+		CacheHitRate: 1 - float64(fresh.Load())/float64(requests),
+		Executions:   fresh.Load(),
 	}, nil
 }
 
@@ -127,35 +130,4 @@ func postRun(client *http.Client, url string, body []byte, tenant string) (strin
 		return "", fmt.Errorf("bad response body: %w", err)
 	}
 	return out.Cache.Status, nil
-}
-
-// BenchThroughput is the server_throughput tier of anonbench: it spins up
-// an in-process server over httptest (real HTTP, loopback transport) and
-// drives the standard load through it. cmd/anonbench injects it into
-// experiments.RunBench; experiments itself cannot import this package (the
-// facade's test files import experiments, and serve imports the facade).
-func BenchThroughput(quick bool) (*experiments.ServerBench, error) {
-	l := Load{Clients: 16, PerClient: 32, Distinct: 8}
-	if quick {
-		l = Load{Clients: 8, PerClient: 16, Distinct: 4}
-	}
-	srv := NewServer(Config{})
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	bench, err := RunLoad(ts.URL, l)
-	if err != nil {
-		return nil, err
-	}
-	// Client-side "miss" counting and the server's execution counter must
-	// agree; cross-check so a dedup bug fails the bench rather than
-	// flattering it.
-	if got := srv.Stats().Executions; got != bench.Executions {
-		return nil, fmt.Errorf("serve: client saw %d fresh executions, server performed %d", bench.Executions, got)
-	}
-	if bench.Executions != int64(l.Distinct) {
-		return nil, fmt.Errorf("serve: %d executions for %d distinct keys — singleflight dedup failed", bench.Executions, l.Distinct)
-	}
-	return bench, nil
 }

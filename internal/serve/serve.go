@@ -212,14 +212,25 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 }
 
 // enterFlight joins the flight for key, creating it (and submitting the one
-// execution) when absent. The returned status is "miss" for the leader and
-// "inflight" for joiners.
+// execution) when absent. The returned status is "miss" for the leader,
+// "inflight" for joiners and "hit" when the key was cached after the
+// caller's own cache lookup missed.
 func (s *Server) enterFlight(key Key, tenant string, req anonnet.Request) (*flight, string, *Error) {
 	s.mu.Lock()
 	if fl, ok := s.flights[key]; ok {
 		s.joins.Add(1)
 		s.mu.Unlock()
 		return fl, "inflight", nil
+	}
+	// A leader may have stored its body and retired its flight since the
+	// caller missed the cache. execute stores before it retires under s.mu,
+	// so under s.mu a stored body is found either in flight or here.
+	if body, ok := s.cache.get(key); ok {
+		s.hits.Add(1)
+		s.mu.Unlock()
+		fl := &flight{done: make(chan struct{}), body: body}
+		close(fl.done)
+		return fl, "hit", nil
 	}
 	fl := &flight{done: make(chan struct{})}
 	s.flights[key] = fl
@@ -251,7 +262,8 @@ func (s *Server) enterFlight(key Key, tenant string, req anonnet.Request) (*flig
 
 // execute is the leader's pool job: run, cache on success, publish the
 // outcome, retire the flight. The cache is populated before the flight is
-// removed, so at no instant can a new request miss both.
+// removed, and enterFlight looks the key up again under s.mu, so a request
+// whose first lookup missed finds either the flight or the cached body.
 func (s *Server) execute(key Key, req anonnet.Request, fl *flight) {
 	body, apiErr := s.run(req)
 	if apiErr == nil {

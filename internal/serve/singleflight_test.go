@@ -188,3 +188,61 @@ func TestSingleflightDistinctKeys(t *testing.T) {
 		t.Fatalf("3 seeds produced %d distinct result bodies", len(results))
 	}
 }
+
+// TestEnterFlightRechecksCache pins the window between handleRun's cache
+// miss and enterFlight: a leader that stored its body and retired its flight
+// in between leaves neither a flight to join nor a reason to run again. The
+// late request must be answered from the cache, and the key executed once.
+func TestEnterFlightRechecksCache(t *testing.T) {
+	srv := NewServer(Config{Workers: 1})
+	defer srv.Close()
+	req := anonnet.Request{Scenario: "torus:w=3,h=3,seed=1", Scheduler: "random", Seed: 5}
+	key, apiErr := KeyOf(&req, Limits{MaxVertices: 64})
+	if apiErr != nil {
+		t.Fatal(apiErr)
+	}
+
+	leader, status, apiErr := srv.enterFlight(key, "t", req)
+	if apiErr != nil || status != "miss" {
+		t.Fatalf("leader: status %q, err %v; want miss", status, apiErr)
+	}
+	<-leader.done // body cached, flight retired
+	if leader.err != nil {
+		t.Fatal(leader.err)
+	}
+
+	late, status, apiErr := srv.enterFlight(key, "t", req)
+	if apiErr != nil || status != "hit" {
+		t.Fatalf("late request: status %q, err %v; want hit", status, apiErr)
+	}
+	<-late.done
+	if string(late.body) != string(leader.body) {
+		t.Fatalf("late request's body diverges from the leader's:\n%s\nvs\n%s", late.body, leader.body)
+	}
+	if st := srv.Stats(); st.Executions != 1 || st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("stats: %+v, want 1 execution, 1 miss, 1 hit", st)
+	}
+}
+
+// TestRunLoadCountsExecutions drives RunLoad, the engine of anonbench's
+// -server mode, against a cold in-process server: every distinct key is
+// executed exactly once, and the client-side miss count agrees with the
+// server's own execution counter.
+func TestRunLoadCountsExecutions(t *testing.T) {
+	srv := NewServer(Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	l := Load{Clients: 4, PerClient: 6, Distinct: 3}
+	lr, err := RunLoad(ts.URL, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.Stats().Executions; lr.Executions != int64(l.Distinct) || got != lr.Executions {
+		t.Fatalf("client saw %d executions, server performed %d, want %d", lr.Executions, got, l.Distinct)
+	}
+	if want := 1 - float64(l.Distinct)/float64(l.Clients*l.PerClient); lr.CacheHitRate != want {
+		t.Fatalf("cache hit rate %v, want %v", lr.CacheHitRate, want)
+	}
+}
