@@ -73,7 +73,6 @@ func TestDoMatchesOptions(t *testing.T) {
 		{"max-steps", func(r *Request) { r.MaxSteps = 10 }, []Option{WithMaxSteps(10)}},
 		{"faults", func(r *Request) { r.Faults = "loss=20,seed=3" }, []Option{WithFaults("loss=20,seed=3")}},
 		{"alphabet", func(r *Request) { r.Alphabet = true }, []Option{WithAlphabetTracking()}},
-		{"no-batch-drain", func(r *Request) { r.NoBatchDrain = true }, []Option{WithNoBatchDrain()}},
 		{"timeline-stride", func(r *Request) { r.Timeline, r.TimelineEvery = true, 5 }, []Option{WithObservability(5)}},
 		{"protocol", func(r *Request) { r.Protocol = "general" }, []Option{WithProtocol(ProtoGeneral)}},
 	}

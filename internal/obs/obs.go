@@ -3,9 +3,8 @@
 //
 // The deterministic plane — the Timeline — is built from logical-clock
 // samples taken every K deliveries: in-flight count, cumulative sends,
-// deliveries, fault drops, crash-consumed deliveries, forced-batch steps and
-// scheduler pop choices, one sample track per shard, plus per-superstep
-// occupancy rows. On the deterministic engines it is a pure function of
+// deliveries, fault drops, crash-consumed deliveries and scheduler pop
+// choices, one sample track per shard, plus per-superstep occupancy rows. On the deterministic engines it is a pure function of
 // (graph, protocol, scheduler, seed, shards): the sequential engine and the
 // sharded engine at one shard execute the identical schedule and therefore
 // produce byte-identical Timeline JSON, and the sharded engine at any shard
@@ -34,8 +33,8 @@ import (
 // TimelineSchemaVersion identifies the Timeline JSON layout; tooling must
 // refuse to compare mismatched versions.
 // Version 2 added the churn section (dynamic-network events with per-event
-// re-stabilization).
-const TimelineSchemaVersion = 2
+// re-stabilization); version 3 dropped the forced-step counter.
+const TimelineSchemaVersion = 3
 
 // DefaultSampleEvery is the logical-clock sampling stride K used when a
 // recorder is created with a non-positive stride.
@@ -59,8 +58,6 @@ type Sample struct {
 	Drops int64 `json:"drops"`
 	// Crashes counts deliveries consumed unprocessed by crashed vertices.
 	Crashes int64 `json:"crashes"`
-	// Forced counts forced-choice batch deliveries (Result.ForcedSteps).
-	Forced int64 `json:"forced"`
 	// Pops counts explicit scheduler pop choices.
 	Pops int64 `json:"pops"`
 }
@@ -72,7 +69,6 @@ type Totals struct {
 	Sends      int64 `json:"sends"`
 	Drops      int64 `json:"drops"`
 	Crashes    int64 `json:"crashes"`
-	Forced     int64 `json:"forced"`
 	Pops       int64 `json:"pops"`
 	// PeakInFlight is the track's local high-water mark of queued messages.
 	// In the aggregate it is the maximum over tracks — a lower bound on the
@@ -172,7 +168,6 @@ type Track struct {
 	sends      int64
 	drops      int64
 	crashes    int64
-	forced     int64
 	pops       int64
 	enqueued   int64
 	peak       int64
@@ -244,14 +239,11 @@ func (t *Track) Popped() {
 // Delivered counts one completed delivery step — engines call it after the
 // delivery's triggered sends are accounted, so a sample taken here sees them
 // — and takes a logical-clock sample every stride deliveries.
-func (t *Track) Delivered(forced, crashed bool) {
+func (t *Track) Delivered(crashed bool) {
 	if t == nil {
 		return
 	}
 	t.deliveries++
-	if forced {
-		t.forced++
-	}
 	if crashed {
 		t.crashes++
 	}
@@ -262,7 +254,6 @@ func (t *Track) Delivered(forced, crashed bool) {
 			Sends:    t.sends,
 			Drops:    t.drops,
 			Crashes:  t.crashes,
-			Forced:   t.forced,
 			Pops:     t.pops,
 		})
 	}
@@ -274,7 +265,6 @@ func (t *Track) totals() Totals {
 		Sends:        t.sends,
 		Drops:        t.drops,
 		Crashes:      t.crashes,
-		Forced:       t.forced,
 		Pops:         t.pops,
 		PeakInFlight: t.peak,
 	}
@@ -440,7 +430,6 @@ func (r *Recorder) Timeline() *Timeline {
 		tl.Totals.Sends += tot.Sends
 		tl.Totals.Drops += tot.Drops
 		tl.Totals.Crashes += tot.Crashes
-		tl.Totals.Forced += tot.Forced
 		tl.Totals.Pops += tot.Pops
 		if tot.PeakInFlight > tl.Totals.PeakInFlight {
 			tl.Totals.PeakInFlight = tot.PeakInFlight

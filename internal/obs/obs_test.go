@@ -33,7 +33,7 @@ func TestNilSafety(t *testing.T) {
 	tr.Dropped()
 	tr.Enqueued()
 	tr.Popped()
-	tr.Delivered(true, true)
+	tr.Delivered(true)
 }
 
 // TestSampling: a sample lands on every stride-th delivery and carries the
@@ -46,7 +46,7 @@ func TestSampling(t *testing.T) {
 		tr.Send()
 		tr.Enqueued()
 		tr.Popped()
-		tr.Delivered(false, false)
+		tr.Delivered(false)
 	}
 	tl := r.Timeline()
 	if len(tl.Tracks) != 1 {
@@ -68,7 +68,7 @@ func TestSampling(t *testing.T) {
 	}
 }
 
-// TestTrackCounters: drops, crashes and forced steps are counted separately,
+// TestTrackCounters: drops and crashes are counted separately,
 // and the peak in-flight is the high-water mark of enqueued minus delivered.
 func TestTrackCounters(t *testing.T) {
 	r := NewRecorder(100)
@@ -79,10 +79,10 @@ func TestTrackCounters(t *testing.T) {
 	}
 	tr.Send()
 	tr.Dropped()
-	tr.Delivered(true, false)
-	tr.Delivered(false, true)
+	tr.Delivered(false)
+	tr.Delivered(true)
 	tot := r.Timeline().Tracks[0].Totals
-	want := Totals{Deliveries: 2, Sends: 5, Drops: 1, Crashes: 1, Forced: 1, PeakInFlight: 4}
+	want := Totals{Deliveries: 2, Sends: 5, Drops: 1, Crashes: 1, PeakInFlight: 4}
 	if tot != want {
 		t.Errorf("totals %+v, want %+v", tot, want)
 	}
@@ -107,7 +107,7 @@ func TestTracksSecondCallThrowaway(t *testing.T) {
 	first := r.Tracks(1)
 	second := r.Tracks(1)
 	second[0].Send()
-	first[0].Delivered(false, false)
+	first[0].Delivered(false)
 	tl := r.Timeline()
 	if len(tl.Tracks) != 1 {
 		t.Fatalf("tracks = %d, want 1", len(tl.Tracks))
@@ -177,7 +177,7 @@ func TestTimelineJSONStable(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			tr.Send()
 			tr.Enqueued()
-			tr.Delivered(false, false)
+			tr.Delivered(false)
 		}
 		r.Superstep([]int64{3})
 		return r
@@ -235,7 +235,7 @@ func TestReportRenderers(t *testing.T) {
 	for _, tr := range tracks {
 		tr.Send()
 		tr.Enqueued()
-		tr.Delivered(false, false)
+		tr.Delivered(false)
 	}
 	r.Superstep([]int64{1, 1})
 	r.StartPhase("drain")()

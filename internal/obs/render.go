@@ -71,7 +71,6 @@ func (r *Report) Table() string {
 	counter("sends", func(t Totals) int64 { return t.Sends })
 	counter("drops", func(t Totals) int64 { return t.Drops })
 	counter("crashes", func(t Totals) int64 { return t.Crashes })
-	counter("forced steps", func(t Totals) int64 { return t.Forced })
 	counter("scheduler pops", func(t Totals) int64 { return t.Pops })
 	counter("peak in-flight", func(t Totals) int64 { return t.PeakInFlight })
 
@@ -244,8 +243,6 @@ func (r *Report) Prometheus() string {
 		func(t Totals) int64 { return t.Drops })
 	counter("anonnet_crashes_total", "Deliveries consumed by crashed vertices, per shard.",
 		func(t Totals) int64 { return t.Crashes })
-	counter("anonnet_forced_steps_total", "Forced-choice batch deliveries, per shard.",
-		func(t Totals) int64 { return t.Forced })
 	counter("anonnet_scheduler_pops_total", "Explicit scheduler pop choices, per shard.",
 		func(t Totals) int64 { return t.Pops })
 

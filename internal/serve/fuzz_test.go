@@ -21,7 +21,7 @@ func FuzzServeRequest(f *testing.F) {
 		`{"scenario":"torus:w=3,h=3,seed=1","scheduler":"random","seed":7}`,
 		`{"op":"labels","scenario":"torus:w=3,h=3","engine":"shard","shards":3}`,
 		`{"op":"topology","scenario":"torus:w=3,h=3","engine":"sync","timeline":true,"timeline_every":5}`,
-		`{"scenario":"torus:w=3,h=3","faults":"loss=20,seed=3","alphabet":true,"no_batch_drain":true}`,
+		`{"scenario":"torus:w=3,h=3","faults":"loss=20,seed=3","alphabet":true}`,
 		`{"scenario":"torus:w=3,h=3","max_steps":10}`,
 		`{"scenario":`,
 		`{}{}`,

@@ -60,9 +60,6 @@ type Key struct {
 	Faults string
 	// Alphabet records whether alphabet tracking was requested.
 	Alphabet bool
-	// NoBatchDrain records whether forced-choice batch draining was
-	// disabled (visible through the timeline's forced-step counters).
-	NoBatchDrain bool
 	// Timeline is the effective telemetry stride: -1 when no timeline was
 	// requested, 0 for the default stride, else the requested stride.
 	Timeline int
@@ -70,9 +67,9 @@ type Key struct {
 
 // String renders the key tuple in a stable human-readable form.
 func (k Key) String() string {
-	return fmt.Sprintf("op=%s fp=%016x sum=%016x msg=%q proto=%s engine=%s sched=%s seed=%d shards=%d maxsteps=%d faults=%q alphabet=%v nobatch=%v timeline=%d",
+	return fmt.Sprintf("op=%s fp=%016x sum=%016x msg=%q proto=%s engine=%s sched=%s seed=%d shards=%d maxsteps=%d faults=%q alphabet=%v timeline=%d",
 		k.Op, k.GraphFP, k.GraphSum, k.Message, k.Protocol, k.Engine, k.Scheduler,
-		k.Seed, k.Shards, k.MaxSteps, k.Faults, k.Alphabet, k.NoBatchDrain, k.Timeline)
+		k.Seed, k.Shards, k.MaxSteps, k.Faults, k.Alphabet, k.Timeline)
 }
 
 // Digest returns the 64-bit FNV-1a digest of the rendered tuple — the
@@ -103,11 +100,7 @@ func KeyOf(req *anonnet.Request, limits Limits) (Key, *Error) {
 		Shards:    req.Shards,
 		MaxSteps:  req.MaxSteps,
 		Alphabet:  req.Alphabet,
-		// NoBatchDrain never changes the delivery sequence (the batch
-		// equivalence tests prove it) but is visible in the timeline's
-		// forced-step counters, so it must key the response bytes.
-		NoBatchDrain: req.NoBatchDrain,
-		Timeline:     -1,
+		Timeline:  -1,
 	}
 	if k.Op == "" {
 		k.Op = "broadcast"

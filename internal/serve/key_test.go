@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -63,7 +64,6 @@ func TestKeyCompleteness(t *testing.T) {
 		"MaxSteps":      func(r *anonnet.Request) { r.MaxSteps = 500 },
 		"Faults":        func(r *anonnet.Request) { r.Faults = "drop=0:1" },
 		"Alphabet":      func(r *anonnet.Request) { r.Alphabet = true },
-		"NoBatchDrain":  func(r *anonnet.Request) { r.NoBatchDrain = true },
 		"Timeline":      func(r *anonnet.Request) { r.Timeline = false },
 		"TimelineEvery": func(r *anonnet.Request) { r.TimelineEvery = 7 },
 	}
@@ -257,17 +257,26 @@ func TestKeyRejections(t *testing.T) {
 
 // TestScenarioKeysPinned pins the cache key of one spec per family that
 // predates the registry's generator families: the registry's growth must
-// not move a cached verdict of an existing spec.
+// not move a cached verdict of an existing spec. The network's two hashes
+// are pinned on their own as well, so a change of the key's rendering,
+// which moves every digest, still cannot move a network's identity.
 func TestScenarioKeysPinned(t *testing.T) {
-	for spec, want := range map[string]string{
-		"layereddag:layers=3,width=4,fanout=2,seed=5": "6b995dadd403f8bc",
-		"regular:n=12,d=3,seed=2":                     "06238ab02e54cd8a",
-		"scalefree:n=20,m=2,seed=7":                   "a4482831ce9e80fc",
-		"smallworld:n=16,k=3,p=30,seed=4":             "6024e8ca0916c420",
-		"torus:w=4,h=4,seed=1":                        "09ae2601b4fdc668",
+	for spec, want := range map[string]struct{ digest, fp, sum string }{
+		"layereddag:layers=3,width=4,fanout=2,seed=5": {"a0d325ef230bb993", "b8b9d3a2868ec8e3", "52ebafb54f3ef257"},
+		"regular:n=12,d=3,seed=2":                     {"79544a541fc34481", "59d30034447de780", "6aff6a1776fe1f4c"},
+		"scalefree:n=20,m=2,seed=7":                   {"e89f16caea0c91d3", "f3dcb2383e6d96ca", "68e2c4ea35928172"},
+		"smallworld:n=16,k=3,p=30,seed=4":             {"6f5d221c2d565d9f", "9bfdc509fd3d889b", "3a76774c5fc34785"},
+		"torus:w=4,h=4,seed=1":                        {"e412348016776337", "0f958760c01993a8", "dc068b343383ae3d"},
 	} {
-		if got := mustKey(t, anonnet.Request{Scenario: spec}).Digest(); got != want {
-			t.Errorf("%s: key digest %s, pinned %s", spec, got, want)
+		k := mustKey(t, anonnet.Request{Scenario: spec})
+		if got := k.Digest(); got != want.digest {
+			t.Errorf("%s: key digest %s, pinned %s", spec, got, want.digest)
+		}
+		if got := fmt.Sprintf("%016x", k.GraphFP); got != want.fp {
+			t.Errorf("%s: GraphFP %s, pinned %s", spec, got, want.fp)
+		}
+		if got := fmt.Sprintf("%016x", k.GraphSum); got != want.sum {
+			t.Errorf("%s: GraphSum %s, pinned %s", spec, got, want.sum)
 		}
 	}
 }

@@ -52,6 +52,9 @@ func TestErrorPaths(t *testing.T) {
 		{"trailing-data", "POST", "/v1/run", `{}{}`, http.StatusBadRequest, CodeBadJSON},
 		{"unknown-field", "POST", "/v1/run", `{"scenario":"torus","frobnicate":1}`, http.StatusBadRequest, CodeBadJSON},
 		{"wrong-type", "POST", "/v1/run", `{"seed":"not-a-number"}`, http.StatusBadRequest, CodeBadJSON},
+		// no_batch_drain was a request field until forced-choice batch
+		// draining was deleted; a body still carrying it is refused.
+		{"removed-no-batch-drain", "POST", "/v1/run", `{"scenario":"torus:w=3,h=3","no_batch_drain":true}`, http.StatusBadRequest, CodeBadJSON},
 		{"empty-request", "POST", "/v1/run", `{}`, http.StatusBadRequest, CodeBadRequest},
 		{"unknown-op", "POST", "/v1/run", `{"op":"divine","scenario":"torus:w=3,h=3"}`, http.StatusBadRequest, CodeBadOp},
 		{"bad-scenario", "POST", "/v1/run", `{"scenario":"klein-bottle:w=3"}`, http.StatusBadRequest, CodeBadScenario},

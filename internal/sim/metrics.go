@@ -222,13 +222,6 @@ type Result struct {
 	Visited []bool
 	// Steps is the number of delivery steps executed.
 	Steps int
-	// ForcedSteps is the number of deliveries the sequential engine (or a
-	// shard's local loop) executed as forced choices — runs of messages
-	// drained from one edge without a scheduler Push/Pop round-trip because
-	// the adversary provably had no other option. Always 0 for schedulers
-	// without batch capabilities and under Options.NoBatchDrain; the
-	// delivery sequence is identical either way.
-	ForcedSteps int
 	// Rounds is the number of synchronous rounds (RunSynchronous only; the
 	// asynchronous engines leave it 0 — time is undefined for them).
 	Rounds int
@@ -290,9 +283,12 @@ func (r *Result) AllVisited() bool {
 type Options struct {
 	// Scheduler is the adversarial delivery order of the sequential engine
 	// (see the Scheduler interface); nil selects the fifo adversary, global
-	// send order. The other engines ignore it: the
-	// concurrent and TCP engines draw their schedule from the Go scheduler
-	// and the network, the synchronous engine is itself one fixed schedule.
+	// send order. The sharded engine runs one fresh registry scheduler per
+	// shard, built from Scheduler.Name(): a name outside the registry is an
+	// error there, and a custom scheduler reusing a registered name runs as
+	// that registry scheduler. The other engines ignore it: the concurrent and
+	// TCP engines draw their schedule from the Go scheduler and the network,
+	// the synchronous engine is itself one fixed schedule.
 	Scheduler Scheduler
 	// Seed drives the seeded schedulers (random, latency, ...).
 	Seed int64
@@ -311,12 +307,6 @@ type Options struct {
 	// delivery, and a delivery is observed before the sends it triggers.
 	// Observer implementations therefore never need their own locking.
 	Observer Observer
-	// NoBatchDrain disables forced-choice batch draining in the sequential
-	// engine and the shard engine's local loops. The delivery sequence is
-	// identical with and without batching (that equivalence is what the
-	// batch tests assert); this switch exists for those tests and for
-	// isolating the optimization when profiling.
-	NoBatchDrain bool
 	// NoGhosts disables ghost-vertex routing in the sharded engine: every
 	// cut edge pays the general outbox/merge path even when the partition
 	// marked it ghost-routed. Outcomes are identical either way (the

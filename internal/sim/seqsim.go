@@ -20,18 +20,12 @@ import (
 // The engine keeps one 40-byte record per edge (EdgeRecord): the edge's
 // msgq FIFO, whose front message sits inline, and the head vertex and
 // in-port a delivery needs, so a delivery reads one record rather than a
-// queue, a pooled chunk and the graph's edge table. On tree_seq (the
-// repository benchmark's tree broadcast, 50,000 vertices) this layout runs
-// at about 38 ms per run against 63 ms with a bare queue array and g.Edge
-// (2-vCPU VM). The engine hands the scheduler an indexed view of the
-// pending-edge set, so a delivery step costs O(1) or O(log |pending|)
-// depending on the adversary — never a linear scan. On top of that, forced
-// choices are batched: when the adversary's next pick is provably the edge just delivered on (the
-// scheduler is otherwise empty, or a stack scheduler saw no new
-// registrations), the engine drains the run of messages without a Push/Pop
-// round-trip per delivery. Batching engages only for schedulers that
-// declare it safe (BatchCapable) and never changes the delivery sequence —
-// batch_test.go asserts byte-identical schedules with it on and off.
+// queue, a pooled chunk and the graph's edge table. The engine hands the
+// scheduler an indexed view of the pending-edge set, so a delivery step
+// costs O(1) or O(log |pending|) depending on the adversary — never a
+// linear scan. Every delivery is one Pop: an edge that still holds messages
+// is re-registered before its message is processed, so the scheduler sees
+// it alongside the registrations that delivery triggers.
 func Run(g *graph.G, p protocol.Protocol, opts Options) (*Result, error) {
 	nV, nE := g.NumVertices(), g.NumEdges()
 	nodes, term, err := BuildNodes(g, p)
@@ -75,28 +69,12 @@ func Run(g *graph.G, p protocol.Protocol, opts Options) (*Result, error) {
 		Visited: func(v graph.VertexID) bool { return res.Visited[v] },
 	})
 
-	// Forced-choice batch plan: engages only for schedulers that declare the
-	// required capability, and only when the options don't disable it.
-	var (
-		batchOn bool
-		caps    BatchCaps
-		defPush DeferredPusher
-	)
-	if !opts.NoBatchDrain {
-		if bc, ok := sched.(BatchCapable); ok {
-			caps = bc.BatchCaps()
-			defPush, _ = sched.(DeferredPusher)
-			batchOn = caps.PushOrderFree || defPush != nil
-		}
-	}
-
 	// One record per edge: its FIFO and where it delivers. An edge is
 	// registered with the scheduler exactly when its front message is
 	// deliverable.
 	recs := NewEdgeRecords(g)
 	defer ReleaseEdgeRecords(recs)
 	var sendSeq uint64 // global send-sequence number, drives HeadSeq
-	var newPushes int  // scheduler registrations since the last delivery began
 	faults, err := NewFaultState(g, &opts)
 	if err != nil {
 		return nil, err
@@ -116,7 +94,6 @@ func Run(g *graph.G, p protocol.Protocol, opts Options) (*Result, error) {
 		q.Push(msg, seq)
 		if q.Len() == 1 {
 			sched.Push(PendingEdge{Edge: e, HeadSeq: seq})
-			newPushes++
 		}
 	}
 
@@ -144,100 +121,62 @@ func Run(g *graph.G, p protocol.Protocol, opts Options) (*Result, error) {
 
 	for sched.Len() > 0 {
 		// Adversary: choose the next pending edge; deliver its oldest
-		// message (links are FIFO). The inner loop batch-drains forced
-		// follow-up choices on the same edge.
+		// message (links are FIFO).
 		e := sched.Pop()
 		tr.Popped()
-		forced := false
-		for {
-			if res.Steps >= maxSteps {
-				return res, fmt.Errorf("%w (%d steps, graph %s, protocol %s)", ErrStepLimit, res.Steps, g, p.Name())
-			}
-			res.Steps++
-			if forced {
-				res.ForcedSteps++
-			}
+		if res.Steps >= maxSteps {
+			return res, fmt.Errorf("%w (%d steps, graph %s, protocol %s)", ErrStepLimit, res.Steps, g, p.Name())
+		}
+		res.Steps++
 
-			rec := &recs[e]
-			msg := rec.Q.Pop()
-			res.Metrics.delivered()
-			pendingHere := rec.Q.Len() > 0
-			if pendingHere && !batchOn {
-				// Legacy ordering: re-register before processing the
-				// delivery, as insertion-order-sensitive schedulers
-				// (random, rr-vertex, replay scripts) require.
-				sched.Push(PendingEdge{Edge: e, HeadSeq: rec.Q.FrontSeq()})
-			}
-			newPushes = 0
+		rec := &recs[e]
+		msg := rec.Q.Pop()
+		res.Metrics.delivered()
+		if rec.Q.Len() > 0 {
+			sched.Push(PendingEdge{Edge: e, HeadSeq: rec.Q.FrontSeq()})
+		}
 
-			to := graph.VertexID(rec.To)
-			if faults.CrashDelivery(to) {
-				// Crash-stopped vertex: the message is consumed off the link
-				// (the delivery stays in the schedule, so recorded traces
-				// replay) but never processed — no state change, no outputs,
-				// and the vertex does not count as reached.
-				if opts.Observer != nil {
-					opts.Observer.OnDeliver(res.Steps, e, msg)
-				}
-				tr.Delivered(forced, true)
-			} else {
-				res.Visited[to] = true
-				if opts.Observer != nil {
-					opts.Observer.OnDeliver(res.Steps, e, msg)
-				}
-				outs, err := nodes[to].Receive(msg, int(rec.ToPort))
-				if err != nil {
-					return res, fmt.Errorf("sim: vertex %d receive: %w", to, err)
-				}
-				if outs != nil && len(outs) != g.OutDegree(to) {
-					return res, fmt.Errorf("sim: vertex %d returned %d outputs, out-degree is %d",
-						to, len(outs), g.OutDegree(to))
-				}
-				outIDs := g.OutEdgeIDs(to)
-				for j, out := range outs {
-					if out == nil {
-						continue
-					}
-					oe := outIDs[j]
-					mt.record(oe, out)
-					if opts.Observer != nil {
-						opts.Observer.OnSend(oe, out)
-					}
-					push(oe, out)
-				}
-				tr.Delivered(forced, false)
-				if to == g.Terminal() && term.Done() {
-					res.Verdict = Terminated
-					res.Output = term.Output()
-					return res, nil
-				}
+		to := graph.VertexID(rec.To)
+		if faults.CrashDelivery(to) {
+			// Crash-stopped vertex: the message is consumed off the link
+			// (the delivery stays in the schedule, so recorded traces
+			// replay) but never processed — no state change, no outputs,
+			// and the vertex does not count as reached.
+			if opts.Observer != nil {
+				opts.Observer.OnDeliver(res.Steps, e, msg)
 			}
-
-			if !pendingHere || !batchOn {
-				break
-			}
-			// Forced-choice decision: e still holds messages and was not
-			// re-registered. If the adversary provably must pick e next,
-			// keep draining without a Push/Pop round-trip.
-			if sched.Len() == 0 {
-				// e is the only pending edge anywhere: every scheduler's
-				// next Pop would return it.
-				forced = true
+			tr.Delivered(true)
+			continue
+		}
+		res.Visited[to] = true
+		if opts.Observer != nil {
+			opts.Observer.OnDeliver(res.Steps, e, msg)
+		}
+		outs, err := nodes[to].Receive(msg, int(rec.ToPort))
+		if err != nil {
+			return res, fmt.Errorf("sim: vertex %d receive: %w", to, err)
+		}
+		if outs != nil && len(outs) != g.OutDegree(to) {
+			return res, fmt.Errorf("sim: vertex %d returned %d outputs, out-degree is %d",
+				to, len(outs), g.OutDegree(to))
+		}
+		outIDs := g.OutEdgeIDs(to)
+		for j, out := range outs {
+			if out == nil {
 				continue
 			}
-			if caps.ForcedWhenQuiet && newPushes == 0 {
-				// Stack semantics with no registrations since our Pop:
-				// re-pushing e would top the scheduler.
-				forced = true
-				continue
+			oe := outIDs[j]
+			mt.record(oe, out)
+			if opts.Observer != nil {
+				opts.Observer.OnSend(oe, out)
 			}
-			pe := PendingEdge{Edge: e, HeadSeq: rec.Q.FrontSeq()}
-			if caps.PushOrderFree {
-				sched.Push(pe)
-			} else {
-				defPush.PushDeferred(pe, newPushes)
-			}
-			break
+			push(oe, out)
+		}
+		tr.Delivered(false)
+		if to == g.Terminal() && term.Done() {
+			res.Verdict = Terminated
+			res.Output = term.Output()
+			return res, nil
 		}
 	}
 	res.Verdict = Quiescent

@@ -8,10 +8,10 @@
 //
 // Execution proceeds in supersteps:
 //
-//  1. Drain (parallel): every shard runs the same indexed, batch-draining
-//     delivery loop as the sequential engine over the edges it owns (an
-//     edge belongs to the shard of its head vertex). Sends to in-shard
-//     edges are delivered locally; sends on cut edges are buffered in a
+//  1. Drain (parallel): every shard runs the same indexed delivery loop
+//     as the sequential engine over the edges it owns (an edge belongs to
+//     the shard of its head vertex). Sends to in-shard edges are
+//     delivered locally; sends on cut edges are buffered in a
 //     per-(source, destination) outbox. Shards share no mutable state
 //     except arrays indexed by edge or vertex, each slot of which has
 //     exactly one owning shard.
@@ -124,11 +124,6 @@ type shardState struct {
 	// shard, runs under the barrier with exclusive ownership.
 	tr *obs.Track
 
-	// Batch plan (mirrors the sequential engine's forced-choice drain).
-	batchOn bool
-	caps    sim.BatchCaps
-	defPush sim.DeferredPusher
-
 	sendSeq uint64
 	out     [][]outMsg // per destination shard
 
@@ -141,7 +136,6 @@ type shardState struct {
 	aliveSent  int // sends that passed the drop filter (in-flight accounting)
 	delivered  int
 	steps      int
-	forced     int
 
 	terminated bool
 	err        error
@@ -192,7 +186,6 @@ type shardRun struct {
 
 	trackAlphabet bool
 	trackFirstSym bool
-	noBatch       bool
 	noSteal       bool
 
 	steals      int
@@ -238,7 +231,6 @@ func run(g *graph.G, p protocol.Protocol, opts sim.Options, shards int,
 		perEdgeMsgs:   make([]int, nE),
 		trackAlphabet: opts.TrackAlphabet,
 		trackFirstSym: opts.TrackFirstSymbol,
-		noBatch:       opts.NoBatchDrain,
 		noSteal:       opts.NoWorkSteal || part.K == 1,
 	}
 	for v, s := range part.Of {
@@ -294,13 +286,6 @@ func run(g *graph.G, p protocol.Protocol, opts sim.Options, shards int,
 			Seed:    shardSeed,
 			Visited: func(v graph.VertexID) bool { return run.visited[v] },
 		})
-		if !run.noBatch {
-			if bc, ok := sched.(sim.BatchCapable); ok {
-				st.caps = bc.BatchCaps()
-				st.defPush, _ = sched.(sim.DeferredPusher)
-				st.batchOn = st.caps.PushOrderFree || st.defPush != nil
-			}
-		}
 		if run.trackAlphabet || run.trackFirstSym {
 			st.interner = protocol.NewInterner()
 		}
@@ -371,13 +356,10 @@ func run(g *graph.G, p protocol.Protocol, opts sim.Options, shards int,
 		drainStop()
 
 		totalSteps = 0
-		forced := 0
 		for _, st := range run.states {
 			totalSteps += st.steps
-			forced += st.forced
 		}
 		res.Steps = totalSteps
-		res.ForcedSteps = forced
 		if f := run.inFlight(); f > peak {
 			peak = f
 		}
@@ -486,9 +468,9 @@ func (st *shardState) record(run *shardRun, e graph.EdgeID, msg protocol.Message
 	}
 }
 
-// drain is one shard's superstep: the sequential engine's indexed,
-// forced-choice-batching delivery loop restricted to the edges this shard
-// owns, with cut-edge sends diverted to the outboxes.
+// drain is one shard's superstep: the sequential engine's indexed delivery
+// loop restricted to the edges this shard owns, with cut-edge sends diverted
+// to the outboxes.
 func (st *shardState) drain(run *shardRun, budget int) {
 	sched := st.sched
 	n := 0
@@ -499,122 +481,85 @@ func (st *shardState) drain(run *shardRun, budget int) {
 		}
 		e := sched.Pop()
 		st.tr.Popped()
+		n++
+
 		rec := &run.recs[e]
-		forced := false
-		for {
-			if n >= budget {
-				// Put the in-hand edge back so its traffic survives into
-				// the next superstep (the run will surface ErrStepLimit).
-				sched.Push(sim.PendingEdge{Edge: e, HeadSeq: rec.Q.FrontSeq()})
-				st.steps += n
-				return
-			}
-			n++
-			if forced {
-				st.forced++
-			}
+		msg := rec.Q.Pop()
+		st.delivered++
+		if rec.Q.Len() > 0 {
+			sched.Push(sim.PendingEdge{Edge: e, HeadSeq: rec.Q.FrontSeq()})
+		}
 
-			msg := rec.Q.Pop()
-			st.delivered++
-			pendingHere := rec.Q.Len() > 0
-			if pendingHere && !st.batchOn {
-				sched.Push(sim.PendingEdge{Edge: e, HeadSeq: rec.Q.FrontSeq()})
+		to := graph.VertexID(rec.To)
+		if run.faults.CrashDelivery(to) {
+			// Crash-stopped vertex: consume without processing. The crash
+			// quota slot is owned by this shard (the head's owner — the
+			// only shard that delivers to it), so the check is race-free.
+			if run.obs != nil {
+				run.obs.OnDeliver(0, e, msg)
 			}
-			newPushes := 0
-
-			to := graph.VertexID(rec.To)
-			if run.faults.CrashDelivery(to) {
-				// Crash-stopped vertex: consume without processing. The crash
-				// quota slot is owned by this shard (the head's owner — the
-				// only shard that delivers to it), so the check is race-free.
-				if run.obs != nil {
-					run.obs.OnDeliver(0, e, msg)
-				}
-				st.tr.Delivered(forced, true)
-			} else {
-				run.visited[to] = true
-				if run.obs != nil {
-					run.obs.OnDeliver(0, e, msg)
-				}
-				outs, err := run.nodes[to].Receive(msg, int(rec.ToPort))
-				if err != nil {
-					st.err = fmt.Errorf("shard: vertex %d receive: %w", to, err)
-					st.steps += n
-					return
-				}
-				if outs != nil && len(outs) != run.g.OutDegree(to) {
-					st.err = fmt.Errorf("shard: vertex %d returned %d outputs, out-degree is %d",
-						to, len(outs), run.g.OutDegree(to))
-					st.steps += n
-					return
-				}
-				outIDs := run.g.OutEdgeIDs(to)
-				for j, out := range outs {
-					if out == nil {
-						continue
-					}
-					oe := outIDs[j]
-					st.record(run, oe, out)
-					if run.obs != nil {
-						run.obs.OnSend(oe, out)
-					}
-					st.tr.Send()
-					if run.faults.DropSend(oe) {
-						st.tr.Dropped()
-						continue
-					}
-					st.aliveSent++
-					orec := &run.recs[oe]
-					dst := int(run.owner[orec.To])
-					if dst == st.id {
-						seq := st.sendSeq
-						st.sendSeq++
-						orec.Q.Push(out, seq)
-						st.tr.Enqueued()
-						if orec.Q.Len() == 1 {
-							sched.Push(sim.PendingEdge{Edge: oe, HeadSeq: seq})
-							newPushes++
-						}
-					} else if run.ghostBuf != nil && run.part.GhostEdge(oe) {
-						// Ghost-routed cut edge: deliver into the local ghost
-						// buffer — a plain append, no outbox entry — and let
-						// the head's shard reconcile the whole buffer at the
-						// merge barrier.
-						run.ghostBuf[oe] = append(run.ghostBuf[oe], out)
-					} else {
-						// Cut-edge send: the destination shard counts the
-						// enqueue when its merge ingests the outbox.
-						st.out[dst] = append(st.out[dst], outMsg{edge: oe, msg: out})
-					}
-				}
-				st.tr.Delivered(forced, false)
-				if to == run.g.Terminal() && run.term.Done() {
-					st.terminated = true
-					st.steps += n
-					return
-				}
-			}
-
-			if !pendingHere || !st.batchOn {
-				break
-			}
-			// Forced-choice decision, exactly as in the sequential engine:
-			// e still holds messages and was not re-registered.
-			if sched.Len() == 0 {
-				forced = true
+			st.tr.Delivered(true)
+			continue
+		}
+		run.visited[to] = true
+		if run.obs != nil {
+			run.obs.OnDeliver(0, e, msg)
+		}
+		outs, err := run.nodes[to].Receive(msg, int(rec.ToPort))
+		if err != nil {
+			st.err = fmt.Errorf("shard: vertex %d receive: %w", to, err)
+			st.steps += n
+			return
+		}
+		if outs != nil && len(outs) != run.g.OutDegree(to) {
+			st.err = fmt.Errorf("shard: vertex %d returned %d outputs, out-degree is %d",
+				to, len(outs), run.g.OutDegree(to))
+			st.steps += n
+			return
+		}
+		outIDs := run.g.OutEdgeIDs(to)
+		for j, out := range outs {
+			if out == nil {
 				continue
 			}
-			if st.caps.ForcedWhenQuiet && newPushes == 0 {
-				forced = true
+			oe := outIDs[j]
+			st.record(run, oe, out)
+			if run.obs != nil {
+				run.obs.OnSend(oe, out)
+			}
+			st.tr.Send()
+			if run.faults.DropSend(oe) {
+				st.tr.Dropped()
 				continue
 			}
-			pe := sim.PendingEdge{Edge: e, HeadSeq: rec.Q.FrontSeq()}
-			if st.caps.PushOrderFree {
-				sched.Push(pe)
+			st.aliveSent++
+			orec := &run.recs[oe]
+			dst := int(run.owner[orec.To])
+			if dst == st.id {
+				seq := st.sendSeq
+				st.sendSeq++
+				orec.Q.Push(out, seq)
+				st.tr.Enqueued()
+				if orec.Q.Len() == 1 {
+					sched.Push(sim.PendingEdge{Edge: oe, HeadSeq: seq})
+				}
+			} else if run.ghostBuf != nil && run.part.GhostEdge(oe) {
+				// Ghost-routed cut edge: deliver into the local ghost
+				// buffer — a plain append, no outbox entry — and let the
+				// head's shard reconcile the whole buffer at the merge
+				// barrier.
+				run.ghostBuf[oe] = append(run.ghostBuf[oe], out)
 			} else {
-				st.defPush.PushDeferred(pe, newPushes)
+				// Cut-edge send: the destination shard counts the enqueue
+				// when its merge ingests the outbox.
+				st.out[dst] = append(st.out[dst], outMsg{edge: oe, msg: out})
 			}
-			break
+		}
+		st.tr.Delivered(false)
+		if to == run.g.Terminal() && run.term.Done() {
+			st.terminated = true
+			st.steps += n
+			return
 		}
 	}
 	st.steps += n

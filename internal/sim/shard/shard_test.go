@@ -3,7 +3,11 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"maps"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -77,8 +81,8 @@ func TestShardMatchesSequentialOutcome(t *testing.T) {
 // resultFingerprint flattens everything deterministic about a run —
 // including schedule-dependent metrics — for exact comparison.
 func resultFingerprint(r *sim.Result) string {
-	return fmt.Sprintf("v=%v steps=%d forced=%d msgs=%d bits=%d maxmsg=%d peak=%d visited=%v perEdge=%v alpha=%v first=%v",
-		r.Verdict, r.Steps, r.ForcedSteps, r.Metrics.Messages, r.Metrics.TotalBits,
+	return fmt.Sprintf("v=%v steps=%d msgs=%d bits=%d maxmsg=%d peak=%d visited=%v perEdge=%v alpha=%v first=%v",
+		r.Verdict, r.Steps, r.Metrics.Messages, r.Metrics.TotalBits,
 		r.Metrics.MaxMsgBits, r.Metrics.PeakInFlight, r.Visited, r.Metrics.PerEdgeMsgs,
 		len(r.Metrics.Alphabet), len(r.Metrics.FirstSymbol))
 }
@@ -152,39 +156,32 @@ func keys(m map[string]int) map[string]bool {
 	return out
 }
 
-// TestShardBatchDrainEquivalence: within each shard the forced-choice batch
-// drain must not change the local schedules, so the full deterministic
-// result — steps, per-edge traffic, final labels — is identical with
-// batching on and off, and batching must actually engage somewhere.
+// TestShardBatchDrainEquivalence pins, for every scheduler, general
+// broadcast and mapping at one and three shards: each edge's delivery
+// sequence and the full result fingerprint. The pins are the schedules of
+// the engine that still batch-drained forced choices within each shard,
+// where batched and unbatched runs were equal, so the test keeps its name.
 func TestShardBatchDrainEquivalence(t *testing.T) {
 	g := graph.RandomDigraph(30, 7, graph.RandomDigraphOpts{ExtraEdges: 40, TerminalFrac: 0.3})
-	engaged := 0
-	for _, sched := range sim.SchedulerNames() {
-		var rs [2]*sim.Result
-		for i, noBatch := range []bool{false, true} {
-			s, err := sim.NewScheduler(sched)
-			if err != nil {
-				t.Fatal(err)
+	protos := []protoCase{protoCases()[1], protoCases()[3]} // generalcast, mapcast
+	for _, pc := range protos {
+		for _, shards := range []int{1, 3} {
+			for _, sched := range sim.SchedulerNames() {
+				name := fmt.Sprintf("%s/shards=%d/%s", pc.name, shards, sched)
+				s, err := sim.NewScheduler(sched)
+				if err != nil {
+					t.Fatal(err)
+				}
+				log := &shardScheduleLog{}
+				r, err := Engine(shards).Run(g, pc.make(), sim.Options{Scheduler: s, Seed: 2, Observer: log})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got, want := log.perEdgePin(r), shardSchedulePins[name]; got != want {
+					t.Errorf("%s: schedule moved:\n got  %s\n want %s", name, got, want)
+				}
 			}
-			r, err := Engine(3).Run(g, core.NewGeneralBroadcast([]byte("m")), sim.Options{
-				Scheduler: s, Seed: 2, NoBatchDrain: noBatch,
-			})
-			if err != nil {
-				t.Fatalf("%s: %v", sched, err)
-			}
-			rs[i] = r
 		}
-		if rs[1].ForcedSteps != 0 {
-			t.Errorf("%s: NoBatchDrain run forced %d steps", sched, rs[1].ForcedSteps)
-		}
-		engaged += rs[0].ForcedSteps
-		rs[0].ForcedSteps, rs[1].ForcedSteps = 0, 0
-		if a, b := resultFingerprint(rs[0]), resultFingerprint(rs[1]); a != b {
-			t.Errorf("%s: batched shard run diverges\n got: %s\nwant: %s", sched, a, b)
-		}
-	}
-	if engaged == 0 {
-		t.Error("batch draining never engaged in any shard on this workload")
 	}
 }
 
@@ -208,7 +205,7 @@ func (c *deliveryCounter) OnDeliver(int, graph.EdgeID, protocol.Message) {
 }
 
 // TestShardStepLimitSweep sweeps MaxSteps across the whole range of a run,
-// at 1 and 3 shards, with and without batch draining: every configuration
+// at 1 and 3 shards: every configuration
 // must return (a budget-exhausted drain that forgets its step count would
 // loop forever re-granting the same budget — a past bug), Result.Steps must
 // equal the observed delivery count exactly, and the overshoot past
@@ -220,25 +217,23 @@ func TestShardStepLimitSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{1, 3} {
-		for _, noBatch := range []bool{false, true} {
-			for m := 1; m <= full.Steps+2; m++ {
-				obs := &deliveryCounter{}
-				r, err := Engine(shards).Run(g, core.NewGeneralBroadcast([]byte("m")), sim.Options{
-					MaxSteps: m, NoBatchDrain: noBatch, Observer: obs,
-				})
-				name := fmt.Sprintf("shards=%d noBatch=%v MaxSteps=%d", shards, noBatch, m)
-				if err != nil && !errors.Is(err, sim.ErrStepLimit) {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if r.Steps != obs.n {
-					t.Fatalf("%s: Result.Steps=%d but %d deliveries observed", name, r.Steps, obs.n)
-				}
-				if r.Steps > m+shards-1 {
-					t.Fatalf("%s: %d deliveries, budget overshoot beyond K-1", name, r.Steps)
-				}
-				if err == nil && r.Verdict == 0 {
-					t.Fatalf("%s: no verdict and no error", name)
-				}
+		for m := 1; m <= full.Steps+2; m++ {
+			obs := &deliveryCounter{}
+			r, err := Engine(shards).Run(g, core.NewGeneralBroadcast([]byte("m")), sim.Options{
+				MaxSteps: m, Observer: obs,
+			})
+			name := fmt.Sprintf("shards=%d MaxSteps=%d", shards, m)
+			if err != nil && !errors.Is(err, sim.ErrStepLimit) {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if r.Steps != obs.n {
+				t.Fatalf("%s: Result.Steps=%d but %d deliveries observed", name, r.Steps, obs.n)
+			}
+			if r.Steps > m+shards-1 {
+				t.Fatalf("%s: %d deliveries, budget overshoot beyond K-1", name, r.Steps)
+			}
+			if err == nil && r.Verdict == 0 {
+				t.Fatalf("%s: no verdict and no error", name)
 			}
 		}
 	}
@@ -462,8 +457,8 @@ func TestShardPartitionMemoized(t *testing.T) {
 }
 
 // shardScheduleLog records the linearized delivery sequence the engine's
-// SerializedObserver emits — the object the batch-drain/fault equivalence
-// below quantifies over.
+// SerializedObserver emits. Only a one-shard run fixes that order; at any
+// shard count each edge's own sequence is fixed.
 type shardScheduleLog struct {
 	edges []graph.EdgeID
 	keys  []string
@@ -475,25 +470,38 @@ func (l *shardScheduleLog) OnDeliver(_ int, e graph.EdgeID, msg protocol.Message
 	l.keys = append(l.keys, msg.Key())
 }
 
-func (l *shardScheduleLog) equal(o *shardScheduleLog) bool {
-	if len(l.edges) != len(o.edges) {
-		return false
-	}
+// pin renders a one-shard run as the FNV-1a digest of its delivery log with
+// its steps, messages and drops.
+func (l *shardScheduleLog) pin(r *sim.Result) string {
+	h := fnv.New64a()
 	for i := range l.edges {
-		if l.edges[i] != o.edges[i] || l.keys[i] != o.keys[i] {
-			return false
-		}
+		fmt.Fprintf(h, "%d %s\n", l.edges[i], l.keys[i])
 	}
-	return true
+	return fmt.Sprintf("%016x steps=%d msgs=%d dropped=%d", h.Sum64(), r.Steps, r.Metrics.Messages, r.Dropped)
 }
 
-// TestShardBatchDrainRespectsFaultPlan: the sharded engine's forced-choice
-// batch drain must apply fault plans message-for-message like its unbatched
-// path. With one shard the engine is fully deterministic, so the delivery
-// schedule must be byte-identical with batching on and off; with several
-// shards the linearization is thread-timing dependent, but every
-// deterministic aggregate — steps, messages, drop count, verdict, visited
-// set — must agree between the batched and unbatched runs.
+// perEdgePin is pin for any shard count: the digest covers each edge's
+// delivery sequence, edges in ID order, and the result fingerprint.
+func (l *shardScheduleLog) perEdgePin(r *sim.Result) string {
+	perEdge := map[graph.EdgeID][]string{}
+	for i, e := range l.edges {
+		perEdge[e] = append(perEdge[e], l.keys[i])
+	}
+	edges := slices.Sorted(maps.Keys(perEdge))
+	h := fnv.New64a()
+	for _, e := range edges {
+		fmt.Fprintf(h, "%d %s\n", e, strings.Join(perEdge[e], " "))
+	}
+	fmt.Fprintln(h, resultFingerprint(r))
+	return fmt.Sprintf("%016x steps=%d msgs=%d dropped=%d", h.Sum64(), r.Steps, r.Metrics.Messages, r.Dropped)
+}
+
+// TestShardBatchDrainRespectsFaultPlan pins the one-shard delivery schedule
+// of general broadcast on a chain under a first-message drop and under a
+// crash (the batch-draining engine's schedules, like
+// TestShardBatchDrainEquivalence's), and checks that four shards agree with
+// one on every deterministic aggregate: steps, messages, drops, verdict and
+// visited set.
 func TestShardBatchDrainRespectsFaultPlan(t *testing.T) {
 	g := graph.Chain(5)
 	midEdge := g.OutEdge(graph.VertexID(2), 0)
@@ -502,44 +510,72 @@ func TestShardBatchDrainRespectsFaultPlan(t *testing.T) {
 		{CrashAfter: map[graph.VertexID]int{3: 0}},
 	}
 	for pi, plan := range plans {
-		// shards = 1: byte-identical schedules.
-		var logs [2]*shardScheduleLog
-		var results [2]*sim.Result
-		for i, noBatch := range []bool{false, true} {
-			log := &shardScheduleLog{}
-			r, err := Engine(1).Run(g, core.NewGeneralBroadcast([]byte("m")), sim.Options{
-				Observer: log, NoBatchDrain: noBatch, Faults: plan,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			logs[i], results[i] = log, r
+		log := &shardScheduleLog{}
+		ref, err := Engine(1).Run(g, core.NewGeneralBroadcast([]byte("m")), sim.Options{
+			Observer: log, Faults: plan,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !logs[0].equal(logs[1]) {
-			t.Fatalf("plan %d: one-shard batched schedule diverges from unbatched (%d vs %d deliveries)",
-				pi, len(logs[0].edges), len(logs[1].edges))
+		if got, want := log.pin(ref), shardFaultPlanPins[pi]; got != want {
+			t.Errorf("plan %d: one-shard schedule moved:\n got  %s\n want %s", pi, got, want)
 		}
-		if results[0].Dropped != results[1].Dropped || results[0].Dropped == 0 {
-			t.Fatalf("plan %d: batched run dropped %d, unbatched %d (want equal and nonzero)",
-				pi, results[0].Dropped, results[1].Dropped)
+		if ref.Dropped == 0 {
+			t.Fatalf("plan %d never engaged", pi)
 		}
 
-		// shards = 4: deterministic aggregates.
-		for i, noBatch := range []bool{false, true} {
-			r, err := Engine(4).Run(g, core.NewGeneralBroadcast([]byte("m")), sim.Options{
-				NoBatchDrain: noBatch, Faults: plan,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref := results[i]
-			if r.Steps != ref.Steps || r.Metrics.Messages != ref.Metrics.Messages ||
-				r.Dropped != ref.Dropped || r.Verdict != ref.Verdict ||
-				!reflect.DeepEqual(r.Visited, ref.Visited) {
-				t.Fatalf("plan %d noBatch=%v: four-shard aggregates diverge from one-shard: steps %d/%d msgs %d/%d dropped %d/%d verdict %s/%s",
-					pi, noBatch, r.Steps, ref.Steps, r.Metrics.Messages, ref.Metrics.Messages,
-					r.Dropped, ref.Dropped, r.Verdict, ref.Verdict)
-			}
+		r, err := Engine(4).Run(g, core.NewGeneralBroadcast([]byte("m")), sim.Options{Faults: plan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Steps != ref.Steps || r.Metrics.Messages != ref.Metrics.Messages ||
+			r.Dropped != ref.Dropped || r.Verdict != ref.Verdict ||
+			!reflect.DeepEqual(r.Visited, ref.Visited) {
+			t.Fatalf("plan %d: four-shard aggregates diverge from one-shard: steps %d/%d msgs %d/%d dropped %d/%d verdict %s/%s",
+				pi, r.Steps, ref.Steps, r.Metrics.Messages, ref.Metrics.Messages,
+				r.Dropped, ref.Dropped, r.Verdict, ref.Verdict)
 		}
 	}
+}
+
+// shardSchedulePins (by protocol, shard count and scheduler) and shardFaultPlanPins (by plan) are the
+// pins of the two tests above.
+var shardSchedulePins = map[string]string{
+	"generalcast/shards=1/fifo":           "416c7ccc5de4f51c steps=285 msgs=339 dropped=0",
+	"generalcast/shards=1/greedy":         "afea85ac1ab94195 steps=301 msgs=370 dropped=0",
+	"generalcast/shards=1/latency":        "6c244f6485d21cee steps=555 msgs=555 dropped=0",
+	"generalcast/shards=1/latency-pareto": "6d68f968cb954285 steps=352 msgs=366 dropped=0",
+	"generalcast/shards=1/lifo":           "04760772a3a94444 steps=1266 msgs=1281 dropped=0",
+	"generalcast/shards=1/random":         "5145733dfb48cfb7 steps=468 msgs=475 dropped=0",
+	"generalcast/shards=1/rr-vertex":      "c74752bb19ab30b7 steps=394 msgs=394 dropped=0",
+	"generalcast/shards=1/starve-oldest":  "04760772a3a94444 steps=1266 msgs=1281 dropped=0",
+	"generalcast/shards=3/fifo":           "ae1f0913b86fcdf9 steps=361 msgs=370 dropped=0",
+	"generalcast/shards=3/greedy":         "344bf0dcebe78b1c steps=422 msgs=433 dropped=0",
+	"generalcast/shards=3/latency":        "7e896d2d0ebb942c steps=411 msgs=426 dropped=0",
+	"generalcast/shards=3/latency-pareto": "3a9de2ce479a6655 steps=511 msgs=527 dropped=0",
+	"generalcast/shards=3/lifo":           "6538d79e6b18f538 steps=470 msgs=475 dropped=0",
+	"generalcast/shards=3/random":         "bbf1dbd1b2ab6324 steps=352 msgs=366 dropped=0",
+	"generalcast/shards=3/rr-vertex":      "ac8b5e83dcc86e8d steps=361 msgs=370 dropped=0",
+	"generalcast/shards=3/starve-oldest":  "4258dbab7a0d20ac steps=460 msgs=474 dropped=0",
+	"mapcast/shards=1/fifo":               "2abfea7046630127 steps=881 msgs=1338 dropped=0",
+	"mapcast/shards=1/greedy":             "2832d61ffa7b8e96 steps=571 msgs=1025 dropped=0",
+	"mapcast/shards=1/latency":            "6f68aca6f52793ef steps=1584 msgs=1952 dropped=0",
+	"mapcast/shards=1/latency-pareto":     "2d988766dfe85253 steps=1200 msgs=1638 dropped=0",
+	"mapcast/shards=1/lifo":               "86d8a9da36fa4b07 steps=2600 msgs=2635 dropped=0",
+	"mapcast/shards=1/random":             "3996b8144c6df7f0 steps=1138 msgs=1579 dropped=0",
+	"mapcast/shards=1/rr-vertex":          "9827ededa90654ba steps=2641 msgs=2883 dropped=0",
+	"mapcast/shards=1/starve-oldest":      "86d8a9da36fa4b07 steps=2600 msgs=2635 dropped=0",
+	"mapcast/shards=3/fifo":               "48b03841de3389db steps=1879 msgs=2235 dropped=0",
+	"mapcast/shards=3/greedy":             "3e4e80f7ed71cc70 steps=1805 msgs=2162 dropped=0",
+	"mapcast/shards=3/latency":            "a6f305f08b180a59 steps=2175 msgs=2392 dropped=0",
+	"mapcast/shards=3/latency-pareto":     "84adbb9b702683ec steps=1891 msgs=2219 dropped=0",
+	"mapcast/shards=3/lifo":               "1fb225ca8e5227c0 steps=1340 msgs=1670 dropped=0",
+	"mapcast/shards=3/random":             "d1536bdf583aaebe steps=1855 msgs=2207 dropped=0",
+	"mapcast/shards=3/rr-vertex":          "c98753583cc2f8bd steps=1489 msgs=2153 dropped=0",
+	"mapcast/shards=3/starve-oldest":      "85c22ccef20c9757 steps=1414 msgs=1695 dropped=0",
+}
+
+var shardFaultPlanPins = []string{
+	"8b4af18fdda9902c steps=4 msgs=5 dropped=1",
+	"8ab3fcd20e693523 steps=5 msgs=5 dropped=1",
 }

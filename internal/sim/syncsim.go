@@ -101,7 +101,7 @@ func RunSynchronous(g *graph.G, p protocol.Protocol, opts Options) (*Result, err
 				if opts.Observer != nil {
 					opts.Observer.OnDeliver(res.Steps, f.edge, f.msg)
 				}
-				tr.Delivered(false, true)
+				tr.Delivered(true)
 				continue
 			}
 			res.Visited[edge.To] = true
@@ -135,7 +135,7 @@ func RunSynchronous(g *graph.G, p protocol.Protocol, opts Options) (*Result, err
 				tr.Enqueued()
 				next = append(next, flight{edge: oe, msg: out})
 			}
-			tr.Delivered(false, false)
+			tr.Delivered(false)
 			if edge.To == g.Terminal() && term.Done() {
 				res.Verdict = Terminated
 				res.Output = term.Output()

@@ -451,7 +451,7 @@ func (r *wildRun) obsDeliver(crashed bool) {
 		return
 	}
 	r.obsMu.Lock()
-	r.tr.Delivered(false, crashed)
+	r.tr.Delivered(crashed)
 	r.obsMu.Unlock()
 }
 

@@ -231,13 +231,6 @@ func WithObservability(sampleEvery int) Option {
 	return func(c *runConfig) { c.Timeline, c.TimelineEvery = true, sampleEvery }
 }
 
-// WithNoBatchDrain disables forced-choice batch draining in the sequential
-// engine and the shard engine's local loops. The delivery sequence is
-// identical with and without batching (internal/sim/batch_test.go proves the
-// equivalence); the switch exists for those tests, for profiling the
-// optimization in isolation, and as a request field of the run server.
-func WithNoBatchDrain() Option { return func(c *runConfig) { c.NoBatchDrain = true } }
-
 // WithFaults injects a deterministic fault plan, compiled against the run's
 // network: "drop=EDGE:K,loss=PCT,crash=VERTEX:K,seed=N" (terms optional and
 // repeatable; see internal/scenario.ParseFaults). Dropped messages are
@@ -483,7 +476,6 @@ func (c *runConfig) simOptions() (sim.Options, error) {
 		Seed:          c.Seed,
 		MaxSteps:      c.MaxSteps,
 		TrackAlphabet: c.Alphabet,
-		NoBatchDrain:  c.NoBatchDrain,
 	}
 	if c.Scheduler != "" {
 		sched, err := sim.NewScheduler(c.Scheduler)
@@ -904,8 +896,6 @@ type Request struct {
 	Chaos string `json:"chaos,omitempty"`
 	// Alphabet enables Report.AlphabetSize tracking.
 	Alphabet bool `json:"alphabet,omitempty"`
-	// NoBatchDrain disables forced-choice batch draining (WithNoBatchDrain).
-	NoBatchDrain bool `json:"no_batch_drain,omitempty"`
 	// Timeline attaches run telemetry: Report.Timeline carries the
 	// deterministic timeline plane, sampled every TimelineEvery deliveries
 	// (<= 0 = default stride).
