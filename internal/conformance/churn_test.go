@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/sim/shard"
 )
@@ -166,8 +167,8 @@ func TestCrossEngineChurnConformance(t *testing.T) {
 // event set — is identical across the deterministic engines, for every
 // scheduler and multiple seeds. seq and shard(1) execute the identical
 // schedule, so their churn reports must match byte for byte, clocks
-// included; shard(3)'s event clocks race across shards, so it is held to
-// run-to-run agreement of the schedule-independent outcome instead.
+// included; shard(3) runs another schedule, so its report must match its
+// own, run after run.
 func TestCrashRecoveryDeterminismMatrix(t *testing.T) {
 	g := diamondGraph()
 	plan := func() *sim.Faults {
@@ -235,6 +236,10 @@ func TestCrashRecoveryDeterminismMatrix(t *testing.T) {
 				if !reflect.DeepEqual(again.Churn, seq.Churn) {
 					t.Error("sequential churn report not reproducible across runs")
 				}
+				sh3, sh3again := run(t, shard.Engine(3), schedName, seed), run(t, shard.Engine(3), schedName, seed)
+				if !reflect.DeepEqual(sh3.Churn, sh3again.Churn) {
+					t.Errorf("shard(3) churn %+v, then %+v", sh3.Churn, sh3again.Churn)
+				}
 			})
 		}
 	}
@@ -276,5 +281,60 @@ func TestChurnTimelineDeterminism(t *testing.T) {
 				t.Errorf("churned timelines differ:\n--- seq ---\n%s\n--- shard(1) ---\n%s", seq, sh)
 			}
 		})
+	}
+}
+
+// TestShardChurnClocksDeterministic: the sharded engine stamps churn events
+// with the deliveries before the superstep plus the delivering shard's
+// own, so its churn report is a pure function of the run's configuration
+// however the shards' threads interleave. Repeated shard(3) runs must
+// report one churn report (each run's drains race differently), and
+// shard(1) must still report the sequential engine's byte for byte. The
+// plans cover crash, recover and cut events, fired on the delivery and on
+// the send side, and loss steps, which shards reach concurrently.
+func TestShardChurnClocksDeterministic(t *testing.T) {
+	cells := []struct{ spec, plan, sched string }{
+		{"layered:layers=4,width=3,seed=3", "crash=2:1,recover=2:4,cut=1:2", "greedy"},
+		{"torus:w=5,h=5", "crash=8:2,recover=8:5,cut=20:1,join=30:1,lossat=2:50,lossat=4:100,seed=5", "random"},
+		{"randnet:n=30,extra=30,seed=2", "lossat=1:30,lossat=3:60,seed=4,crash=10:1,recover=10:3", "lifo"},
+	}
+	for _, c := range cells {
+		g, err := scenario.Parse(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		faults, _, err := scenario.CompileSpec(c.plan, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(eng sim.Engine) *sim.Result {
+			t.Helper()
+			sched, err := sim.NewScheduler(c.sched)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := eng.Run(g, core.NewGeneralBroadcast(nil), sim.Options{Scheduler: sched, Seed: 1, Faults: faults})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+		name := c.spec + " " + c.plan
+		seq, sh1 := run(sim.Sequential()), run(shard.Engine(1))
+		if !reflect.DeepEqual(sh1.Churn, seq.Churn) {
+			t.Errorf("%s: shard(1) churn %+v, sequential %+v", name, sh1.Churn, seq.Churn)
+		}
+		if seq.Churn == nil || len(seq.Churn.Events) == 0 {
+			t.Fatalf("%s: no churn event fired", name)
+		}
+		first := run(shard.Engine(3))
+		for i := 1; i < 20; i++ {
+			if r := run(shard.Engine(3)); !reflect.DeepEqual(r.Churn, first.Churn) {
+				t.Fatalf("%s: shard(3) run %d churn %+v, run 0 %+v", name, i, r.Churn, first.Churn)
+			}
+		}
+		if first.Churn.Deliveries != int64(first.Steps) {
+			t.Errorf("%s: shard(3) churn clock ends at %d, the run delivered %d", name, first.Churn.Deliveries, first.Steps)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"unsafe"
 
 	"repro/internal/interval"
@@ -414,15 +415,37 @@ func (n *gcNode) Alphas() []interval.Union {
 func (n *gcNode) Beta() interval.Union { return n.beta.Clone() }
 
 // gcTerminal accumulates everything that arrives; S(pi) holds when
-// alpha ∪ beta = [0, 1). The combined cover is maintained incrementally so
-// Done — evaluated after every delivery — is O(1). Until beta content
-// arrives, which on a DAG is never, the cover is alpha itself and is not
-// built: it is made from alpha and beta by the first receipt that brings
-// beta, and grows with both from then on.
+// alpha ∪ beta = [0, 1). Until beta content arrives, which on a DAG is
+// never, the cover alpha ∪ beta is alpha itself and is not built: the first
+// merge that brings beta makes it from alpha and beta.
+//
+// Arrivals are not spliced into the unions one by one. An arrival whose end
+// points have at most 64 fraction bits is staged, as fixed-point intervals,
+// in a pending buffer, and the terminal keeps a bound: the cover's measure
+// plus the lengths of everything staged. The bound is at least the measure
+// of cover ∪ pending, so while it is below 1 the cover cannot be full and S
+// cannot hold. Only when the bound reaches 1 does the terminal merge: it
+// sorts and coalesces the buffer, grows alpha, beta and the cover by one
+// union each, and recomputes the bound as the cover's exact measure. Done
+// reads the merged cover, so it stays exact; Output and StateBits merge
+// first. On a DAG the alpha arrivals are disjoint and a run merges once.
+//
+// An arrival with a deeper end point is absorbed at once, exactly, after a
+// merge. The cover's measure then has no fixed-point form, so from there on,
+// and once the cover is full, every arrival is absorbed at once.
 type gcTerminal struct {
 	alpha interval.Union
 	beta  interval.Union
 	cover interval.Union // alpha ∪ beta; unused while beta is empty
+	// pendAlpha and pendBeta are the staged arrivals.
+	pendAlpha, pendBeta []interval.Fixed
+	// measure is the cover's measure and bound adds the staged lengths,
+	// both in units of 2^-64. A carry out of bound is the bound reaching 1.
+	measure, bound uint64
+	// exact is set once arrivals are absorbed without staging.
+	exact bool
+	// scratch holds a merge's intermediate unions.
+	scratch []interval.Interval
 }
 
 // Receive implements protocol.Node. The three unions are owned by the
@@ -436,24 +459,84 @@ func (t *gcTerminal) Receive(msg protocol.Message, _ int) ([]protocol.Message, e
 	return nil, nil
 }
 
-// receive absorbs m; the mapping terminal calls it on the labeling message
+// receive takes in m; the mapping terminal calls it on the labeling message
 // it unwraps.
 func (t *gcTerminal) receive(m *gcMsg) {
+	if !t.exact {
+		na, nb, bound := len(t.pendAlpha), len(t.pendBeta), t.bound
+		fullA, okA := t.stage(&t.pendAlpha, m.alpha)
+		fullB, okB := t.stage(&t.pendBeta, m.beta)
+		if okA && okB {
+			if fullA || fullB {
+				t.merge()
+			}
+			return
+		}
+		t.pendAlpha, t.pendBeta, t.bound = t.pendAlpha[:na], t.pendBeta[:nb], bound
+		t.merge()
+		t.exact = true
+	}
+	t.absorb(m.alpha, m.beta)
+}
+
+// stage appends u's intervals to *pend and their lengths to the bound. It
+// reports whether the bound reached 1, and ok == false when an end point
+// has more than 64 fraction bits; the caller then drops what it staged.
+func (t *gcTerminal) stage(pend *[]interval.Fixed, u interval.Union) (full, ok bool) {
+	for _, iv := range u.Intervals() {
+		f, ok := iv.Fixed()
+		if !ok {
+			return full, false
+		}
+		var carry uint64
+		t.bound, carry = bits.Add64(t.bound, f.Last-f.Lo, 1)
+		full = full || carry != 0
+		*pend = append(*pend, f)
+	}
+	return full, true
+}
+
+// merge folds the staged arrivals into alpha, beta and the cover, and
+// resets the bound to the cover's measure.
+func (t *gcTerminal) merge() {
+	if len(t.pendAlpha)+len(t.pendBeta) == 0 {
+		return
+	}
+	buf := t.scratch[:0]
+	buf, a := interval.AppendFixed(buf, t.pendAlpha)
+	buf, b := interval.AppendFixed(buf, t.pendBeta)
+	buf, in := interval.AppendUnion(buf, a, b)
+	buf, fresh := interval.AppendSubtract(buf, in, t.covered())
+	t.scratch = buf
+	t.pendAlpha, t.pendBeta = t.pendAlpha[:0], t.pendBeta[:0]
+	for _, iv := range fresh.Intervals() {
+		f, _ := iv.Fixed()
+		var carry uint64
+		if t.measure, carry = bits.Add64(t.measure, f.Last-f.Lo, 1); carry != 0 {
+			t.exact = true // the cover is [0, 1): there is nothing to bound
+		}
+	}
+	t.bound = t.measure
+	t.absorb(a, b)
+}
+
+// absorb grows alpha, beta and the cover by a and b in place.
+func (t *gcTerminal) absorb(a, b interval.Union) {
 	first := t.beta.IsEmpty()
-	t.alpha.Absorb(m.alpha)
-	t.beta.Absorb(m.beta)
+	t.alpha.Absorb(a)
+	t.beta.Absorb(b)
 	switch {
 	case t.beta.IsEmpty():
 		// The cover is alpha.
 	case first:
 		t.cover = t.alpha.Union(t.beta)
 	default:
-		t.cover.Absorb(m.alpha)
-		t.cover.Absorb(m.beta)
+		t.cover.Absorb(a)
+		t.cover.Absorb(b)
 	}
 }
 
-// covered returns alpha ∪ beta without copying it.
+// covered returns alpha ∪ beta as merged so far, without copying it.
 func (t *gcTerminal) covered() interval.Union {
 	if t.beta.IsEmpty() {
 		return t.alpha
@@ -461,14 +544,13 @@ func (t *gcTerminal) covered() interval.Union {
 	return t.cover
 }
 
-// Done implements the stopping predicate S.
+// Done implements the stopping predicate S. It needs no merge: staged
+// arrivals complete the cover only when the bound reaches 1, and that
+// merges them at once.
 func (t *gcTerminal) Done() bool { return t.covered().IsFull() }
 
 // Output returns a copy of the covered union (== [0,1) on termination).
-func (t *gcTerminal) Output() any { return t.covered().Clone() }
-
-// AlphaSeen returns a copy of the alpha content received so far (for tests).
-func (t *gcTerminal) AlphaSeen() interval.Union { return t.alpha.Clone() }
-
-// BetaSeen returns a copy of the beta content received so far (for tests).
-func (t *gcTerminal) BetaSeen() interval.Union { return t.beta.Clone() }
+func (t *gcTerminal) Output() any {
+	t.merge()
+	return t.covered().Clone()
+}

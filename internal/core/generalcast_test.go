@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/dyadic"
 	"repro/internal/graph"
 	"repro/internal/interval"
 	"repro/internal/protocol"
@@ -205,8 +206,21 @@ func TestGeneralEveryEdgeCarriesFirstMessageWithAlpha(t *testing.T) {
 	}
 }
 
-// terminalTap wraps a protocol and records every message its terminal
-// receives, in delivery order.
+// AlphaSeen returns a copy of the alpha content received so far.
+func (t *gcTerminal) AlphaSeen() interval.Union {
+	t.merge()
+	return t.alpha.Clone()
+}
+
+// BetaSeen returns a copy of the beta content received so far.
+func (t *gcTerminal) BetaSeen() interval.Union {
+	t.merge()
+	return t.beta.Clone()
+}
+
+// terminalTap wraps a protocol and records the interval message of every
+// receipt at its terminal, in delivery order: the message itself, or the
+// labeling message a mapping message carries.
 type terminalTap struct {
 	protocol.Protocol
 	got *[]*gcMsg
@@ -226,70 +240,139 @@ type tapNode struct {
 }
 
 func (n tapNode) Receive(msg protocol.Message, inPort int) ([]protocol.Message, error) {
-	*n.got = append(*n.got, msg.(*gcMsg))
+	switch m := msg.(type) {
+	case *gcMsg:
+		*n.got = append(*n.got, m)
+	case mapMsg:
+		*n.got = append(*n.got, &m.gc)
+	}
 	return n.Terminal.Receive(msg, inPort)
 }
 
-// TestGCTerminalMatchesEagerCover replays the receipts of real runs into
-// the terminal, which builds its cover only once beta content arrives, and
-// into an eager reference that keeps alpha, beta and cover = alpha ∪ beta
-// from the first receipt on. After every receipt Done, Output and StateBits
-// must agree. The scalefree graph is a DAG, so general broadcast never
-// builds the cover there, while label assignment sends each label as beta;
-// on the torus both build it.
-func TestGCTerminalMatchesEagerCover(t *testing.T) {
-	graphs := map[string]struct {
-		family string
-		params map[string]int
-	}{
-		"dag":   {"scalefree", map[string]int{"n": 120, "m": 3}},
-		"torus": {"torus", map[string]int{"w": 8, "h": 8}},
+// TestGCTerminalBoundIsExact feeds the terminal [0, 1/2), four slivers of
+// 2^-55 and the rest of [0, 1). In floating point the slivers vanish into
+// the running 1/2 and the lengths sum to 1 - 2^-53, so a terminal whose
+// bound rounded would never merge and never be done. The staged bound must
+// reach 1 exactly on the last arrival, and not before.
+func TestGCTerminalBoundIsExact(t *testing.T) {
+	half, sliver := dyadic.Pow2(1), dyadic.Pow2(55)
+	ivs := []interval.Interval{{Lo: dyadic.Zero(), Hi: half}}
+	lo := half
+	for range 4 {
+		ivs = append(ivs, interval.Interval{Lo: lo, Hi: lo.Add(sliver)})
+		lo = lo.Add(sliver)
 	}
-	for gname, gc := range graphs {
-		g, err := scenario.Build(gc.family, gc.params, 42)
+	ivs = append(ivs, interval.Interval{Lo: lo, Hi: dyadic.One()})
+	term := &gcTerminal{}
+	for i, iv := range ivs {
+		if _, err := term.Receive(&gcMsg{alpha: interval.NewUnion(iv)}, 0); err != nil {
+			t.Fatal(err)
+		}
+		if last := i == len(ivs)-1; term.Done() != last {
+			t.Fatalf("arrival %d of %d: Done %v", i, len(ivs), term.Done())
+		}
+	}
+}
+
+// TestGCTerminalMatchesEagerCover replays the receipts of real runs into
+// the terminal and into an eager reference that keeps alpha, beta and
+// cover = alpha ∪ beta from the first receipt on. The terminal stages
+// arrivals and merges them only when its bound reaches 1, so it is checked
+// twice: one copy is asked only Done after every receipt, which merges
+// nothing, and is compared in full at the end; another is asked Done,
+// Output and StateBits after every receipt. The runs cover general
+// broadcast, label assignment and mapping (whose terminal keeps the
+// labeling cover in the same type, checked as the run left it), on a DAG,
+// on cyclic graphs, under a loss and a churn plan, and on deep graphs whose
+// end points pass 64 fraction bits, where the terminal absorbs exactly.
+func TestGCTerminalMatchesEagerCover(t *testing.T) {
+	cases := []struct {
+		name, spec, faults string
+		dag, deep          bool
+	}{
+		{name: "dag", spec: "scalefree:n=120,m=3,seed=42", dag: true},
+		{name: "torus", spec: "torus:w=8,h=8"},
+		{name: "ring", spec: "ring:n=5"},
+		{name: "randnet", spec: "randnet:n=8,extra=8,tfrac=30,seed=11"},
+		{name: "loss", spec: "torus:w=5,h=5", faults: "loss=25,seed=9"},
+		{name: "churn", spec: "torus:w=6,h=6", faults: "crash=12:1,recover=12:4,cut=30:2"},
+		{name: "deepchain", spec: "chain:n=80", dag: true, deep: true},
+		{name: "deeplayered", spec: "layered:layers=70,width=2,seed=1", deep: true},
+	}
+	for _, c := range cases {
+		g, err := scenario.Parse(c.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range []protocol.Protocol{NewGeneralBroadcast([]byte("m")), NewLabelAssign(nil)} {
-			t.Run(gname+"/"+p.Name(), func(t *testing.T) {
+		faults, _, err := scenario.CompileSpec(c.faults, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []protocol.Protocol{NewGeneralBroadcast([]byte("m")), NewLabelAssign(nil), NewMapExtract(nil)} {
+			t.Run(c.name+"/"+p.Name(), func(t *testing.T) {
 				var got []*gcMsg
 				sched, err := sim.NewScheduler("random")
 				if err != nil {
 					t.Fatal(err)
 				}
-				r, err := sim.Run(g, terminalTap{Protocol: p, got: &got}, sim.Options{Scheduler: sched, Seed: 3})
+				r, err := sim.Run(g, terminalTap{Protocol: p, got: &got}, sim.Options{Scheduler: sched, Seed: 3, Faults: faults})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if r.Verdict != sim.Terminated {
+				if c.faults == "" && r.Verdict != sim.Terminated {
 					t.Fatalf("verdict %v, want terminated", r.Verdict)
 				}
-				lazy := &gcTerminal{}
+				lazy, probed := &gcTerminal{}, &gcTerminal{}
 				var alpha, beta, cover interval.Union
-				built := false
+				merges, deepBeforeDone := 0, false
 				for i, m := range got {
-					if _, err := lazy.Receive(m, 0); err != nil {
-						t.Fatal(err)
+					staged := !lazy.exact
+					for _, term := range []*gcTerminal{lazy, probed} {
+						if _, err := term.Receive(m, 0); err != nil {
+							t.Fatal(err)
+						}
 					}
 					alpha, beta = alpha.Union(m.alpha), beta.Union(m.beta)
 					cover = cover.Union(m.alpha).Union(m.beta)
-					built = built || !beta.IsEmpty()
-					if lazy.Done() != cover.IsFull() {
-						t.Fatalf("receipt %d: Done %v, eager cover full %v", i, lazy.Done(), cover.IsFull())
+					if staged && len(lazy.pendAlpha)+len(lazy.pendBeta) == 0 {
+						merges++
 					}
-					if out := lazy.Output().(interval.Union); out.Key() != cover.Key() {
+					deepBeforeDone = deepBeforeDone || !cover.IsFull() &&
+						max(m.alpha.MaxEndpointPrec(), m.beta.MaxEndpointPrec()) > 64
+					if lazy.Done() != cover.IsFull() || probed.Done() != cover.IsFull() {
+						t.Fatalf("receipt %d: Done %v (probed %v), eager cover full %v", i, lazy.Done(), probed.Done(), cover.IsFull())
+					}
+					if out := probed.Output().(interval.Union); !out.Equal(cover) {
 						t.Fatalf("receipt %d: Output %s, eager cover %s", i, out, cover)
 					}
-					if got, want := lazy.StateBits(), unionsBits(alpha, beta, cover); got != want {
+					if got, want := probed.StateBits(), unionsBits(alpha, beta, cover); got != want {
 						t.Fatalf("receipt %d: StateBits %d, eager %d", i, got, want)
 					}
 				}
-				if !lazy.Done() {
-					t.Fatal("the recorded receipts leave the terminal not done")
+				want := unionsBits(alpha, beta, cover)
+				if !lazy.AlphaSeen().Equal(alpha) || !lazy.BetaSeen().Equal(beta) ||
+					!lazy.Output().(interval.Union).Equal(cover) || lazy.StateBits() != want {
+					t.Fatal("after the last receipt the terminal's state differs from the eager reference")
 				}
-				wantBuilt := gname == "torus" || p.Name() == "labelcast"
-				if built != wantBuilt {
+				if mt, ok := r.Nodes[g.Terminal()].(tapNode).Terminal.(*mapTerminal); ok {
+					if !mt.gc.Output().(interval.Union).Equal(cover) || mt.gc.StateBits() != want {
+						t.Fatal("the mapping terminal's labeling cover differs from the eager reference")
+					}
+				} else if lazy.Done() != (r.Verdict == sim.Terminated) {
+					t.Fatalf("the recorded receipts leave the terminal done %v, verdict %v", lazy.Done(), r.Verdict)
+				}
+				if c.deep != deepBeforeDone {
+					t.Fatalf("an end point past 64 fraction bits arrived before the cover was full: %v, want %v", deepBeforeDone, c.deep)
+				}
+				if c.faults != "" {
+					return
+				}
+				built := !beta.IsEmpty()
+				if wantBuilt := !c.dag || p.Name() != "generalcast"; built != wantBuilt {
 					t.Fatalf("beta content arrived: %v, want %v", built, wantBuilt)
+				}
+				if c.dag && !c.deep && p.Name() == "generalcast" && merges != 1 {
+					t.Fatalf("the terminal merged %d times on a DAG, want once", merges)
 				}
 			})
 		}

@@ -58,8 +58,10 @@ func (n *gcNode) StateBits() int {
 	return unionsBits(n.alphas...) + n.beta.EncodedBits() + 1
 }
 
-// StateBits implements protocol.StateSized.
+// StateBits implements protocol.StateSized: alpha, beta and the cover, once
+// the staged arrivals are merged.
 func (t *gcTerminal) StateBits() int {
+	t.merge()
 	return unionsBits(t.alpha, t.beta, t.covered())
 }
 

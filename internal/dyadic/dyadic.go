@@ -70,6 +70,16 @@ func Pow2(k uint) D { return D{w: 1, prec: prec32(k)} }
 // FromFrac returns num/2^p. It does not allocate.
 func FromFrac(num uint64, p uint) D { return reduce1(num, prec32(p)) }
 
+// Frac64 returns d·2^64 and true when d lies in [0, 1) with at most 64
+// fraction bits, so that FromFrac(x, 64) gives d back; otherwise it returns
+// false.
+func (d D) Frac64() (uint64, bool) {
+	if d.big != nil || d.prec > 64 || d.prec < 64 && d.w>>d.prec != 0 {
+		return 0, false
+	}
+	return d.w << (64 - d.prec), true
+}
+
 // prec32 converts a precision to the stored width. Precisions beyond 32 bits
 // would need a numerator of more than 4 Gbit and are rejected.
 func prec32(p uint) uint32 {

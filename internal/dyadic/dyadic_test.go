@@ -145,6 +145,40 @@ func TestShrHalf(t *testing.T) {
 	}
 }
 
+// TestFrac64 checks the fixed-point form on known values and, over random
+// values of up to 130 fraction bits, that it exists exactly for those of at
+// most 64 and that FromFrac(x, 64) gives the value back.
+func TestFrac64(t *testing.T) {
+	for _, c := range []struct {
+		d  D
+		x  uint64
+		ok bool
+	}{
+		{Zero(), 0, true},
+		{Pow2(1), 1 << 63, true},
+		{FromFrac(3, 64), 3, true},
+		{Pow2(64), 1, true},
+		{Pow2(65), 0, false},
+		{One(), 0, false},
+		{FromUint(3).Shr(1), 0, false},
+	} {
+		if x, ok := c.d.Frac64(); x != c.x || ok != c.ok {
+			t.Errorf("%s.Frac64() = %d, %v; want %d, %v", c.d, x, ok, c.x, c.ok)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 2000; i++ {
+		d := randD(rng, 130)
+		x, ok := d.Frac64()
+		if ok != (d.Prec() <= 64) {
+			t.Fatalf("%s (%d fraction bits): Frac64 ok = %v", d, d.Prec(), ok)
+		}
+		if ok && !FromFrac(x, 64).Equal(d) {
+			t.Fatalf("FromFrac(%s.Frac64(), 64) = %s", d, FromFrac(x, 64))
+		}
+	}
+}
+
 func TestFracBit(t *testing.T) {
 	d := FromFrac(5, 3) // 0.101
 	want := []uint{1, 0, 1, 0, 0}

@@ -33,7 +33,7 @@ func canonical(u Union) error {
 }
 
 // FuzzUnionAlgebra checks AppendUnion, AppendIntersect, AppendSubtract,
-// AppendCopy and Absorb against the AddInterval references of
+// AppendCopy, AppendFixed and Absorb against the AddInterval references of
 // oracle_test.go. Every Append call writes into a destination that already
 // holds pre intervals and has spare capacity for spare more, so the
 // results must ignore what the destination holds, leave it intact, and come
@@ -81,6 +81,18 @@ func FuzzUnionAlgebra(f *testing.F) {
 		check("AppendIntersect", refIntersect(a, b), func(dst []Interval) ([]Interval, Union) { return AppendIntersect(dst, a, b) })
 		check("AppendSubtract", refSubtract(a, b), func(dst []Interval) ([]Interval, Union) { return AppendSubtract(dst, a, b) })
 		check("AppendCopy", a, func(dst []Interval) ([]Interval, Union) { return AppendCopy(dst, a) })
+		// AppendFixed takes the operands' intervals in fixed point and in
+		// any order: b's reversed, then a's.
+		ivs := append(slices.Clone(b.ivs), a.ivs...)
+		slices.Reverse(ivs[:len(b.ivs)])
+		fs := make([]Fixed, len(ivs))
+		for i, iv := range ivs {
+			var ok bool
+			if fs[i], ok = iv.Fixed(); !ok {
+				t.Fatalf("%s has no fixed-point form", iv)
+			}
+		}
+		check("AppendFixed", refUnion(a, b), func(dst []Interval) ([]Interval, Union) { return AppendFixed(dst, fs) })
 
 		// Absorb into an owned accumulator with spare capacity, as the
 		// protocols grow their state.

@@ -10,7 +10,9 @@
 package interval
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"strings"
@@ -76,6 +78,23 @@ func DecodeInterval(r *bitio.Reader) (Interval, error) {
 		return Interval{}, err
 	}
 	return Interval{Lo: lo, Hi: hi}, nil
+}
+
+// Fixed is a non-empty interval whose end points have at most 64 fraction
+// bits, in units of 2^-64: [Lo, Last+1). Storing the last unit rather than
+// the end lets [x, 1) fit a word, and the pair holds no pointers.
+type Fixed struct{ Lo, Last uint64 }
+
+// Fixed returns iv in fixed point, and false when iv is empty or an end
+// point has more than 64 fraction bits.
+func (iv Interval) Fixed() (Fixed, bool) {
+	lo, okLo := iv.Lo.Frac64()
+	end, okHi := iv.Hi.Frac64()
+	if !okLo || !okHi && !iv.Hi.IsOne() || okHi && end <= lo {
+		return Fixed{}, false
+	}
+	// end is 0 for Hi = 1, so end-1 wraps to the last unit below 1.
+	return Fixed{Lo: lo, Last: end - 1}, true
 }
 
 // appendSplit partitions [Lo, Hi) into k >= 1 disjoint intervals using the
@@ -248,6 +267,63 @@ func AppendUnion(dst []Interval, u, o Union) ([]Interval, Union) {
 func AppendCopy(dst []Interval, u Union) ([]Interval, Union) {
 	out := append(dst, u.ivs...)
 	return out, window(out, len(dst))
+}
+
+// AppendFixed appends the union of fs to dst, under AppendUnion's rules. It
+// sorts fs by Lo in place, then coalesces the intervals that overlap or
+// touch, so fs may hold them in any order.
+func AppendFixed(dst []Interval, fs []Fixed) ([]Interval, Union) {
+	sortFixed(fs)
+	out := dst
+	for i := 0; i < len(fs); {
+		lo, last := fs[i].Lo, fs[i].Last
+		// Every interval that overlaps or touches [lo, last] extends it, and
+		// one that reaches 1 takes in all that follow.
+		for i++; i < len(fs) && (last == math.MaxUint64 || fs[i].Lo <= last+1); i++ {
+			last = max(last, fs[i].Last)
+		}
+		hi := dyadic.One()
+		if last != math.MaxUint64 {
+			hi = dyadic.FromFrac(last+1, 64)
+		}
+		out = append(out, Interval{Lo: dyadic.FromFrac(lo, 64), Hi: hi})
+	}
+	return out, window(out, len(dst))
+}
+
+// sortFixed sorts fs by Lo: a few intervals in place, more by a radix sort
+// on the bytes of Lo, skipping the bytes all keys share. Coarse end points
+// leave their low bytes zero, so a sort of intervals whose end points have
+// at most 24 fraction bits makes three passes.
+func sortFixed(fs []Fixed) {
+	if len(fs) <= 32 {
+		slices.SortFunc(fs, func(a, b Fixed) int { return cmp.Compare(a.Lo, b.Lo) })
+		return
+	}
+	var counts [8][256]int
+	for _, f := range fs {
+		for b := range counts {
+			counts[b][byte(f.Lo>>(8*b))]++
+		}
+	}
+	src, dst := fs, make([]Fixed, len(fs))
+	for b := range counts {
+		c := &counts[b]
+		if c[byte(fs[0].Lo>>(8*b))] == len(fs) {
+			continue
+		}
+		sum := 0
+		for k, n := range c {
+			c[k], sum = sum, sum+n
+		}
+		for _, f := range src {
+			k := byte(f.Lo >> (8 * b))
+			dst[c[k]] = f
+			c[k]++
+		}
+		src, dst = dst, src
+	}
+	copy(fs, src)
 }
 
 // window returns out[base:] as a union capped at its length, so an append to

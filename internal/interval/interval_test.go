@@ -338,3 +338,58 @@ func TestMaxEndpointPrec(t *testing.T) {
 		t.Fatal("empty union should have prec 0")
 	}
 }
+
+// TestFixed checks the fixed-point form at its edges: an interval that
+// reaches 1 stores the last unit below it, and an empty interval or one
+// with an end point past 64 fraction bits has no form.
+func TestFixed(t *testing.T) {
+	const max = ^uint64(0)
+	for _, c := range []struct {
+		iv   Interval
+		want Fixed
+		ok   bool
+	}{
+		{Full(), Fixed{0, max}, true},
+		{iv(1, 1, 1, 0), Fixed{1 << 63, max}, true},
+		{iv(1, 2, 1, 1), Fixed{1 << 62, 1<<63 - 1}, true},
+		{iv(1, 64, 2, 64), Fixed{1, 1}, true},
+		{iv(1, 65, 1, 1), Fixed{}, false},
+		{iv(0, 0, 3, 65), Fixed{}, false},
+		{iv(1, 1, 1, 1), Fixed{}, false},
+		{Empty(), Fixed{}, false},
+	} {
+		if got, ok := c.iv.Fixed(); got != c.want || ok != c.ok {
+			t.Errorf("%s.Fixed() = %+v, %v; want %+v, %v", c.iv, got, ok, c.want, c.ok)
+		}
+	}
+	// AppendFixed inverts it, coalescing what touches.
+	_, u := AppendFixed(nil, []Fixed{{1 << 63, max}, {0, 1<<62 - 1}, {1 << 62, 1<<63 - 1}})
+	if !u.IsFull() {
+		t.Errorf("AppendFixed of a half and two quarters = %s, want [0, 1)", u)
+	}
+}
+
+// TestAppendFixedMatchesNewUnion checks AppendFixed against NewUnion on
+// shuffled intervals, from a few (sorted in place) to hundreds (radix
+// sorted), with end points of 1 to 64 fraction bits so that the radix sort
+// both makes and skips passes.
+func TestAppendFixedMatchesNewUnion(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(400)
+		p := uint(1 + rng.Intn(64))
+		ivs := make([]Interval, n)
+		fs := make([]Fixed, n)
+		for i := range ivs {
+			a, b := rng.Uint64()>>(64-p), rng.Uint64()>>(64-p)
+			if a == b {
+				b++
+			}
+			ivs[i] = Interval{Lo: d(min(a, b), p), Hi: d(max(a, b), p)}
+			fs[i], _ = ivs[i].Fixed()
+		}
+		if _, got := AppendFixed(nil, fs); !got.Equal(NewUnion(ivs...)) {
+			t.Fatalf("trial %d (%d intervals, %d bits): AppendFixed %s, NewUnion %s", trial, n, p, got, NewUnion(ivs...))
+		}
+	}
+}

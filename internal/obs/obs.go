@@ -33,8 +33,9 @@ import (
 // TimelineSchemaVersion identifies the Timeline JSON layout; tooling must
 // refuse to compare mismatched versions.
 // Version 2 added the churn section (dynamic-network events with per-event
-// re-stabilization); version 3 dropped the forced-step counter.
-const TimelineSchemaVersion = 3
+// re-stabilization); version 3 dropped the forced-step counter; version 4
+// dropped the scheduler-pop counter, which equalled the delivery count.
+const TimelineSchemaVersion = 4
 
 // DefaultSampleEvery is the logical-clock sampling stride K used when a
 // recorder is created with a non-positive stride.
@@ -58,8 +59,6 @@ type Sample struct {
 	Drops int64 `json:"drops"`
 	// Crashes counts deliveries consumed unprocessed by crashed vertices.
 	Crashes int64 `json:"crashes"`
-	// Pops counts explicit scheduler pop choices.
-	Pops int64 `json:"pops"`
 }
 
 // Totals are the end-of-run cumulative counters of one track, or the
@@ -69,7 +68,6 @@ type Totals struct {
 	Sends      int64 `json:"sends"`
 	Drops      int64 `json:"drops"`
 	Crashes    int64 `json:"crashes"`
-	Pops       int64 `json:"pops"`
 	// PeakInFlight is the track's local high-water mark of queued messages.
 	// In the aggregate it is the maximum over tracks — a lower bound on the
 	// global peak, which only barrier points define for a sharded run (the
@@ -168,7 +166,6 @@ type Track struct {
 	sends      int64
 	drops      int64
 	crashes    int64
-	pops       int64
 	enqueued   int64
 	peak       int64
 
@@ -228,14 +225,6 @@ func (t *Track) Donate(n int) {
 	t.enqueued -= int64(n)
 }
 
-// Popped counts one explicit scheduler pop choice.
-func (t *Track) Popped() {
-	if t == nil {
-		return
-	}
-	t.pops++
-}
-
 // Delivered counts one completed delivery step — engines call it after the
 // delivery's triggered sends are accounted, so a sample taken here sees them
 // — and takes a logical-clock sample every stride deliveries.
@@ -254,7 +243,6 @@ func (t *Track) Delivered(crashed bool) {
 			Sends:    t.sends,
 			Drops:    t.drops,
 			Crashes:  t.crashes,
-			Pops:     t.pops,
 		})
 	}
 }
@@ -265,7 +253,6 @@ func (t *Track) totals() Totals {
 		Sends:        t.sends,
 		Drops:        t.drops,
 		Crashes:      t.crashes,
-		Pops:         t.pops,
 		PeakInFlight: t.peak,
 	}
 }
@@ -430,7 +417,6 @@ func (r *Recorder) Timeline() *Timeline {
 		tl.Totals.Sends += tot.Sends
 		tl.Totals.Drops += tot.Drops
 		tl.Totals.Crashes += tot.Crashes
-		tl.Totals.Pops += tot.Pops
 		if tot.PeakInFlight > tl.Totals.PeakInFlight {
 			tl.Totals.PeakInFlight = tot.PeakInFlight
 		}

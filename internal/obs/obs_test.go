@@ -32,7 +32,6 @@ func TestNilSafety(t *testing.T) {
 	tr.Send()
 	tr.Dropped()
 	tr.Enqueued()
-	tr.Popped()
 	tr.Delivered(true)
 }
 
@@ -45,7 +44,6 @@ func TestSampling(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		tr.Send()
 		tr.Enqueued()
-		tr.Popped()
 		tr.Delivered(false)
 	}
 	tl := r.Timeline()
@@ -59,8 +57,8 @@ func TestSampling(t *testing.T) {
 	if s[0].Step != 2 || s[1].Step != 4 {
 		t.Errorf("sample steps %d, %d, want 2, 4", s[0].Step, s[1].Step)
 	}
-	if s[0].Sends != 2 || s[0].Pops != 2 || s[0].InFlight != 0 {
-		t.Errorf("first sample %+v: want sends=2 pops=2 in_flight=0", s[0])
+	if s[0].Sends != 2 || s[0].InFlight != 0 {
+		t.Errorf("first sample %+v: want sends=2 in_flight=0", s[0])
 	}
 	tot := tl.Tracks[0].Totals
 	if tot.Deliveries != 5 || tot.Sends != 5 || tot.PeakInFlight != 1 {

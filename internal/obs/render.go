@@ -71,7 +71,6 @@ func (r *Report) Table() string {
 	counter("sends", func(t Totals) int64 { return t.Sends })
 	counter("drops", func(t Totals) int64 { return t.Drops })
 	counter("crashes", func(t Totals) int64 { return t.Crashes })
-	counter("scheduler pops", func(t Totals) int64 { return t.Pops })
 	counter("peak in-flight", func(t Totals) int64 { return t.PeakInFlight })
 
 	// Sampled in-flight distribution, per track and combined.
@@ -243,8 +242,6 @@ func (r *Report) Prometheus() string {
 		func(t Totals) int64 { return t.Drops })
 	counter("anonnet_crashes_total", "Deliveries consumed by crashed vertices, per shard.",
 		func(t Totals) int64 { return t.Crashes })
-	counter("anonnet_scheduler_pops_total", "Explicit scheduler pop choices, per shard.",
-		func(t Totals) int64 { return t.Pops })
 
 	peak := PromMetric{
 		Name: "anonnet_in_flight_peak",

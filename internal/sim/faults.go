@@ -113,8 +113,10 @@ type ChurnEvent struct {
 	At int
 	// Clock is the global delivery clock (deliveries completed anywhere,
 	// under any fault plan with churn terms) when the event fired. On the
-	// deterministic engines it is a pure function of (plan, schedule); the
-	// wild engines report one honest linearization of their run.
+	// deterministic engines it is a pure function of (plan, schedule): the
+	// sharded engine counts the deliveries before the superstep plus the
+	// delivering shard's own, whatever the thread timing. The wild engines
+	// report one honest linearization of their run.
 	Clock int64
 }
 
@@ -154,11 +156,12 @@ type FaultState struct {
 
 	// Churn state. The per-vertex and per-edge slots (including the fired
 	// flags) follow the single-owner contract above; the event log and the
-	// per-step fired flags are shared and guarded by evMu / atomics. clock
-	// ticks once per CrashDelivery call — every engine makes exactly one
-	// such call per delivery — and is only maintained when churn is
-	// tracked, so plain loss/drop plans stay lock- and atomic-free on the
-	// delivery path.
+	// per-step fired clocks are shared and guarded by evMu / atomics. clock
+	// ticks once per CrashDelivery call — every engine but the sharded one
+	// makes exactly one such call per delivery, and the sharded one keeps
+	// the clock itself (CrashDeliveryAt) — and is only maintained when
+	// churn is tracked, so plain loss/drop plans stay lock- and atomic-free
+	// on the delivery path.
 	churnTracked bool
 	crashAt      []int32 // original crash quota per vertex (event At field)
 	recover      []int32 // crashed deliveries still to consume; -1 = never recovers
@@ -177,7 +180,10 @@ type FaultState struct {
 type compiledLossStep struct {
 	after uint32
 	rate  float64
-	fired atomic.Bool
+	// fired is one more than the earliest clock at which a send reached the
+	// step, 0 until one does. Shards reach a step concurrently, so it keeps
+	// the minimum rather than whichever shard got there first.
+	fired atomic.Int64
 }
 
 // NewFaultState compiles opts.Faults against g. It returns (nil, nil) when
@@ -309,6 +315,15 @@ func (fs *FaultState) DropSend(e graph.EdgeID) bool {
 	if fs == nil {
 		return false
 	}
+	return fs.DropSendAt(e, fs.clock.Load())
+}
+
+// DropSendAt is DropSend for an engine that keeps the delivery clock itself:
+// now is the clock of the delivery that made the send, 0 for the root's.
+func (fs *FaultState) DropSendAt(e graph.EdgeID, now int64) bool {
+	if fs == nil {
+		return false
+	}
 	idx := fs.sendIdx[e]
 	fs.sendIdx[e] = idx + 1
 	if fs.drops[e] > 0 {
@@ -325,7 +340,7 @@ func (fs *FaultState) DropSend(e graph.EdgeID) bool {
 			}
 			if !fs.joinFired[e] {
 				fs.joinFired[e] = true
-				fs.addEvent(ChurnEvent{Kind: ChurnJoin, Vertex: -1, Edge: int(e), At: int(j), Clock: fs.clock.Load()})
+				fs.addEvent(ChurnEvent{Kind: ChurnJoin, Vertex: -1, Edge: int(e), At: int(j), Clock: now})
 			}
 		}
 	}
@@ -333,7 +348,7 @@ func (fs *FaultState) DropSend(e graph.EdgeID) bool {
 		if c := fs.cut[e]; c >= 0 && int32(idx) >= c {
 			if !fs.cutFired[e] {
 				fs.cutFired[e] = true
-				fs.addEvent(ChurnEvent{Kind: ChurnCut, Vertex: -1, Edge: int(e), At: int(c), Clock: fs.clock.Load()})
+				fs.addEvent(ChurnEvent{Kind: ChurnCut, Vertex: -1, Edge: int(e), At: int(c), Clock: now})
 			}
 			fs.dropped.Add(1)
 			return true
@@ -346,8 +361,10 @@ func (fs *FaultState) DropSend(e graph.EdgeID) bool {
 			break // triggers ascend; later steps cannot apply either
 		}
 		rate = s.rate
-		if !s.fired.Load() && s.fired.CompareAndSwap(false, true) {
-			fs.addEvent(ChurnEvent{Kind: ChurnLoss, Vertex: -1, Edge: -1, At: int(s.after), Clock: fs.clock.Load()})
+		for f := s.fired.Load(); f == 0 || now+1 < f; f = s.fired.Load() {
+			if s.fired.CompareAndSwap(f, now+1) {
+				break
+			}
 		}
 	}
 	if rate > 0 && bernoulli(fs.lossSeed, e, idx, rate) {
@@ -360,8 +377,9 @@ func (fs *FaultState) DropSend(e graph.EdgeID) bool {
 // CrashDelivery decides the fate of the next delivery to v: true means v has
 // crash-stopped and the engine must consume the message without processing
 // it. Callable only by v's single delivery consumer; see the type comment.
-// Every engine calls it exactly once per delivery, which is what makes it
-// double as the global delivery clock when churn is tracked.
+// Every engine but the sharded one calls it exactly once per delivery,
+// which is what makes it double as the global delivery clock when churn is
+// tracked.
 func (fs *FaultState) CrashDelivery(v graph.VertexID) bool {
 	if fs == nil {
 		return false
@@ -370,7 +388,13 @@ func (fs *FaultState) CrashDelivery(v graph.VertexID) bool {
 	if fs.churnTracked {
 		now = fs.clock.Add(1)
 	}
-	if fs.crash == nil {
+	return fs.CrashDeliveryAt(v, now)
+}
+
+// CrashDeliveryAt is CrashDelivery for an engine that keeps the delivery
+// clock itself: now is this delivery's clock, counting it.
+func (fs *FaultState) CrashDeliveryAt(v graph.VertexID, now int64) bool {
+	if fs == nil || fs.crash == nil {
 		return false
 	}
 	q := fs.crash[v]
@@ -416,7 +440,9 @@ func (fs *FaultState) addEvent(ev ChurnEvent) {
 
 // ChurnReport returns the run's churn activity, or nil when the plan has no
 // churn terms (crash, recover, cut, join, loss steps). Safe to call from any
-// goroutine once the run is over; also safe on a nil receiver.
+// goroutine once the run is over; also safe on a nil receiver. Its
+// Deliveries is the clock CrashDelivery kept, which an engine that keeps
+// the clock itself overwrites.
 func (fs *FaultState) ChurnReport() *ChurnReport {
 	if fs == nil || !fs.churnTracked {
 		return nil
@@ -424,6 +450,12 @@ func (fs *FaultState) ChurnReport() *ChurnReport {
 	fs.evMu.Lock()
 	evs := append([]ChurnEvent(nil), fs.events...)
 	fs.evMu.Unlock()
+	for i := range fs.lossSteps {
+		s := &fs.lossSteps[i]
+		if f := s.fired.Load(); f != 0 {
+			evs = append(evs, ChurnEvent{Kind: ChurnLoss, Vertex: -1, Edge: -1, At: int(s.after), Clock: f - 1})
+		}
+	}
 	sort.SliceStable(evs, func(i, j int) bool {
 		a, b := evs[i], evs[j]
 		if a.Clock != b.Clock {

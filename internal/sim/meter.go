@@ -11,14 +11,17 @@ import (
 // Metering pipeline sizes. They are tuned on the repository benchmark
 // (bench/, 2-vCPU VM) and are not options.
 const (
-	// meterInline is how many sends a run meters inline before it hands
-	// the rest to a metering goroutine. Served executions of serve_mix's
-	// torus:w=5,h=5 send 1,247–1,996 messages (9 runs), and a pipeline
-	// that started at the first send made serve_mix's op_ms_p90 6–15%
-	// slower: both cores already serve two clients there, and such short
-	// runs pay for the buffering without gaining a core. At twice the
-	// largest of those runs, every served execution stays inline, while a
-	// tree_seq run (50,000 sends) crosses within its first tenth.
+	// meterInline is how many sends a run that only counts (no alphabet
+	// or first-symbol tracking) meters inline before it hands the rest to
+	// a metering goroutine. Served executions of serve_mix's
+	// torus:w=5,h=5 count 1,247–1,996 sends (9 runs), and a pipeline that
+	// started at the first send made serve_mix's op_ms_p90 6–15% slower:
+	// both cores already serve two clients there, and such short runs pay
+	// for the buffering without gaining a core. At twice the largest of
+	// those runs, every such execution stays inline. A run that interns
+	// its symbols pipelines from its first send: interning is most of
+	// what metering a send costs, and moving it off the delivery
+	// goroutine pays even on runs of a few thousand sends.
 	meterInline = 4096
 	// meterBatch is the number of sends handed over at once. Metering one
 	// send costs about 0.15 µs on tree_seq, so a batch is some 40 µs of
@@ -35,10 +38,11 @@ const (
 )
 
 // meter meters the sends of a deterministic run (Run, RunSynchronous) in
-// send order. A run's first meterInline sends are metered inline, into the
-// run's own Metrics. Past them, sends are buffered into fixed batches that
-// one goroutine meters, batch after batch and send after send, into a copy
-// of the metrics that close folds back. Metering is then off the delivery
+// send order. A run that only counts meters its first meterInline sends
+// inline, into the run's own Metrics; a run that interns symbols meters
+// none inline. Past the inline sends, sends are buffered into fixed batches
+// that one goroutine meters, batch after batch and send after send, into a
+// copy of the metrics that close folds back. Metering is then off the delivery
 // goroutine's critical path, and exact: the goroutine sees every send in
 // the order the engine made them. This leans on protocol.Message's rule
 // that a sent message is never written again, so the goroutine may read a
@@ -50,7 +54,7 @@ const (
 // by its workers, so a deferred count would let a run overshoot its budget.
 type meter struct {
 	m    *Metrics
-	p    *meterPipe // nil until the run passes meterInline sends
+	p    *meterPipe // nil while the run meters inline
 	slot int        // the ring slot being filled
 	fill int        // sends in it
 }
@@ -80,8 +84,8 @@ type meterPipe struct {
 	ring [meterRing][meterBatch]sendRecord
 }
 
-// spareMeterPipe keeps the last closed pipe for the next run that crosses
-// meterInline, so runs one after another allocate neither batches nor a
+// spareMeterPipe keeps the last closed pipe for the next run that
+// pipelines, so runs one after another allocate neither batches nor a
 // channel. A sync.Pool loses its one pipe whenever a run's Put and the next
 // run's Get land on different Ps: about one churn_seq run in five allocated
 // a new pipe that way (2 vCPUs).
@@ -90,7 +94,7 @@ var spareMeterPipe atomic.Pointer[meterPipe]
 // record meters one send of msg on e.
 func (m *meter) record(e graph.EdgeID, msg protocol.Message) {
 	if m.p == nil {
-		if m.m.Messages < meterInline {
+		if m.m.interner == nil && m.m.Messages < meterInline {
 			m.m.record(e, msg)
 			return
 		}

@@ -30,7 +30,12 @@ type oracle struct {
 	first     map[graph.EdgeID]string
 }
 
-func newOracle(g *graph.G) *oracle {
+// newOracle returns an oracle for g. One for a run that does not intern
+// expects no Alphabet and no FirstSymbol.
+func newOracle(g *graph.G, intern bool) *oracle {
+	if !intern {
+		return &oracle{edgeBits: make([]int64, g.NumEdges()), edgeMsgs: make([]int, g.NumEdges())}
+	}
 	return &oracle{
 		in:       protocol.NewInterner(),
 		edgeBits: make([]int64, g.NumEdges()),
@@ -47,6 +52,9 @@ func (o *oracle) OnSend(e graph.EdgeID, msg protocol.Message) {
 	o.maxBits = max(o.maxBits, bits)
 	o.edgeBits[e] += int64(bits)
 	o.edgeMsgs[e]++
+	if o.in == nil {
+		return
+	}
 	key := o.in.KeyOf(o.in.Intern(msg))
 	o.alphabet[key]++
 	if _, ok := o.first[e]; !ok {
@@ -78,8 +86,14 @@ func (o *oracle) check(t *testing.T, name string, m *sim.Metrics) {
 
 // meteredRun runs p on g with the oracle attached and full metering on.
 func meteredRun(eng sim.Engine, g *graph.G, p protocol.Protocol, opts sim.Options) (*sim.Result, *oracle, error) {
-	o := newOracle(g)
-	opts.Observer, opts.TrackAlphabet, opts.TrackFirstSymbol = o, true, true
+	return metered(eng, g, p, opts, true)
+}
+
+// metered runs p on g with the oracle attached, interning symbols (both
+// alphabet and first-symbol tracking on) or only counting sends.
+func metered(eng sim.Engine, g *graph.G, p protocol.Protocol, opts sim.Options, intern bool) (*sim.Result, *oracle, error) {
+	o := newOracle(g, intern)
+	opts.Observer, opts.TrackAlphabet, opts.TrackFirstSymbol = o, intern, intern
 	res, err := eng.Run(g, p, opts)
 	return res, o, err
 }
@@ -97,10 +111,12 @@ func settledGoroutines(limit int) int {
 }
 
 // TestPipelinedMeteringMatchesOracle runs registry families on both
-// deterministic engines under three adversaries and three fault plans,
-// sized so that some runs meter inline only and others cross the inline
-// threshold by several batches, and checks every metered quantity against
-// the oracle.
+// deterministic engines under three adversaries and three fault plans, and
+// checks every metered quantity against the oracle. Runs that intern
+// symbols meter on the metering goroutine from their first send, however
+// few sends they make. Runs that only count sends, made under fifo, meter
+// inline up to the threshold: the inputs are sized so that some stay under
+// it and others cross it by several batches.
 func TestPipelinedMeteringMatchesOracle(t *testing.T) {
 	type input struct {
 		spec  string
@@ -119,7 +135,7 @@ func TestPipelinedMeteringMatchesOracle(t *testing.T) {
 	}
 	plans := []string{"", "loss=3,seed=2", "crash=%[1]d:1,recover=%[1]d:3,cut=%[2]d:2,join=%[3]d:1"}
 	engines := []sim.Engine{sim.Sequential(), sim.Synchronous()}
-	var under, over int
+	var under, over, countUnder, countOver int
 	for _, in := range inputs {
 		g, err := scenario.Parse(in.spec)
 		if err != nil {
@@ -143,24 +159,41 @@ func TestPipelinedMeteringMatchesOracle(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					name := fmt.Sprintf("%s/%s/%q/%s", in.spec, eng.Name(), spec, sched)
-					res, o, err := meteredRun(eng, g, in.proto, sim.Options{Scheduler: s, Seed: 7, Faults: faults})
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					o.check(t, name, &res.Metrics)
-					switch {
-					case res.Metrics.Messages <= sim.MeterInline:
-						under++
-					case res.Metrics.Messages >= sim.MeterInline+4*sim.MeterBatch:
-						over++
+					for _, intern := range []bool{true, false} {
+						if !intern && sched != "fifo" {
+							continue
+						}
+						name := fmt.Sprintf("%s/%s/%q/%s/intern=%v", in.spec, eng.Name(), spec, sched, intern)
+						sim.TookPipe()
+						res, o, err := metered(eng, g, in.proto, sim.Options{Scheduler: s, Seed: 7, Faults: faults}, intern)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						o.check(t, name, &res.Metrics)
+						n := res.Metrics.Messages
+						if want := intern || n > sim.MeterInline; sim.TookPipe() != want {
+							t.Errorf("%s: %d sends metered on a goroutine: %v, want %v", name, n, !want, want)
+						}
+						switch {
+						case n <= sim.MeterInline && intern:
+							under++
+						case n <= sim.MeterInline:
+							countUnder++
+						case n >= sim.MeterInline+4*sim.MeterBatch && intern:
+							over++
+						case n >= sim.MeterInline+4*sim.MeterBatch:
+							countOver++
+						}
 					}
 				}
 			}
 		}
 	}
 	if under < 10 || over < 10 {
-		t.Fatalf("%d runs stayed inline and %d crossed the threshold by four batches; want at least 10 of each", under, over)
+		t.Fatalf("interning runs: %d under the threshold and %d past it by four batches; want at least 10 of each", under, over)
+	}
+	if countUnder < 5 || countOver < 5 {
+		t.Fatalf("counting runs: %d under the threshold and %d past it by four batches; want at least 5 of each", countUnder, countOver)
 	}
 }
 
@@ -356,25 +389,29 @@ func (t *boomTerm) Done() bool  { return t.done }
 func (t *boomTerm) Output() any { return nil }
 
 // TestPipelinedMeteringReraisesPanics makes metering itself panic, inline
-// and on the metering goroutine: either way Run panics on its caller's
-// goroutine with the same value, so a caller that recovers a run's panics
-// (the run server does) still can, and no goroutine is left behind.
+// (a counting run before the threshold) and on the metering goroutine
+// (past it, or an interning run anywhere): either way Run panics on its
+// caller's goroutine with the same value, so a caller that recovers a run's
+// panics (the run server does) still can, and no goroutine is left behind.
 func TestPipelinedMeteringReraisesPanics(t *testing.T) {
 	g := graph.Line(3 * sim.MeterInline / 2)
 	for _, eng := range []sim.Engine{sim.Sequential(), sim.Synchronous()} {
-		for _, at := range []int{sim.MeterInline / 2, sim.MeterInline + sim.MeterBatch/2} {
-			before := runtime.NumGoroutine()
-			var got any
-			func() {
-				defer func() { got = recover() }()
-				_, err := eng.Run(g, boomProto{at: at}, sim.Options{TrackAlphabet: true})
-				t.Errorf("%s, panic at send %d: Run returned (err %v)", eng.Name(), at, err)
-			}()
-			if got != errBoom {
-				t.Errorf("%s, panic at send %d: recovered %v, want %v", eng.Name(), at, got, errBoom)
-			}
-			if after := settledGoroutines(before); after > before {
-				t.Errorf("%s, panic at send %d: %d goroutines before Run, %d after", eng.Name(), at, before, after)
+		for _, intern := range []bool{false, true} {
+			for _, at := range []int{sim.MeterInline / 2, sim.MeterInline + sim.MeterBatch/2} {
+				name := fmt.Sprintf("%s, intern=%v, panic at send %d", eng.Name(), intern, at)
+				before := runtime.NumGoroutine()
+				var got any
+				func() {
+					defer func() { got = recover() }()
+					_, err := eng.Run(g, boomProto{at: at}, sim.Options{TrackAlphabet: intern})
+					t.Errorf("%s: Run returned (err %v)", name, err)
+				}()
+				if got != errBoom {
+					t.Errorf("%s: recovered %v, want %v", name, got, errBoom)
+				}
+				if after := settledGoroutines(before); after > before {
+					t.Errorf("%s: %d goroutines before Run, %d after", name, before, after)
+				}
 			}
 		}
 	}

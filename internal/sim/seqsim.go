@@ -123,7 +123,6 @@ func Run(g *graph.G, p protocol.Protocol, opts Options) (*Result, error) {
 		// Adversary: choose the next pending edge; deliver its oldest
 		// message (links are FIFO).
 		e := sched.Pop()
-		tr.Popped()
 		if res.Steps >= maxSteps {
 			return res, fmt.Errorf("%w (%d steps, graph %s, protocol %s)", ErrStepLimit, res.Steps, g, p.Name())
 		}

@@ -159,6 +159,9 @@ type shardRun struct {
 	recs    []sim.EdgeRecord
 	visited []bool
 	faults  *sim.FaultState
+	// clock is the number of deliveries before the current superstep,
+	// the base of the churn clock its drains stamp.
+	clock int64
 
 	// owner[v] is the shard currently delivering to vertex v. It starts as a
 	// copy of part.Of and is rewritten only at barriers, by work donation —
@@ -319,7 +322,7 @@ func run(g *graph.G, p protocol.Protocol, opts sim.Options, shards int,
 			run.obs.OnSend(rootEdge.ID, init)
 		}
 		rootShard.tr.Send()
-		if run.faults.DropSend(rootEdge.ID) {
+		if run.faults.DropSendAt(rootEdge.ID, 0) {
 			rootShard.tr.Dropped()
 			continue
 		}
@@ -351,6 +354,7 @@ func run(g *graph.G, p protocol.Protocol, opts sim.Options, shards int,
 		// engine overshoots by 0); crossing the limit surfaces as
 		// ErrStepLimit below.
 		budget := (maxSteps - totalSteps + part.K - 1) / part.K
+		run.clock = int64(totalSteps)
 		drainStop := obsStart(rec, "drain")
 		par.Map(0, part.K, func(s int) { run.states[s].drain(run, budget) })
 		drainStop()
@@ -480,7 +484,6 @@ func (st *shardState) drain(run *shardRun, budget int) {
 			return
 		}
 		e := sched.Pop()
-		st.tr.Popped()
 		n++
 
 		rec := &run.recs[e]
@@ -490,8 +493,11 @@ func (st *shardState) drain(run *shardRun, budget int) {
 			sched.Push(sim.PendingEdge{Edge: e, HeadSeq: rec.Q.FrontSeq()})
 		}
 
+		// The churn clock: deliveries before this superstep plus this
+		// shard's own, so it does not depend on how the shards interleave.
+		now := run.clock + int64(n)
 		to := graph.VertexID(rec.To)
-		if run.faults.CrashDelivery(to) {
+		if run.faults.CrashDeliveryAt(to, now) {
 			// Crash-stopped vertex: consume without processing. The crash
 			// quota slot is owned by this shard (the head's owner — the
 			// only shard that delivers to it), so the check is race-free.
@@ -528,7 +534,7 @@ func (st *shardState) drain(run *shardRun, budget int) {
 				run.obs.OnSend(oe, out)
 			}
 			st.tr.Send()
-			if run.faults.DropSend(oe) {
+			if run.faults.DropSendAt(oe, now) {
 				st.tr.Dropped()
 				continue
 			}
@@ -712,12 +718,17 @@ func (run *shardRun) finalize(res *sim.Result, peak int) {
 	res.Churn = run.faults.ChurnReport()
 	res.Steals = run.steals
 	res.StolenEdges = run.stolenEdges
+	var delivered int64
 	for _, st := range run.states {
+		delivered += int64(st.delivered)
 		m.Messages += st.messages
 		m.TotalBits += st.totalBits
 		if st.maxMsgBits > m.MaxMsgBits {
 			m.MaxMsgBits = st.maxMsgBits
 		}
+	}
+	if res.Churn != nil {
+		res.Churn.Deliveries = delivered
 	}
 	if run.trackAlphabet {
 		m.Alphabet = make(map[string]int)
