@@ -323,7 +323,7 @@ func BenchmarkE11Rounds(b *testing.B) {
 		b.Run(fmt.Sprintf("V=%d", g.NumVertices()), func(b *testing.B) {
 			var last *sim.Result
 			for i := 0; i < b.N; i++ {
-				r, err := sim.RunSynchronous(g, p, sim.Options{})
+				r, err := sim.Synchronous().Run(g, p, sim.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}

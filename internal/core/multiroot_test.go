@@ -166,7 +166,7 @@ func TestWideRootRejectedForSingleInitProtocol(t *testing.T) {
 	if _, err := sim.Concurrent().Run(g, p, sim.Options{}); err == nil {
 		t.Fatal("concurrent engine accepted wide root without MultiInitializer")
 	}
-	if _, err := sim.RunSynchronous(g, p, sim.Options{}); err == nil {
+	if _, err := sim.Synchronous().Run(g, p, sim.Options{}); err == nil {
 		t.Fatal("sync engine accepted wide root without MultiInitializer")
 	}
 }

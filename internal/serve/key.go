@@ -48,7 +48,8 @@ type Key struct {
 	Protocol string
 	// Engine is the engine name ("" normalized to "seq").
 	Engine string
-	// Scheduler is the adversary name ("" normalized to "fifo").
+	// Scheduler is the adversary name ("" normalized to "fifo", and any
+	// name to "fifo" on the sync engine, which always runs fifo).
 	Scheduler string
 	// Seed is the scheduler seed.
 	Seed int64
@@ -139,6 +140,9 @@ func KeyOf(req *anonnet.Request, limits Limits) (Key, *Error) {
 	if !slices.Contains(anonnet.SchedulerNames(), k.Scheduler) {
 		return Key{}, Errf(CodeUnknownScheduler,
 			"unknown scheduler %q (have %s)", req.Scheduler, strings.Join(anonnet.SchedulerNames(), "|"))
+	}
+	if k.Engine == "sync" {
+		k.Scheduler = "fifo" // a synchronous run is the fifo schedule, whatever the request names
 	}
 	if k.Engine == "shard" {
 		if k.Shards == 0 {

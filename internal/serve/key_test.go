@@ -202,6 +202,14 @@ func TestKeyNormalization(t *testing.T) {
 		t.Errorf("defaults and explicit defaults got distinct keys:\n %s\n %s", a, b)
 	}
 
+	// The sync engine always runs the fifo schedule, so the scheduler a
+	// sync request names is one execution and one entry.
+	syncFIFO := anonnet.Request{Scenario: "torus:w=4,h=4,seed=1", Engine: "sync", Scheduler: "fifo"}
+	syncLIFO := anonnet.Request{Scenario: "torus:w=4,h=4,seed=1", Engine: "sync", Scheduler: "lifo"}
+	if a, b := mustKey(t, syncFIFO), mustKey(t, syncLIFO); a != b {
+		t.Errorf("sync under fifo and under lifo got distinct keys:\n %s\n %s", a, b)
+	}
+
 	net, err := anonnet.ScenarioNetwork("torus:w=4,h=4,seed=1")
 	if err != nil {
 		t.Fatal(err)
@@ -224,6 +232,7 @@ func TestKeyRejections(t *testing.T) {
 		{"unknown-engine", func(r *anonnet.Request) { r.Engine = "warp" }, CodeUnknownEngine},
 		{"wild-engine", func(r *anonnet.Request) { r.Engine = "concurrent" }, CodeEngineNotServable},
 		{"unknown-scheduler", func(r *anonnet.Request) { r.Scheduler = "chaos" }, CodeUnknownScheduler},
+		{"unknown-scheduler-on-sync", func(r *anonnet.Request) { r.Engine = "sync"; r.Scheduler = "chaos" }, CodeUnknownScheduler},
 		{"negative-shards", func(r *anonnet.Request) { r.Shards = -1 }, CodeBadRequest},
 		{"bad-faults", func(r *anonnet.Request) { r.Faults = "drop=999:1" }, CodeBadFaults},
 		{"chaos", func(r *anonnet.Request) { r.Chaos = "disconnect=3,loss=10" }, CodeChaosNotServable},

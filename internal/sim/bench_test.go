@@ -454,7 +454,7 @@ func TestPeakInFlightMatchesEventStream(t *testing.T) {
 		}
 		// Synchronous engine: same equivalence, one fixed schedule.
 		obs := &peakObserver{}
-		r, err := RunSynchronous(g, floodProto{need: need}, Options{Observer: obs})
+		r, err := Synchronous().Run(g, floodProto{need: need}, Options{Observer: obs})
 		if err != nil {
 			t.Fatal(err)
 		}

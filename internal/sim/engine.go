@@ -33,8 +33,11 @@ func Sequential() Engine { return seqEngine{} }
 // transport, so every edge is an inbox append.
 func Concurrent() Engine { return chanEngine{} }
 
-// Synchronous returns the global-rounds engine (RunSynchronous), which also
-// measures time in rounds.
+// Synchronous returns the global-rounds engine of the paper's Section 2:
+// every message sent in round k is delivered in round k+1. A synchronous
+// run is one asynchronous schedule, the fifo one, so this is the
+// sequential engine under the fifo scheduler (Options.Scheduler is
+// ignored) plus a round clock, which measures time in Result.Rounds.
 func Synchronous() Engine { return syncEngine{} }
 
 type seqEngine struct{}
@@ -60,5 +63,6 @@ type syncEngine struct{}
 
 func (syncEngine) Name() string { return "sync" }
 func (syncEngine) Run(g *graph.G, p protocol.Protocol, opts Options) (*Result, error) {
-	return RunSynchronous(g, p, opts)
+	opts.Scheduler = NewFIFOScheduler()
+	return run(g, p, opts, true)
 }

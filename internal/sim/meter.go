@@ -37,10 +37,10 @@ const (
 	meterRing = meterDepth + 2
 )
 
-// meter meters the sends of a deterministic run (Run, RunSynchronous) in
-// send order. A run that only counts meters its first meterInline sends
-// inline, into the run's own Metrics; a run that interns symbols meters
-// none inline. Past the inline sends, sends are buffered into fixed batches
+// meter meters the sends of a sequential run (Run, and Synchronous, which
+// is Run under fifo) in send order. A run that only counts meters its first
+// meterInline sends inline, into the run's own Metrics; a run that interns
+// symbols meters none inline. Past the inline sends, sends are buffered into fixed batches
 // that one goroutine meters, batch after batch and send after send, into a
 // copy of the metrics that close folds back. Metering is then off the delivery
 // goroutine's critical path, and exact: the goroutine sees every send in

@@ -8,8 +8,9 @@
 //   - Concurrent: the wild runner (Wild) with one worker goroutine and
 //     one mailbox per vertex, where asynchrony comes from the Go scheduler
 //     itself;
-//   - RunSynchronous (Synchronous): global rounds, the paper's Section 2
-//     extension, which additionally measures time (Result.Rounds).
+//   - Synchronous: global rounds, the paper's Section 2 extension. A
+//     synchronous run is the fifo schedule, so this is Run under the fifo
+//     scheduler plus a round clock, which measures time (Result.Rounds).
 //
 // A fourth engine — real TCP sockets — is the same wild runner over the
 // socket Transport of package netrun, and satisfies the same interface. All engines meter communication exactly in bits and
@@ -222,8 +223,9 @@ type Result struct {
 	Visited []bool
 	// Steps is the number of delivery steps executed.
 	Steps int
-	// Rounds is the number of synchronous rounds (RunSynchronous only; the
-	// asynchronous engines leave it 0 — time is undefined for them).
+	// Rounds is the number of synchronous rounds (the Synchronous engine
+	// only; the asynchronous engines leave it 0 — time is undefined for
+	// them).
 	Rounds int
 	// Dropped counts messages discarded by the run's fault plan
 	// (Options.Faults): sends dropped at the link plus
@@ -288,7 +290,7 @@ type Options struct {
 	// error there, and a custom scheduler reusing a registered name runs as
 	// that registry scheduler. The other engines ignore it: the concurrent and
 	// TCP engines draw their schedule from the Go scheduler and the network,
-	// the synchronous engine is itself one fixed schedule.
+	// the synchronous engine always runs fifo.
 	Scheduler Scheduler
 	// Seed drives the seeded schedulers (random, latency, ...).
 	Seed int64
@@ -299,7 +301,7 @@ type Options struct {
 	// TrackFirstSymbol enables Metrics.FirstSymbol collection.
 	TrackFirstSymbol bool
 	// Observer, when non-nil, receives every send and delivery event. The
-	// deterministic engines (Run, RunSynchronous) invoke it inline; the
+	// deterministic engines (Run, Synchronous) invoke it inline; the
 	// nondeterministic engines (Concurrent and the TCP tier in netrun)
 	// serialize their events through an internal lock (SerializedObserver),
 	// so the observer sees one linearization of the wild schedule that

@@ -27,6 +27,14 @@ import (
 // is re-registered before its message is processed, so the scheduler sees
 // it alongside the registrations that delivery triggers.
 func Run(g *graph.G, p protocol.Protocol, opts Options) (*Result, error) {
+	return run(g, p, opts, false)
+}
+
+// run is Run; with rounds set it is the synchronous engine: the caller
+// passes fifo, which delivers every message sent in round k before any sent
+// in round k+1, and a round clock counts Result.Rounds. Round k+1 begins
+// when the first message sent in round k comes up.
+func run(g *graph.G, p protocol.Protocol, opts Options, rounds bool) (*Result, error) {
 	nV, nE := g.NumVertices(), g.NumEdges()
 	nodes, term, err := BuildNodes(g, p)
 	if err != nil {
@@ -52,15 +60,23 @@ func Run(g *graph.G, p protocol.Protocol, opts Options) (*Result, error) {
 	// at the same loop positions as a shard's drain so the timeline of a
 	// run here is byte-identical to the sharded engine's at one shard. The
 	// whole run is a single superstep; recording it is deferred so error
-	// exits keep their partial row. All hooks are nil-receiver no-ops when
-	// telemetry is off.
+	// exits keep their partial row. A synchronous run records one superstep
+	// per round instead, the last one only on a Terminated or Quiescent
+	// exit, under the scheduler name "sync" that its recorded traces carry.
+	// All hooks are nil-receiver no-ops when telemetry is off.
 	var tr *obs.Track
 	if opts.Obs != nil {
-		opts.Obs.Configure(p.Name(), sched.Name(), opts.Seed, 1)
+		schedName, phase := sched.Name(), "deliver"
+		if rounds {
+			schedName, phase = "sync", "rounds"
+		}
+		opts.Obs.Configure(p.Name(), schedName, opts.Seed, 1)
 		tr = opts.Obs.Tracks(1)[0]
-		stop := opts.Obs.StartPhase("deliver")
+		stop := opts.Obs.StartPhase(phase)
 		defer stop()
-		defer func() { opts.Obs.Superstep([]int64{int64(res.Steps)}) }()
+		if !rounds {
+			defer func() { opts.Obs.Superstep([]int64{int64(res.Steps)}) }()
+		}
 	}
 
 	sched.Reset(SchedContext{
@@ -74,7 +90,14 @@ func Run(g *graph.G, p protocol.Protocol, opts Options) (*Result, error) {
 	// deliverable.
 	recs := NewEdgeRecords(g)
 	defer ReleaseEdgeRecords(recs)
-	var sendSeq uint64 // global send-sequence number, drives HeadSeq
+	var sendSeq uint64  // global send-sequence number, drives HeadSeq
+	var roundEnd uint64 // the current round's messages are numbered below it
+	roundStart := 0     // res.Steps when the current round began
+	endRound := func() {
+		if rounds && res.Rounds > 0 && opts.Obs != nil {
+			opts.Obs.Superstep([]int64{int64(res.Steps - roundStart)})
+		}
+	}
 	faults, err := NewFaultState(g, &opts)
 	if err != nil {
 		return nil, err
@@ -123,6 +146,11 @@ func Run(g *graph.G, p protocol.Protocol, opts Options) (*Result, error) {
 		// Adversary: choose the next pending edge; deliver its oldest
 		// message (links are FIFO).
 		e := sched.Pop()
+		if rounds && recs[e].Q.FrontSeq() >= roundEnd {
+			endRound()
+			res.Rounds++
+			roundEnd, roundStart = sendSeq, res.Steps
+		}
 		if res.Steps >= maxSteps {
 			return res, fmt.Errorf("%w (%d steps, graph %s, protocol %s)", ErrStepLimit, res.Steps, g, p.Name())
 		}
@@ -175,10 +203,12 @@ func Run(g *graph.G, p protocol.Protocol, opts Options) (*Result, error) {
 		if to == g.Terminal() && term.Done() {
 			res.Verdict = Terminated
 			res.Output = term.Output()
+			endRound()
 			return res, nil
 		}
 	}
 	res.Verdict = Quiescent
+	endRound()
 	return res, nil
 }
 

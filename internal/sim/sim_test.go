@@ -268,7 +268,7 @@ func TestConcurrentManyRuns(t *testing.T) {
 
 func TestSynchronousAgreesWithAsync(t *testing.T) {
 	g := graph.Chain(6)
-	rs, err := RunSynchronous(g, floodProto{need: 6}, Options{})
+	rs, err := Synchronous().Run(g, floodProto{need: 6}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestSynchronousRoundsEqualDepth(t *testing.T) {
 	// rounds to reach the terminal.
 	for _, n := range []int{1, 3, 8} {
 		g := graph.Line(n)
-		r, err := RunSynchronous(g, floodProto{need: 1}, Options{})
+		r, err := Synchronous().Run(g, floodProto{need: 1}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +310,7 @@ func TestSynchronousRoundsEqualDepth(t *testing.T) {
 
 func TestSynchronousQuiescence(t *testing.T) {
 	g := graph.Line(3)
-	r, err := RunSynchronous(g, floodProto{need: 2}, Options{})
+	r, err := Synchronous().Run(g, floodProto{need: 2}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestSynchronousQuiescence(t *testing.T) {
 
 func TestSynchronousStepLimit(t *testing.T) {
 	g := graph.Chain(10)
-	_, err := RunSynchronous(g, floodProto{need: 10}, Options{MaxSteps: 3})
+	_, err := Synchronous().Run(g, floodProto{need: 10}, Options{MaxSteps: 3})
 	if !errors.Is(err, ErrStepLimit) {
 		t.Fatalf("err = %v, want ErrStepLimit", err)
 	}

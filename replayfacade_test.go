@@ -2,6 +2,8 @@ package anonnet
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -138,28 +140,48 @@ func TestScheduleFuzzFacade(t *testing.T) {
 	}
 }
 
-// TestRecordOnSynchronousEngine: the sync engine is deterministic and
-// records like any other; its trace replays on the sequential engine (same
-// verdict — the schedules differ, which is exactly what the trace captures).
+// TestRecordOnSynchronousEngine: the sync engine is the sequential engine
+// under fifo, so a trace recorded on it carries exactly the events of one
+// recorded on seq with fifo — only the header's scheduler name differs, and
+// a scheduler handed to sync is ignored — and it replays strictly on the
+// sequential engine, re-recording the same events.
 func TestRecordOnSynchronousEngine(t *testing.T) {
-	var td *TraceData
-	rep, err := Broadcast(specNet("chain:n=4"), []byte("m"),
-		WithEngine(EngineSynchronous), WithRecordTrace(&td))
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct{ spec, faults, sched string }{
+		{"chain:n=4", "", ""},
+		{"randnet:n=10,extra=12,seed=5", "", "lifo"},
+		{"torus:w=4,h=4", "crash=2:1,recover=2:4,cut=1:2", "random"},
 	}
-	if td == nil || td.Scheduler() != "sync" {
-		t.Fatalf("sync recording header wrong: %v", td)
-	}
-	net, err := td.Network()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep2, err := Broadcast(net, []byte("m"), WithReplayTrace(td))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Terminated != rep.Terminated || rep2.Steps != rep.Steps {
-		t.Fatalf("sync trace replay diverges: %+v vs %+v", rep2, rep)
+	for _, c := range cases {
+		net := specNet(c.spec)
+		var syncTD, seqTD, replayTD *TraceData
+		rep, err := Broadcast(net, []byte("m"), WithEngine(EngineSynchronous),
+			WithScheduler(c.sched), WithFaults(c.faults), WithRecordTrace(&syncTD))
+		if err != nil && !errors.Is(err, ErrNotTerminated) {
+			t.Fatal(err)
+		}
+		if syncTD == nil || syncTD.Scheduler() != "sync" {
+			t.Fatalf("%s: sync recording header wrong: %v", c.spec, syncTD)
+		}
+		if _, err := Broadcast(net, []byte("m"), WithEngine(EngineSequential),
+			WithScheduler("fifo"), WithFaults(c.faults), WithRecordTrace(&seqTD)); err != nil && !errors.Is(err, ErrNotTerminated) {
+			t.Fatal(err)
+		}
+		want := *seqTD.tr
+		want.Scheduler = "sync"
+		if !reflect.DeepEqual(*syncTD.tr, want) {
+			t.Errorf("%s: sync trace %v differs from seq/fifo's %v beyond the scheduler name", c.spec, syncTD, seqTD)
+		}
+
+		rep2, err := Broadcast(net, []byte("m"), WithReplayTrace(syncTD), WithRecordTrace(&replayTD))
+		if err != nil && !errors.Is(err, ErrNotTerminated) {
+			t.Fatalf("%s: strict replay of the sync trace: %v", c.spec, err)
+		}
+		if !reflect.DeepEqual(replayTD.tr.Events, syncTD.tr.Events) {
+			t.Errorf("%s: replay re-recorded other events than the sync trace", c.spec)
+		}
+		if rep2.Terminated != rep.Terminated || rep2.Steps != rep.Steps ||
+			rep2.Messages != rep.Messages || rep2.TotalBits != rep.TotalBits {
+			t.Errorf("%s: sync trace replay diverges: %+v vs %+v", c.spec, rep2, rep)
+		}
 	}
 }

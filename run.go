@@ -35,7 +35,9 @@ const (
 	EngineConcurrent
 	// EngineSynchronous runs in global rounds (every message sent in round k
 	// arrives in round k+1) and additionally reports Report.Rounds, the time
-	// complexity the asynchronous model has no counterpart for.
+	// complexity the asynchronous model has no counterpart for. A
+	// synchronous run is the fifo schedule: this is EngineSequential under
+	// fifo, whatever the request's scheduler, with a round clock.
 	EngineSynchronous
 	// EngineTCP runs the network over localhost TCP: messages travel as
 	// actual wire-encoded bytes. Reported bits include the wire framing.
