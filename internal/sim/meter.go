@@ -40,11 +40,11 @@ const (
 // meter meters the sends of a sequential run (Run, and Synchronous, which
 // is Run under fifo) in send order. A run that only counts meters its first
 // meterInline sends inline, into the run's own Metrics; a run that interns
-// symbols meters none inline. Past the inline sends, sends are buffered into fixed batches
-// that one goroutine meters, batch after batch and send after send, into a
-// copy of the metrics that close folds back. Metering is then off the delivery
-// goroutine's critical path, and exact: the goroutine sees every send in
-// the order the engine made them. This leans on protocol.Message's rule
+// symbols meters none inline. Past the inline sends, sends are buffered
+// into fixed batches that one goroutine meters, batch after batch and send
+// after send, into a copy of the metrics that close folds back. Metering is
+// then off the delivery goroutine's critical path, and exact: the goroutine
+// sees every send in the order the engine made them. This leans on protocol.Message's rule
 // that a sent message is never written again, so the goroutine may read a
 // message the run has already delivered.
 //

@@ -146,7 +146,8 @@ func run(g *graph.G, p protocol.Protocol, opts Options, rounds bool) (*Result, e
 		// Adversary: choose the next pending edge; deliver its oldest
 		// message (links are FIFO).
 		e := sched.Pop()
-		if rounds && recs[e].Q.FrontSeq() >= roundEnd {
+		rec := &recs[e]
+		if rounds && rec.Q.FrontSeq() >= roundEnd {
 			endRound()
 			res.Rounds++
 			roundEnd, roundStart = sendSeq, res.Steps
@@ -156,7 +157,6 @@ func run(g *graph.G, p protocol.Protocol, opts Options, rounds bool) (*Result, e
 		}
 		res.Steps++
 
-		rec := &recs[e]
 		msg := rec.Q.Pop()
 		res.Metrics.delivered()
 		if rec.Q.Len() > 0 {
